@@ -113,13 +113,11 @@ def _csv_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_constants(args) -> int:
-    params = EllipticityParams(args.K, args.Kp)
-    bound = DistortionBound(args.lam)
+def _constants_payload(params: EllipticityParams, bound: DistortionBound) -> dict:
     res = landau(params, bound)
     b_lam = bloch_lambda_normalized(params)
     b_jac = bloch_jacobian_normalized(params)
-    payload = {
+    return {
         "params": {"K": params.K, "Kp": params.Kp, "lam": float(bound.lam)},
         "growth_rate": growth_rate(params, bound),
         "r1": res.r1,
@@ -127,6 +125,10 @@ def _cmd_constants(args) -> int:
         "bloch_lambda0": {"t": b_lam.t, "rho": b_lam.rho},
         "bloch_jacobian0": {"t": b_jac.t, "rho": b_jac.rho},
     }
+
+
+def _cmd_constants(args) -> int:
+    payload = _constants_payload(EllipticityParams(args.K, args.Kp), DistortionBound(args.lam))
     if args.M is not None:
         cl = classical_landau(args.M)
         payload["classical"] = {"M": cl.M, "r0": cl.r0, "R0": cl.R0}
@@ -242,21 +244,11 @@ def _cmd_report(args) -> int:
     t0 = time.perf_counter()
     params = EllipticityParams(args.K, args.Kp)
     bound = DistortionBound(args.lam)
-    res = landau(params, bound)
-    b_lam = bloch_lambda_normalized(params)
-    b_jac = bloch_jacobian_normalized(params)
     entries = _standard_entries(params, bound, args.n_random, args.seed)
     coeff = verify_coefficient_bounds(entries, params, bound)
     remarks = remark_campaign(samples=args.samples)
     payload = {
-        "constants": {
-            "params": {"K": params.K, "Kp": params.Kp, "lam": float(bound.lam)},
-            "growth_rate": growth_rate(params, bound),
-            "r1": res.r1,
-            "sigma1": res.sigma1,
-            "bloch_lambda0": {"t": b_lam.t, "rho": b_lam.rho},
-            "bloch_jacobian0": {"t": b_jac.t, "rho": b_jac.rho},
-        },
+        "constants": _constants_payload(params, bound),
         "coefficient_bounds": coeff,
         "remarks": remarks,
         "runtime_ms": None,

@@ -14,10 +14,13 @@ of the closed sub-disk with a simplicity check of the boundary curve
 (binned pair scan under per-sample movement radii, plus a tangent-turning
 bound), which is the standard degree-theoretic criterion.
 
-Coverage uses winding numbers of the sampled boundary curve around a net
-of target points, with a per-segment resolution precondition: a segment
-chord must not exceed a tenth of its distance to the probed point, else
-the angle sum is not trusted and the curve is refined.
+Coverage uses winding numbers of the sampled boundary curve, with a
+per-segment resolution precondition: a segment chord must not exceed a
+tenth of its distance to the probed point, else the angle sum is not
+trusted and the curve is refined.  A curve whose gap to the target disk
+dominates its chords winds equally around every point of the disk, so one
+winding number at the centre decides; only a curve that reaches into the
+disk needs a net of target points.
 """
 
 from __future__ import annotations
@@ -90,37 +93,72 @@ class OracleVerdict:
         }
 
 
+_PAIR_CHUNK = 1 << 18
+
+
+def _cabs(d: np.ndarray) -> np.ndarray:
+    """|d| bit for bit as Python's abs(complex); np.abs may differ in the last ulp."""
+    return np.hypot(d.real, d.imag)
+
+
+def _cell_pairs(values: np.ndarray, cell: float):
+    """Index pairs i < j of values in the same or adjacent square image cells.
+
+    Every pair closer than ``cell`` is among them.  Yields (i, j) index
+    arrays in chunks of about _PAIR_CHUNK pairs, ordered by i, then by the
+    neighbouring cell (dx outer, dy inner, each over -1, 0, 1), then by j,
+    so callers that stop early or keep the first of equal values stay
+    deterministic.
+    """
+    kx = np.floor(values.real / cell).astype(np.int64)
+    ky = np.floor(values.imag / cell).astype(np.int64)
+    # both callers size the cells from a Lipschitz or chord bound of the
+    # values, so each axis spans at most a few cells per sample and the flat
+    # cell key stays far from int64 overflow
+    width = int(ky.max() - ky.min()) + 3
+    key = (kx - kx.min() + 1) * width + (ky - ky.min() + 1)
+    members = np.argsort(key, kind="stable")
+    sorted_key = key[members]
+    wanted = key[:, None] + np.array([dx * width + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+    first = np.searchsorted(sorted_key, wanted, side="left")
+    count = np.searchsorted(sorted_key, wanted, side="right") - first
+
+    per_point = count.sum(axis=1)
+    done = np.cumsum(per_point)
+    lo = 0
+    while lo < len(values):
+        base = done[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(done, base + _PAIR_CHUNK, side="right")))
+        runs = count[lo:hi].ravel()
+        i = np.repeat(np.arange(lo, hi), per_point[lo:hi])
+        j = members[np.repeat(first[lo:hi].ravel() - (np.cumsum(runs) - runs), runs)
+                    + np.arange(done[hi - 1] - base)]
+        keep = j > i
+        yield i[keep], j[keep]
+        lo = hi
+
+
 def _near_pairs(points: np.ndarray, images: np.ndarray, eps_img: float, sep: float,
                 cap: int = 200_000) -> list[tuple[int, int]]:
     """Index pairs with image distance <= eps_img but domain distance > sep.
 
-    Image-space binning keeps this linear in the sample count.  The result
-    is sorted by image distance (closest first), ties broken by index, so
-    downstream refinement order is deterministic.
+    Image-space binning keeps this linear in the sample count; the cap
+    bounds the work on degenerate maps, keeping the first pairs in scan
+    order.  The result is sorted by image distance (closest first), ties
+    broken by index, so downstream refinement order is deterministic.
     """
-    cell = eps_img if eps_img > 0 else 1e-12
-    kx = np.floor(images.real / cell).astype(np.int64)
-    ky = np.floor(images.imag / cell).astype(np.int64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for idx in range(len(points)):
-        buckets.setdefault((kx[idx], ky[idx]), []).append(idx)
-
-    found: list[tuple[float, int, int]] = []
-    for idx in range(len(points)):
-        cx, cy = kx[idx], ky[idx]
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for jdx in buckets.get((cx + dx, cy + dy), ()):
-                    if jdx <= idx:
-                        continue
-                    dist_img = abs(images[idx] - images[jdx])
-                    if dist_img <= eps_img and abs(points[idx] - points[jdx]) > sep:
-                        found.append((dist_img, idx, jdx))
-                        if len(found) >= cap:
-                            found.sort()
-                            return [(i, j) for _, i, j in found]
-    found.sort()
-    return [(i, j) for _, i, j in found]
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    room = cap
+    for i, j in _cell_pairs(images, eps_img if eps_img > 0 else 1e-12):
+        dist_img = _cabs(images[i] - images[j])
+        hit = np.flatnonzero((dist_img <= eps_img) & (_cabs(points[i] - points[j]) > sep))[:room]
+        found.append((dist_img[hit], i[hit], j[hit]))
+        room -= len(hit)
+        if room == 0:
+            break
+    dist_img, i, j = (np.concatenate(parts) for parts in zip(*found))
+    order = np.lexsort((j, i, dist_img))
+    return list(zip(i[order].tolist(), j[order].tolist()))
 
 
 def _refine_collision(f, z1: complex, z2: complex, radius: float):
@@ -194,33 +232,22 @@ def _curve_scan(f, radius: float, n_curve: int):
 
     move = _MOVE_SAFETY * np.maximum(np.roll(abs_chords, 1), abs_chords)
     move_max = float(move.max())
-    cell = 3.0 * move_max
-    kx = np.floor(curve.real / cell).astype(np.int64)
-    ky = np.floor(curve.imag / cell).astype(np.int64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for idx in range(n_curve):
-        buckets.setdefault((kx[idx], ky[idx]), []).append(idx)
-
-    # pairs not visited by the 3x3 neighborhood are > cell apart in image,
-    # hence their slack exceeds cell - 2*move_max = move_max
+    # pairs not visited by the cell scan are > cell apart in image, hence
+    # their slack exceeds cell - 2*move_max = move_max
     margin = move_max
     worst = None
     pairs = 0
-    for idx in range(n_curve):
-        cx, cy = kx[idx], ky[idx]
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for jdx in buckets.get((cx + dx, cy + dy), ()):
-                    if jdx <= idx:
-                        continue
-                    gap_idx = jdx - idx
-                    if min(gap_idx, n_curve - gap_idx) < 2:
-                        continue
-                    pairs += 1
-                    slack = abs(curve[idx] - curve[jdx]) - (move[idx] + move[jdx])
-                    if slack < margin:
-                        margin = slack
-                        worst = (idx, jdx)
+    for i, j in _cell_pairs(curve, 3.0 * move_max):
+        gap_idx = j - i
+        near = np.minimum(gap_idx, n_curve - gap_idx) >= 2
+        i, j = i[near], j[near]
+        pairs += len(i)
+        if len(i):
+            slack = _cabs(curve[i] - curve[j]) - (move[i] + move[j])
+            k = int(np.argmin(slack))
+            if slack[k] < margin:
+                margin = slack[k]
+                worst = (i[k], j[k])
     info["scanned_pairs"] = pairs
     if margin <= 0.0:
         info["worst_pair_theta"] = [float(theta[worst[0]]), float(theta[worst[1]])]
@@ -296,8 +323,7 @@ def univalence_probe(f, radius: float, spec: SamplingSpec | None = None) -> Orac
     return OracleVerdict(INCONCLUSIVE, margin=0.0, resolution=res)
 
 
-def _winding_block(curve: np.ndarray, abs_chords: np.ndarray, targets: np.ndarray,
-                   check_segments: bool = True):
+def _winding_block(curve: np.ndarray, abs_chords: np.ndarray, targets: np.ndarray):
     """Winding numbers of the sampled curve around each target point.
 
     Chunked so memory stays bounded for long curves.  Returns integer
@@ -316,8 +342,7 @@ def _winding_block(curve: np.ndarray, abs_chords: np.ndarray, targets: np.ndarra
         rel = curve[None, :] - targets[sel, None]
         abs_rel = np.abs(rel)
         abs_next = np.roll(abs_rel, -1, axis=1)
-        if check_segments:
-            valid[sel] = (abs_chords[None, :] <= 0.1 * np.minimum(abs_rel, abs_next)).all(axis=1)
+        valid[sel] = (abs_chords[None, :] <= 0.1 * np.minimum(abs_rel, abs_next)).all(axis=1)
         dist[sel] = abs_rel.min(axis=1)
         angles = np.angle(np.roll(rel, -1, axis=1) * np.conj(rel))
         wind[sel] = np.rint(angles.sum(axis=1) / (2.0 * np.pi)).astype(np.int64)
@@ -347,24 +372,20 @@ def winding_number(f, radius: float, w: complex, n_theta: int = 2048) -> int:
     return int(wind[0])
 
 
-_NET_CAP = 500_000
-_WINDING_BUDGET = 100_000_000
-_SUBSAMPLE = 512
-
-
 def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = None) -> OracleVerdict:
     """Does f(|z| < radius) cover the closed disk |w| <= rho?
 
-    Certification needs the sampled boundary curve to stay outside the
-    target disk with slack dominating the chord length, and winding number
-    at least one around a net of the target disk.  When the net times the
-    curve is too large for exact winding sums everywhere, windings are
-    evaluated on a deterministic subsample: the uniform slack makes the
-    winding constant across the net, which the resolution records.
-    Refutation exhibits a net point with winding zero or less under valid
-    per-segment preconditions.  Orientation matters: the verdicts read the
-    winding as a covering count, which is the right reading for
-    sense-preserving maps.
+    Certification needs the sampled boundary curve to keep a gap > 0 from
+    the target disk with every chord at most a tenth of it.  Each polygon
+    segment then lies within half a chord of a sample, so the polygon
+    misses the disk by at least 0.95 gap and its winding number is the same
+    at every point of the disk: the winding at the centre, recorded as
+    ``winding_min``, certifies when it is at least one and otherwise
+    refutes with the centre as witness.  A curve that meets the disk within
+    sampling slack is refuted by a net point with winding zero or less
+    under valid per-segment preconditions.  Orientation matters: the
+    verdicts read the winding as a covering count, which is the right
+    reading for sense-preserving maps.
     """
     if spec is None:
         spec = SamplingSpec()
@@ -395,37 +416,14 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
         last_info = info
 
         if gap > 0.0 and chord_max <= 0.1 * gap:
-            # the whole target disk keeps distance >= gap from every curve
-            # sample, so the segment precondition holds uniformly and the
-            # winding is constant on the net
+            # the polygon misses the disk by >= 0.95 gap, so the winding at
+            # the centre is the winding at every point of the disk
             margin = gap - 0.5 * chord_max
-            spacing = min(rho / 16.0, margin)
-            net = disk_net(rho, spacing)
-            info["net_points"] = len(net)
-            info["net_spacing"] = spacing
-            if len(net) > _NET_CAP:
-                reason = "certification net too large for the available margin"
-                break
-            if len(net) * n_curve <= _WINDING_BUDGET:
-                targets = net
-                info["winding_method"] = "full net"
-            else:
-                idx = np.unique(np.linspace(0, len(net) - 1, _SUBSAMPLE).round().astype(int))
-                targets = net[idx]
-                info["winding_method"] = "subsample, winding constant on the net by the uniform slack"
-                info["winding_subsample"] = len(targets)
-            wind, _, dist = _winding_block(curve, abs_chords, targets, check_segments=False)
-            info["winding_min"] = int(wind.min())
-            info["winding_max"] = int(wind.max())
-            if wind.min() >= 1:
+            wind = int(_winding_block(curve, abs_chords, np.zeros(1, dtype=complex))[0][0])
+            info["winding_min"] = wind
+            if wind >= 1:
                 return OracleVerdict(CERTIFIED, margin=float(margin), resolution=info)
-            bad = int(np.argmin(wind))
-            return OracleVerdict(
-                REFUTED,
-                margin=-float(dist[bad]),
-                witness=complex(targets[bad]),
-                resolution=info,
-            )
+            return OracleVerdict(REFUTED, margin=-min_abs, witness=0j, resolution=info)
 
         if gap <= 0.0:
             net = disk_net(rho, rho / 16.0)

@@ -194,6 +194,12 @@ class TestReportAndBoundary:
                             "runtime_ms", "version"}
         assert rep["constants"]["r1"] == 0.4
 
+    def test_report_constants_match_constants_command(self, capsys):
+        params = ("--K", "2.5", "--Kp", "0.75", "--lam", "3")
+        _, const_out, _ = run(capsys, "constants", *params)
+        _, rep_out, _ = run(capsys, "report", *params, "--n-random", "1", "--samples", "30")
+        assert json.loads(rep_out)["constants"] == json.loads(const_out)
+
     def test_boundary_csv(self, capsys, tmp_path):
         path = tmp_path / "id.json"
         HarmonicMap.identity().save(path)

@@ -9,14 +9,24 @@ from elliptica import (
     CERTIFIED,
     INCONCLUSIVE,
     REFUTED,
+    DistortionBound,
+    EllipticityParams,
     HarmonicMap,
     MeshPrecisionError,
     OracleVerdict,
     SamplingSpec,
+    build_classical,
+    build_Fn,
+    classical_landau,
     coverage_probe,
+    disk_net,
+    landau,
+    polar_grid,
+    random_elliptic,
     univalence_probe,
     winding_number,
 )
+from elliptica.oracles import _MOVE_SAFETY, _curve_scan, _near_pairs
 
 IDENTITY = HarmonicMap.identity()
 SQUARE = HarmonicMap([0.0, 0.0, 1.0])  # z^2, the canonical non-injective map
@@ -125,6 +135,23 @@ class TestCoverageProbe:
         assert v.status == CERTIFIED
         assert v.resolution["winding_min"] == 2
 
+    def test_thin_gap_certified_by_one_winding(self):
+        # gap 1e-3 against chords of ~1e-4: the centre's winding certifies
+        # without a net of target points, however fine that net would be
+        v = coverage_probe(IDENTITY, 0.5, 0.499)
+        assert v.status == CERTIFIED
+        assert v.resolution["winding_min"] == 1
+        assert 0 < v.margin < 1e-3
+
+    def test_uncovered_centre_refuted_in_gap_branch(self):
+        # the image circle of 0.6 + z misses the disk by a wide gap and does
+        # not wind around it: the centre is the witness
+        v = coverage_probe(HarmonicMap([0.6, 1.0]), 0.5, 0.05)
+        assert v.status == REFUTED
+        assert v.witness == 0j
+        assert v.margin == pytest.approx(-0.1)
+        assert v.resolution["winding_min"] == 0
+
     def test_deterministic(self):
         a = coverage_probe(IDENTITY, 0.5, 0.45).to_json_dict()
         b = coverage_probe(IDENTITY, 0.5, 0.45).to_json_dict()
@@ -135,6 +162,69 @@ class TestCoverageProbe:
             coverage_probe(IDENTITY, 1.0, 0.5)
         with pytest.raises(ValueError):
             coverage_probe(IDENTITY, 0.5, 0.0)
+
+
+def _gap_certified_cases():
+    yield pytest.param(IDENTITY, 0.5, 0.45, id="identity")
+    yield pytest.param(SQUARE, 0.5, 0.2, id="square")
+    res = landau(EllipticityParams(1.0, 0.0), DistortionBound(2.0))
+    yield pytest.param(build_Fn(2, 2.0, n_terms=128), res.r1 * (1 - 1e-6),
+                       res.sigma1 * (1 - 1e-3), id="F_2")
+    for seed, (k, kp, lam) in ((3, (2.0, 0.5, 1.5)), (11, (4.0, 1.0, 3.0))):
+        res = landau(EllipticityParams(k, kp), DistortionBound(lam))
+        f = random_elliptic(EllipticityParams(k, kp), lam, seed)
+        yield pytest.param(f, res.r1 * (1 - 1e-6), res.sigma1 * (1 - 1e-3), id=f"random-{seed}")
+
+
+@pytest.mark.parametrize("f,radius,rho", list(_gap_certified_cases()))
+def test_gap_certificate_winding_is_constant_on_disk(f, radius, rho):
+    # the certificate evaluates one winding, at the centre; by the gap
+    # argument every point of the target disk must have that same winding
+    v = coverage_probe(f, radius, rho)
+    assert v.status == CERTIFIED
+    n_curve = v.resolution["curve_points"]
+    for w in disk_net(rho, rho / 8.0):
+        assert winding_number(f, radius, w, n_theta=n_curve) == v.resolution["winding_min"]
+
+
+@pytest.mark.parametrize("f,radius", [
+    pytest.param(IDENTITY, 0.5, id="identity"),
+    pytest.param(SQUARE, 0.5, id="square"),
+    pytest.param(build_Fn(3, 2.0, n_terms=64), 0.3, id="F_3"),
+    pytest.param(build_classical(2.0, n_terms=400), 1.05 * classical_landau(2.0).r0,
+                 id="classical-beyond-r0"),
+])
+def test_curve_scan_margin_matches_brute_force(f, radius):
+    n_curve = 256
+    simple, margin, _, info = _curve_scan(f, radius, n_curve)
+    curve = np.asarray(f.eval(radius * np.exp(2j * np.pi * np.arange(n_curve) / n_curve)))
+    chords = np.abs(np.roll(curve, -1) - curve)
+    move = _MOVE_SAFETY * np.maximum(np.roll(chords, 1), chords)
+    brute = float(move.max())
+    for i in range(n_curve):
+        for j in range(i + 2, n_curve - (i == 0)):
+            brute = min(brute, abs(curve[i] - curve[j]) - (move[i] + move[j]))
+    assert margin == brute
+    assert simple == (brute > 0)
+    assert info["scanned_pairs"] > 0
+
+
+def test_near_pairs_match_brute_force():
+    radius = 0.9
+    points = polar_grid(radius, 8, 32)
+    images = np.asarray(SQUARE.eval(points))
+    mesh = max(radius / 8, 2.0 * np.pi * radius / 32)
+    eps_img, sep = 2.0 * radius * mesh / 4.0, 2.0 * mesh
+    brute = sorted(
+        (abs(images[i] - images[j]), i, j)
+        for i in range(len(points)) for j in range(i + 1, len(points))
+        if abs(images[i] - images[j]) <= eps_img and abs(points[i] - points[j]) > sep
+    )
+    pairs = _near_pairs(points, images, eps_img, sep)
+    assert pairs == [(i, j) for _, i, j in brute]
+    assert len(pairs) > 32  # antipodal samples of z^2 collide
+    capped = _near_pairs(points, images, eps_img, sep, cap=5)
+    assert len(capped) == 5 and set(capped) <= set(pairs)
 
 
 class TestOracleVerdict:

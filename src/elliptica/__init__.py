@@ -44,6 +44,7 @@ from .harness import (
     random_elliptic,
     remark_campaign,
     thread_count,
+    verify_bloch_pipeline,
     verify_coefficient_bounds,
     verify_jacobian_normalized,
     verify_landau_probes,
@@ -114,6 +115,7 @@ __all__ = [
     "thread_count",
     "truncate_with_tail",
     "univalence_probe",
+    "verify_bloch_pipeline",
     "verify_coefficient_bounds",
     "verify_jacobian_normalized",
     "verify_landau_probes",

@@ -28,13 +28,12 @@ from .constants import (
     landau,
 )
 from .distortion import EllipticityParams
-from .extremals import build_classical, build_fn, build_Fn
+from .extremals import ExtremalSpec, build_extremal
 from .harness import (
     PACKAGE_VERSION,
-    bloch_pipeline,
-    build_report,
     random_elliptic,
     remark_campaign,
+    verify_bloch_pipeline,
     verify_coefficient_bounds,
     verify_jacobian_normalized,
     verify_landau_probes,
@@ -43,8 +42,10 @@ from .oracles import REFUTED, coverage_probe, univalence_probe
 from .sampling import SamplingSpec
 from .seriescore import HarmonicMap
 
-_PIPE_TOL = 1e-9
-_PIPE_NORM_TOL = 1e-12
+# No array a command builds may exceed this many points; the arguments that
+# size arrays or loops are capped accordingly, so an oversized value is a
+# usage error rather than a MemoryError or a hang.
+_MAX_POINTS = 1 << 24
 
 
 def _float_arg(name: str, low: float, strict: bool = False):
@@ -65,7 +66,7 @@ def _float_arg(name: str, low: float, strict: bool = False):
     return parse
 
 
-def _int_arg(name: str, low: int):
+def _int_arg(name: str, low: int, high: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -73,26 +74,37 @@ def _int_arg(name: str, low: int):
             raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{name} must be <= {high}, got {value}")
         return value
 
     return parse
 
 
-def _emit(text: str, out: str | None) -> int:
+def _emit(text: str, out: str | None, refuted: bool = False) -> int:
+    """Write text to stdout or to out; exit 1 when out is unwritable or refuted is set."""
     if out is None or out == "-":
         sys.stdout.write(text)
-        return 0
-    try:
-        Path(out).write_text(text)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return 1
-    print(f"wrote {out}")
-    return 0
+    else:
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+            return 1
+        print(f"wrote {out}")
+    return 1 if refuted else 0
 
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _emit_report(payload: dict, refuted: bool, args, t0: float) -> int:
+    """Write a campaign payload, stamped with wall-clock fields under --timestamp."""
+    if args.timestamp:
+        payload["runtime_ms"] = (time.perf_counter() - t0) * 1000.0
+        payload["timestamp"] = datetime.now(timezone.utc).isoformat()
+    return _emit(_json_text(payload), args.out, refuted)
 
 
 def _flatten(prefix: str, value, rows: list) -> None:
@@ -137,24 +149,15 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_extremal(args, parser: argparse.ArgumentParser) -> int:
-    if args.family in ("Fn", "fn"):
-        if args.n is None or args.lam is None:
-            parser.error(f"family {args.family} requires --n and --lam")
-        builder = build_Fn if args.family == "Fn" else build_fn
-        f = builder(args.n, args.lam, n_terms=args.N)
-    else:
-        if args.M is None:
-            parser.error("family classical requires --M")
-        f = build_classical(args.M, n_terms=args.N)
-    return _emit(_json_text(f.to_json_dict()), args.out)
-
-
-def _load_map(path: str) -> HarmonicMap:
-    return HarmonicMap.load(path)
+    needs = ("M",) if args.family == "classical" else ("n", "lam")
+    if any(getattr(args, name) is None for name in needs):
+        parser.error(f"family {args.family} requires " + " and ".join(f"--{name}" for name in needs))
+    spec = ExtremalSpec(args.family, getattr(args, needs[-1]), args.n)
+    return _emit(_json_text(build_extremal(spec, n_terms=args.N).to_json_dict()), args.out)
 
 
 def _cmd_check_map(args, parser: argparse.ArgumentParser) -> int:
-    f = _load_map(args.map)
+    f = HarmonicMap.load(args.map)
     spec = SamplingSpec(n_r=args.n_r, n_theta=args.n_theta, refinement_rounds=args.rounds)
     if args.mode == "univalence":
         verdict = univalence_probe(f, args.r, spec)
@@ -162,10 +165,7 @@ def _cmd_check_map(args, parser: argparse.ArgumentParser) -> int:
         if args.rho is None:
             parser.error("mode coverage requires --rho")
         verdict = coverage_probe(f, args.r, args.rho, spec)
-    code = _emit(_json_text(verdict.to_json_dict()), args.out)
-    if code != 0:
-        return code
-    return 1 if verdict.status == REFUTED else 0
+    return _emit(_json_text(verdict.to_json_dict()), args.out, verdict.status == REFUTED)
 
 
 def _standard_entries(params: EllipticityParams, bound: DistortionBound, n_random: int,
@@ -173,75 +173,39 @@ def _standard_entries(params: EllipticityParams, bound: DistortionBound, n_rando
     entries = []
     for n in range(2, 2 + families):
         entries.append((f"Fn{n}", f"series extremal n={n}, lam={float(bound.lam):g}",
-                        build_Fn(n, float(bound.lam))))
+                        build_extremal(ExtremalSpec("Fn", float(bound.lam), n))))
     for i in range(n_random):
         entries.append((f"random{i}", f"random_elliptic(seed={seed + i})",
                         random_elliptic(params, float(bound.lam), seed + i)))
     return entries
 
 
-def _cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify(args) -> tuple[dict, bool]:
     params = EllipticityParams(args.K, args.Kp)
     bound = DistortionBound(args.lam)
-    if args.which == "1":
-        entries = _standard_entries(params, bound, args.n_random, args.seed)
-        rep = verify_coefficient_bounds(entries, params, bound)
-    elif args.which == "2":
-        entries = _standard_entries(params, bound, args.n_random, args.seed, families=1)
-        rep = verify_landau_probes(entries, params, bound)
-    elif args.which == "3":
-        entries = [("identity", "identity map", HarmonicMap.identity())]
-        entries += _standard_entries(params, bound, args.n_random, args.seed, families=1)
-        rows = []
-        for map_id, source, f in entries:
-            trace = bloch_pipeline(f, params)
-            ok = (
-                trace.distortion_bound_excess <= _PIPE_TOL
-                and trace.ellipticity_margin >= -_PIPE_TOL
-                and abs(trace.lambda_origin - 1.0) <= _PIPE_NORM_TOL
-            )
-            rows.append({
-                "id": map_id,
-                "source": source,
-                "verdict": "pass" if ok else "violation",
-                "verdicts": trace.to_json_dict(),
-                "slacks": {
-                    "bound": -trace.distortion_bound_excess,
-                    "ellipticity": trace.ellipticity_margin,
-                    "normalization": _PIPE_NORM_TOL - abs(trace.lambda_origin - 1.0),
-                },
-            })
-        refuted = any(r["verdict"] == "violation" for r in rows)
-        worst = {"refuted": refuted}
-        if rows:
-            pick = min(rows, key=lambda r: min(r["slacks"].values()))
-            worst.update({"map": pick["id"], "slack": min(pick["slacks"].values())})
-        rep = build_report("bloch-pipeline", {"K": params.K, "Kp": params.Kp,
-                                              "lam": float(bound.lam)}, rows, worst)
-    elif args.which == "c1":
+    if args.which == "c1":
         if args.map is not None:
-            f = _load_map(args.map)
+            f = HarmonicMap.load(args.map)
             source = args.map
         else:
             # affine fixture with unit Jacobian at the origin
             f = HarmonicMap([0.0, 1.25], [0.75])
             source = "affine fixture a1=1.25, b1=0.75"
         rep = verify_jacobian_normalized(f, params, map_id="c1", source=source)
-    else:
+    elif args.which == "remarks":
         rep = remark_campaign(samples=args.samples)
+    elif args.which == "1":
+        entries = _standard_entries(params, bound, args.n_random, args.seed)
+        rep = verify_coefficient_bounds(entries, params, bound)
+    else:
+        entries = [("identity", "identity map", HarmonicMap.identity())] if args.which == "3" else []
+        entries += _standard_entries(params, bound, args.n_random, args.seed, families=1)
+        campaign = verify_landau_probes if args.which == "2" else verify_bloch_pipeline
+        rep = campaign(entries, params, bound)
+    return rep, rep["worst_case"].get("refuted")
 
-    if args.timestamp:
-        rep["runtime_ms"] = (time.perf_counter() - t0) * 1000.0
-        rep["timestamp"] = datetime.now(timezone.utc).isoformat()
-    code = _emit(_json_text(rep), args.out)
-    if code != 0:
-        return code
-    return 1 if rep["worst_case"].get("refuted") else 0
 
-
-def _cmd_report(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_report(args) -> tuple[dict, bool]:
     params = EllipticityParams(args.K, args.Kp)
     bound = DistortionBound(args.lam)
     entries = _standard_entries(params, bound, args.n_random, args.seed)
@@ -254,18 +218,11 @@ def _cmd_report(args) -> int:
         "runtime_ms": None,
         "version": PACKAGE_VERSION,
     }
-    if args.timestamp:
-        payload["runtime_ms"] = (time.perf_counter() - t0) * 1000.0
-        payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    code = _emit(_json_text(payload), args.out)
-    if code != 0:
-        return code
-    refuted = coeff["worst_case"].get("refuted") or remarks["worst_case"].get("refuted")
-    return 1 if refuted else 0
+    return payload, coeff["worst_case"].get("refuted") or remarks["worst_case"].get("refuted")
 
 
 def _cmd_boundary(args) -> int:
-    f = _load_map(args.map)
+    f = HarmonicMap.load(args.map)
     theta = 2.0 * np.pi * np.arange(args.n) / args.n
     curve = np.asarray(f.eval(args.r * np.exp(1j * theta)), dtype=complex)
     lines = ["theta,re,im"]
@@ -287,6 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     k_type = _float_arg("K", 1.0)
     kp_type = _float_arg("Kp", 0.0)
     lam_type = _float_arg("lam", 1.0)
+    # a campaign checks each random map on 64 x 256 = 2^14-point grids
+    n_random_type = _int_arg("n-random", 0, _MAX_POINTS >> 14)
+    samples_type = _int_arg("samples", 1, _MAX_POINTS)
 
     p_const = sub.add_parser("constants", help="closed-form constants for given parameters")
     p_const.add_argument("--K", type=k_type, required=True)
@@ -304,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--n", type=_int_arg("n", 2), default=None)
     p_ext.add_argument("--lam", type=lam_type, default=None)
     p_ext.add_argument("--M", type=_float_arg("M", 1.0, strict=True), default=None)
-    p_ext.add_argument("--N", type=_int_arg("N", 2), default=64, help="truncation degree")
+    p_ext.add_argument("--N", type=_int_arg("N", 2, _MAX_POINTS - 1), default=64,
+                       help="truncation degree")
     p_ext.add_argument("--out", default=None)
 
     p_chk = sub.add_parser("check-map", help="probe a stored map for injectivity or coverage")
@@ -312,9 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--r", type=_float_arg("r", 0.0, strict=True), required=True)
     p_chk.add_argument("--mode", choices=("univalence", "coverage"), required=True)
     p_chk.add_argument("--rho", type=_float_arg("rho", 0.0, strict=True), default=None)
-    p_chk.add_argument("--n-r", type=_int_arg("n-r", 1), default=48)
-    p_chk.add_argument("--n-theta", type=_int_arg("n-theta", 4), default=192)
-    p_chk.add_argument("--rounds", type=_int_arg("rounds", 0), default=3)
+    # the probe grid has n_r * n_theta + 1 <= 2^23 + 1 points, and the
+    # univalence curve grows to max(1024, 4 n_theta) * 2^rounds <= 2^24
+    p_chk.add_argument("--n-r", type=_int_arg("n-r", 1, 1 << 11), default=48)
+    p_chk.add_argument("--n-theta", type=_int_arg("n-theta", 4, 1 << 12), default=192)
+    p_chk.add_argument("--rounds", type=_int_arg("rounds", 0, 10), default=3)
     p_chk.add_argument("--out", default=None)
 
     p_ver = sub.add_parser("verify-theorem", help="run a verification campaign")
@@ -323,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--Kp", type=kp_type, default=0.0)
     p_ver.add_argument("--lam", type=lam_type, default=2.0)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--n-random", type=_int_arg("n-random", 0), default=3)
-    p_ver.add_argument("--samples", type=_int_arg("samples", 1), default=1000)
+    p_ver.add_argument("--n-random", type=n_random_type, default=3)
+    p_ver.add_argument("--samples", type=samples_type, default=1000)
     p_ver.add_argument("--map", default=None, help="map JSON for --which c1")
     p_ver.add_argument("--timestamp", action="store_true",
                        help="stamp wall-clock fields (breaks byte-reproducibility)")
@@ -335,15 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--Kp", type=kp_type, default=0.0)
     p_rep.add_argument("--lam", type=lam_type, required=True)
     p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--n-random", type=_int_arg("n-random", 0), default=2)
-    p_rep.add_argument("--samples", type=_int_arg("samples", 1), default=200)
+    p_rep.add_argument("--n-random", type=n_random_type, default=2)
+    p_rep.add_argument("--samples", type=samples_type, default=200)
     p_rep.add_argument("--timestamp", action="store_true")
     p_rep.add_argument("--out", default=None)
 
     p_bnd = sub.add_parser("boundary", help="sample the image of a circle to CSV")
     p_bnd.add_argument("--map", required=True)
     p_bnd.add_argument("--r", type=_float_arg("r", 0.0, strict=True), required=True)
-    p_bnd.add_argument("--n", type=_int_arg("n", 4), default=1024)
+    p_bnd.add_argument("--n", type=_int_arg("n", 4, _MAX_POINTS), default=1024)
     p_bnd.add_argument("--out", default=None)
 
     return ap
@@ -359,10 +322,10 @@ def main(argv=None) -> int:
             return _cmd_extremal(args, parser)
         if args.command == "check-map":
             return _cmd_check_map(args, parser)
-        if args.command == "verify-theorem":
-            return _cmd_verify(args)
-        if args.command == "report":
-            return _cmd_report(args)
+        if args.command in ("verify-theorem", "report"):
+            t0 = time.perf_counter()
+            command = _cmd_verify if args.command == "verify-theorem" else _cmd_report
+            return _emit_report(*command(args), args, t0)
         return _cmd_boundary(args)
     except (ValueError, TypeError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -71,9 +71,14 @@ def _check_common(n_terms: int, r_ref: float) -> None:
         raise ValueError(f"reference radius must lie in (0, 1), got {r_ref}")
 
 
-def _pinned_series(n: int, lam: float, n_terms: int, r_ref: float) -> HarmonicMap:
-    # shared by build_Fn / build_fn: identical coefficient law, different
-    # meaning of the pinned parameter
+def build_Fn(n: int, lam: float, n_terms: int = 64, r_ref: float = 0.9) -> HarmonicMap:
+    """Analytic extremal with minimum distortion pinned to ``lam``.
+
+    The expansion is ``z + sum_{k>=1} (-1)^{k+1} (lam^2-1) z^{k(n-1)+1} /
+    ((k(n-1)+1) lam^k)``; coefficients vanish except in degrees ``k(n-1)+1``.
+    ``n_terms`` is the truncation degree N and must admit at least the first
+    nonlinear term.  The geometric tail bound is exact for this series.
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
     lam = float(lam)
@@ -98,20 +103,9 @@ def _pinned_series(n: int, lam: float, n_terms: int, r_ref: float) -> HarmonicMa
     return HarmonicMap(coeffs, (), tail_bound=tail, reference_radius=r_ref)
 
 
-def build_Fn(n: int, lam: float, n_terms: int = 64, r_ref: float = 0.9) -> HarmonicMap:
-    """Analytic extremal with minimum distortion pinned to ``lam``.
-
-    The expansion is ``z + sum_{k>=1} (-1)^{k+1} (lam^2-1) z^{k(n-1)+1} /
-    ((k(n-1)+1) lam^k)``; coefficients vanish except in degrees ``k(n-1)+1``.
-    ``n_terms`` is the truncation degree N and must admit at least the first
-    nonlinear term.  The geometric tail bound is exact for this series.
-    """
-    return _pinned_series(n, lam, n_terms, r_ref)
-
-
 def build_fn(n: int, big_lam: float, n_terms: int = 64, r_ref: float = 0.9) -> HarmonicMap:
     """Same series as :func:`build_Fn` with the maximum distortion pinned."""
-    return _pinned_series(n, big_lam, n_terms, r_ref)
+    return build_Fn(n, big_lam, n_terms, r_ref)
 
 
 def build_classical(m_sup: float, n_terms: int = 64, r_ref: float = 0.9) -> HarmonicMap:

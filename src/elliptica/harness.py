@@ -48,6 +48,7 @@ __all__ = [
     "random_elliptic",
     "remark_campaign",
     "thread_count",
+    "verify_bloch_pipeline",
     "verify_coefficient_bounds",
     "verify_jacobian_normalized",
     "verify_landau_probes",
@@ -209,11 +210,12 @@ def bloch_pipeline(f, params: EllipticityParams, grid: SamplingSpec | None = Non
         )
 
     z_pts = polar_grid(0.999, grid.n_r, grid.n_theta)
+    r_sq = z_pts.real**2 + z_pts.imag**2
     _, lam_min_arr, jac_arr = distortion_arrays(f, z_pts)
     if jac_arr.min() < 0.0:
         bad = z_pts[int(np.argmin(jac_arr))]
         raise RuntimeError(f"sense-reversal at sample z = {complex(bad)!r}; Jacobian = {jac_arr.min()!r}")
-    weighted = (1.0 - (z_pts.real**2 + z_pts.imag**2)) * lam_min_arr
+    weighted = (1.0 - r_sq) * lam_min_arr
     best = int(np.argmax(weighted))
     m_grid = float(weighted[best])
     z0 = complex(z_pts[best])
@@ -233,9 +235,7 @@ def bloch_pipeline(f, params: EllipticityParams, grid: SamplingSpec | None = Non
     # grid point so exactly-normalized inputs stay exact
     if polish.success and -float(polish.fun) > m_grid:
         z0 = complex(polish.x[0], polish.x[1])
-        m_sup = _weighted_lambda(f, z0)
-    else:
-        m_sup = _weighted_lambda(f, z0)
+    m_sup = _weighted_lambda(f, z0)
 
     if not (m_sup > 0.0):
         raise RuntimeError("weighted distortion vanished at the argmax; degenerate map")
@@ -243,20 +243,13 @@ def bloch_pipeline(f, params: EllipticityParams, grid: SamplingSpec | None = Non
     g_map = BlochRescaledMap(f, z0, m_sup)
     gp0 = profile(g_map, 0.0)
 
-    # bound checks on the rescaled map
-    w_pts = polar_grid(0.999, grid.n_r, grid.n_theta)
-    fz_g, fzb_g = g_map.partials(w_pts)
-    m1 = np.abs(fz_g)
-    m2 = np.abs(fzb_g)
-    lam_pointwise = m1 - m2
-    norm_sq = (m1 + m2) ** 2
-    jac_pointwise = (m1 - m2) * (m1 + m2)
-    if jac_pointwise.min() < 0.0:
-        bad = w_pts[int(np.argmin(jac_pointwise))]
+    # bound checks on the rescaled map, over the same grid read as w points
+    lam_max_g, lam_min_g, jac_g = distortion_arrays(g_map, z_pts)
+    if jac_g.min() < 0.0:
+        bad = z_pts[int(np.argmin(jac_g))]
         raise RuntimeError(f"sense-reversal after rescaling at w = {complex(bad)!r}")
-    bound = 2.0 / (2.0 - (w_pts.real**2 + w_pts.imag**2))
-    excess = float(np.max(lam_pointwise - bound))
-    margin = float(np.min(params.K * jac_pointwise + 4.0 * params.Kp - norm_sq))
+    excess = float(np.max(lam_min_g - 2.0 / (2.0 - r_sq)))
+    margin = float(np.min(params.K * jac_g + 4.0 * params.Kp - lam_max_g**2))
 
     return PipelineTrace(
         sup_weighted_distortion=m_sup,
@@ -265,7 +258,7 @@ def bloch_pipeline(f, params: EllipticityParams, grid: SamplingSpec | None = Non
         lambda_origin=float(gp0.lambda_min),
         distortion_bound_excess=excess,
         ellipticity_margin=margin,
-        sample_count=len(z_pts) + len(w_pts),
+        sample_count=2 * len(z_pts),
         rescaled_map=g_map,
     )
 
@@ -371,6 +364,28 @@ def build_report(theorem: str, params: dict, maps: list, worst_case: dict) -> di
 MapEntry = tuple[str, str, Any]  # (id, source description, map object)
 
 
+def _campaign(entries: Sequence[MapEntry], check: Callable) -> tuple[list, tuple | None]:
+    """Check every map; return the rows and the first least-slack ``(slack, row)``.
+
+    ``check(f)`` returns ``(verdict, verdicts, slacks)``; a RuntimeError it raises
+    makes that map an excluded row carrying the message.  Only rows with slacks
+    can be the worst case, which is None when no row has any.
+    """
+
+    def one(entry: MapEntry) -> dict:
+        map_id, source, f = entry
+        try:
+            verdict, verdicts, slacks = check(f)
+        except RuntimeError as exc:
+            verdict, verdicts, slacks = "excluded", {"error": str(exc)}, {}
+        return {"id": map_id, "source": source, "verdict": verdict,
+                "verdicts": verdicts, "slacks": slacks}
+
+    rows = parallel_map(one, entries)
+    scored = [(min(r["slacks"].values()), r) for r in rows if r["slacks"]]
+    return rows, min(scored, key=lambda pair: pair[0], default=None)
+
+
 def verify_coefficient_bounds(entries: Sequence[MapEntry], params: EllipticityParams,
                               bound: DistortionBound, tol: float = 1e-10,
                               grid: SamplingSpec | None = None) -> dict:
@@ -381,12 +396,10 @@ def verify_coefficient_bounds(entries: Sequence[MapEntry], params: EllipticityPa
     violation and flips the report's refuted flag.
     """
 
-    def one(entry: MapEntry) -> dict:
-        map_id, source, f = entry
+    def check(f) -> tuple[str, dict, dict]:
         ok, detail = _hypothesis_review(f, params, bound, grid)
         if not ok:
-            return {"id": map_id, "source": source, "verdict": "excluded",
-                    "verdicts": {"hypotheses": detail}, "slacks": {}}
+            return "excluded", {"hypotheses": detail}, {}
         slacks = {}
         worst_n = None
         worst = math.inf
@@ -397,25 +410,18 @@ def verify_coefficient_bounds(entries: Sequence[MapEntry], params: EllipticityPa
                 worst = slack
                 worst_n = n
         verdict = "pass" if worst >= -tol else "violation"
-        return {"id": map_id, "source": source, "verdict": verdict,
-                "verdicts": {"hypotheses": detail, "worst_degree": worst_n},
-                "slacks": slacks}
+        return verdict, {"hypotheses": detail, "worst_degree": worst_n}, slacks
 
-    results = parallel_map(one, entries)
-    included = [r for r in results if r["verdict"] != "excluded"]
-    worst_case: dict = {"refuted": any(r["verdict"] == "violation" for r in results)}
-    if included:
-        pick = min(included, key=lambda r: min(r["slacks"].values()) if r["slacks"] else math.inf)
-        if pick["slacks"]:
-            worst_case.update({
-                "map": pick["id"],
-                "degree": pick["verdicts"]["worst_degree"],
-                "slack": min(pick["slacks"].values()),
-            })
+    rows, worst = _campaign(entries, check)
+    worst_case: dict = {"refuted": any(r["verdict"] == "violation" for r in rows)}
+    if worst is not None:
+        slack, row = worst
+        worst_case.update({"map": row["id"], "degree": row["verdicts"]["worst_degree"],
+                           "slack": slack})
     return build_report(
         "coefficient-bounds",
         {"K": params.K, "Kp": params.Kp, "lam": float(bound.lam), "tol": tol},
-        results,
+        rows,
         worst_case,
     )
 
@@ -435,12 +441,10 @@ def verify_landau_probes(entries: Sequence[MapEntry], params: EllipticityParams,
     probe_radius = result.r1 * (1.0 - radius_slack)
     probe_rho = result.sigma1 * (1.0 - rho_slack)
 
-    def one(entry: MapEntry) -> dict:
-        map_id, source, f = entry
+    def check(f) -> tuple[str, dict, dict]:
         ok, detail = _hypothesis_review(f, params, bound, grid)
         if not ok:
-            return {"id": map_id, "source": source, "verdict": "excluded",
-                    "verdicts": {"hypotheses": detail}, "slacks": {}}
+            return "excluded", {"hypotheses": detail}, {}
         uni = univalence_probe(f, probe_radius, spec)
         cov = coverage_probe(f, probe_radius, probe_rho, spec)
         if uni.status == REFUTED or cov.status == REFUTED:
@@ -449,27 +453,57 @@ def verify_landau_probes(entries: Sequence[MapEntry], params: EllipticityParams,
             verdict = "certified"
         else:
             verdict = "inconclusive"
-        return {"id": map_id, "source": source, "verdict": verdict,
-                "verdicts": {"univalence": uni.to_json_dict(), "coverage": cov.to_json_dict()},
-                "slacks": {"univalence_margin": uni.margin, "coverage_margin": cov.margin}}
+        return (verdict,
+                {"univalence": uni.to_json_dict(), "coverage": cov.to_json_dict()},
+                {"univalence_margin": uni.margin, "coverage_margin": cov.margin})
 
-    results = parallel_map(one, entries)
+    rows, worst = _campaign(entries, check)
     worst_case: dict = {
-        "refuted": any(r["verdict"] == "refuted" for r in results),
+        "refuted": any(r["verdict"] == "refuted" for r in rows),
         "probe_radius": probe_radius,
         "probe_rho": probe_rho,
     }
-    probed = [r for r in results if r["slacks"]]
-    if probed:
-        pick = min(probed, key=lambda r: min(r["slacks"].values()))
-        worst_case.update({"map": pick["id"], "margin": min(pick["slacks"].values())})
+    if worst is not None:
+        margin, row = worst
+        worst_case.update({"map": row["id"], "margin": margin})
     return build_report(
         "landau-radius",
         {"K": params.K, "Kp": params.Kp, "lam": float(bound.lam),
          "r1": result.r1, "sigma1": result.sigma1},
-        results,
+        rows,
         worst_case,
     )
+
+
+_PIPE_TOL = 1e-9
+_PIPE_NORM_TOL = 1e-12
+
+
+def verify_bloch_pipeline(entries: Sequence[MapEntry], params: EllipticityParams,
+                          bound: DistortionBound) -> dict:
+    """Renormalize each map with :func:`bloch_pipeline` and check the rescaled map.
+
+    It passes when lambda <= 2/(2 - |w|^2) and the quadrupled ellipticity
+    margin >= 0 hold within 1e-9, and lambda(0) = 1 within 1e-12.  A map the
+    pipeline rejects (sense reversal) is an excluded row; ``bound`` labels the report.
+    """
+
+    def check(f) -> tuple[str, dict, dict]:
+        trace = bloch_pipeline(f, params)
+        slacks = {"bound": -trace.distortion_bound_excess, "ellipticity": trace.ellipticity_margin,
+                  "normalization": _PIPE_NORM_TOL - abs(trace.lambda_origin - 1.0)}
+        ok = (slacks["bound"] >= -_PIPE_TOL and slacks["ellipticity"] >= -_PIPE_TOL
+              and slacks["normalization"] >= 0.0)
+        return "pass" if ok else "violation", trace.to_json_dict(), slacks
+
+    rows, worst = _campaign(entries, check)
+    worst_case: dict = {"refuted": any(r["verdict"] == "violation" for r in rows)}
+    if worst is not None:
+        slack, row = worst
+        worst_case.update({"map": row["id"], "slack": slack})
+    return build_report("bloch-pipeline",
+                        {"K": params.K, "Kp": params.Kp, "lam": float(bound.lam)},
+                        rows, worst_case)
 
 
 def verify_jacobian_normalized(f, params: EllipticityParams,

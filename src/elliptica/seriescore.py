@@ -104,7 +104,7 @@ class HarmonicMap:
             b = [complex(re, im) for re, im in data["b"]]
             tail = float(data["tail_bound"])
             r_ref = float(data["r_ref"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed harmonic-map record: {exc}") from exc
         return cls(a, b, tail_bound=tail, reference_radius=r_ref)
 

@@ -1,9 +1,13 @@
 """Command line: exit codes, output determinism, format round-trips."""
 
+import argparse
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from elliptica import (
     DistortionBound,
@@ -11,10 +15,15 @@ from elliptica import (
     HarmonicMap,
     bloch_jacobian_normalized,
     bloch_lambda_normalized,
+    build_Fn,
     growth_rate,
     landau,
+    random_elliptic,
+    verify_bloch_pipeline,
 )
-from elliptica.cli import main
+from elliptica.cli import _int_arg, build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -140,6 +149,16 @@ class TestExtremalAndCheckMap:
                            "--r", "0.5", "--mode", "univalence")
         assert code == 2
 
+    def test_oversized_coefficient_is_usage_error(self, capsys, tmp_path):
+        # a 401-digit integer overflows float(); that is a malformed map, not a refutation
+        path = tmp_path / "huge.json"
+        path.write_text('{"a": [[0, 0], [1%s, 0]], "b": [], "tail_bound": 0, "r_ref": 0.9}' % ("0" * 400))
+        code, out, err = run(capsys, "check-map", "--map", str(path),
+                             "--r", "0.5", "--mode", "univalence")
+        assert code == 2
+        assert out == ""
+        assert "error: malformed harmonic-map record" in err
+
     def test_extremal_family_argument_coupling(self):
         with pytest.raises(SystemExit) as exc:
             main(["extremal", "--family", "Fn", "--lam", "2"])  # --n missing
@@ -173,6 +192,32 @@ class TestVerifyCommand:
         rep = json.loads(a)
         assert rep["runtime_ms"] is not None and "timestamp" in rep
         assert a != b
+
+    def test_landau_suite(self, capsys):
+        args = ("verify-theorem", "--which", "2", "--n-random", "1")
+        code_a, a, _ = run(capsys, *args)
+        code_b, b, _ = run(capsys, *args)
+        assert code_a == code_b == 0
+        assert a == b
+        rep = json.loads(a)
+        assert rep["theorem"] == "landau-radius"
+        assert [m["id"] for m in rep["maps"]] == ["Fn2", "random0"]
+
+    def test_bloch_suite_is_the_harness_campaign(self, capsys):
+        args = ("verify-theorem", "--which", "3", "--K", "2", "--Kp", "0.5", "--lam", "1.5",
+                "--seed", "4", "--n-random", "2")
+        code_a, a, _ = run(capsys, *args)
+        code_b, b, _ = run(capsys, *args)
+        assert code_a == code_b == 0
+        assert a == b
+        params, bound = EllipticityParams(2.0, 0.5), DistortionBound(1.5)
+        entries = [("identity", "identity map", HarmonicMap.identity()),
+                   ("Fn2", "series extremal n=2, lam=1.5", build_Fn(2, 1.5))]
+        entries += [(f"random{i}", f"random_elliptic(seed={4 + i})", random_elliptic(params, 1.5, 4 + i))
+                    for i in range(2)]
+        rep = verify_bloch_pipeline(entries, params, bound)
+        assert rep["theorem"] == "bloch-pipeline"
+        assert a == json.dumps(rep, indent=2) + "\n"
 
     def test_jacobian_route_exit_codes(self, capsys):
         # the fixture violates the origin bound at K = 1 and satisfies it at K = 4
@@ -210,6 +255,62 @@ class TestReportAndBoundary:
         assert len(lines) == 9
         theta, re, im = map(float, lines[3].split(","))
         assert complex(re, im) == pytest.approx(0.4 * np.exp(1j * theta), abs=1e-16)
+
+
+# (command line before the capped flag, flag, largest accepted value)
+CAPS = [
+    ("extremal --family Fn --n 2 --lam 2", "--N", 2**24 - 1),
+    ("boundary --map f.json --r 0.5", "--n", 2**24),
+    ("check-map --map f.json --r 0.5 --mode univalence", "--n-r", 2**11),
+    ("check-map --map f.json --r 0.5 --mode univalence", "--n-theta", 2**12),
+    ("check-map --map f.json --r 0.5 --mode univalence", "--rounds", 10),
+    ("verify-theorem --which remarks", "--samples", 2**24),
+    ("verify-theorem --which 1", "--n-random", 2**10),
+    ("report --K 1 --lam 2", "--samples", 2**24),
+    ("report --K 1 --lam 2", "--n-random", 2**10),
+]
+
+
+class TestArgumentCaps:
+    """Arguments that size arrays or loops are capped; checked by parsing only."""
+
+    @pytest.mark.parametrize("prefix,flag,cap", CAPS)
+    def test_cap_is_a_usage_error(self, prefix, flag, cap, capsys):
+        parser = build_parser()
+        args = parser.parse_args(shlex.split(prefix) + [flag, str(cap)])
+        assert getattr(args, flag[2:].replace("-", "_")) == cap
+        for too_big in (cap + 1, 10**30):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(shlex.split(prefix) + [flag, str(too_big)])
+            assert exc.value.code == 2
+        assert f"must be <= {cap}" in capsys.readouterr().err
+
+    def test_caps_bound_every_array(self):
+        caps = {flag: cap for _, flag, cap in CAPS}
+        # the probe grid, and the univalence curve after its last doubling
+        assert caps["--n-r"] * caps["--n-theta"] + 1 <= 2**24
+        assert max(1024, 4 * caps["--n-theta"]) * 2 ** caps["--rounds"] <= 2**24
+        # a campaign checks each random map on 64 x 256-point grids
+        assert caps["--n-random"] * 64 * 256 <= 2**24
+
+    def test_readme_examples_parse(self):
+        text = README.read_text()
+        block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line, comments=True) for line in block.strip().splitlines()]
+        assert len(lines) >= 8
+        parser = build_parser()
+        for argv in lines:
+            assert argv[0] == "elliptica"
+            parser.parse_args(argv[1:])
+
+    @given(st.text(max_size=40) | st.integers(-10**40, 10**40).map(str))
+    def test_int_parser_returns_in_range_or_rejects(self, text):
+        parse = _int_arg("x", 1, 1000)
+        try:
+            value = parse(text)
+        except argparse.ArgumentTypeError:
+            return
+        assert isinstance(value, int) and 1 <= value <= 1000
 
 
 class TestTopLevel:

@@ -21,6 +21,7 @@ from elliptica import (
     random_elliptic,
     remark_campaign,
     thread_count,
+    verify_bloch_pipeline,
     verify_coefficient_bounds,
     verify_jacobian_normalized,
     verify_landau_probes,
@@ -229,6 +230,37 @@ class TestCampaigns:
         assert rep["maps"][0]["verdict"] == "certified"
         assert not rep["worst_case"]["refuted"]
         assert rep["worst_case"]["probe_radius"] == pytest.approx(0.4 * (1 - 1e-6))
+
+    def test_worst_case_is_the_first_least_slack_map(self):
+        params, bound = P(1, 0), DistortionBound(2)
+        entries = [("id", "identity", HarmonicMap.identity()),
+                   ("first", "series extremal", build_Fn(2, 2.0)),
+                   ("second", "series extremal", build_Fn(2, 2.0))]
+        rep = verify_coefficient_bounds(entries, params, bound, grid=SMALL_GRID)
+        # the identity has no degree >= 2 and so no slacks; ties go to the first map
+        assert rep["maps"][0]["slacks"] == {}
+        assert rep["worst_case"] == {"refuted": False, "map": "first", "degree": 2, "slack": 0.0}
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bloch_campaign_excludes_a_map_the_pipeline_rejects(self, monkeypatch, threads):
+        monkeypatch.setenv("ELLIPTICA_THREADS", threads)
+        params, bound = P(1, 0), DistortionBound(2)
+        # lambda(0) = 1, but J = 1 + 1.2 Re z is negative for Re z < -5/6
+        reversing = HarmonicMap([0, 1, 0.3], [0, 0.3])
+        with pytest.raises(RuntimeError, match="sense-reversal") as exc:
+            bloch_pipeline(reversing, params)
+        good = [("identity", "identity map", HarmonicMap.identity()),
+                ("Fn2", "series extremal", build_Fn(2, 2))]
+        rep = verify_bloch_pipeline([good[0], ("bad", "crafted", reversing), good[1]],
+                                    params, bound)
+        assert rep["theorem"] == "bloch-pipeline"
+        assert rep["maps"][1] == {"id": "bad", "source": "crafted", "verdict": "excluded",
+                                  "verdicts": {"error": str(exc.value)}, "slacks": {}}
+        for entry, row in zip(good, (rep["maps"][0], rep["maps"][2])):
+            assert row == verify_bloch_pipeline([entry], params, bound)["maps"][0]
+            assert row["verdict"] == "pass"
+        assert rep["worst_case"]["refuted"] is False
+        assert rep["worst_case"]["map"] in ("identity", "Fn2")
 
     def test_jacobian_normalized_route(self):
         aff = HarmonicMap([0.0, 1.25], [0.75])  # J(0) = 1.25^2 - 0.75^2 = 1

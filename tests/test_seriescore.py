@@ -128,6 +128,24 @@ class TestCoefficients:
             f.analytic_coeffs[1] = 7.0
 
 
+# any value json.load can return (it accepts NaN and Infinity), plus records
+# shaped enough to reach the HarmonicMap constructor
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.just(10**400)
+                 | st.floats() | st.text(max_size=6))
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_PAIRS = st.lists(st.lists(_JSON_SCALARS, min_size=2, max_size=2), max_size=4)
+_RECORDS = st.fixed_dictionaries({
+    "a": _PAIRS | _JSON,
+    "b": _PAIRS | _JSON,
+    "tail_bound": st.floats(0.0, 1.0) | _JSON_SCALARS,
+    "r_ref": st.floats(0.0, 1.0) | _JSON_SCALARS,
+})
+
+
 class TestSerialization:
     def test_round_trip_exact(self):
         f = random_map(5)
@@ -156,6 +174,22 @@ class TestSerialization:
     def test_malformed_rejected(self, record):
         with pytest.raises(ValueError):
             HarmonicMap.from_json_dict(record)
+
+    @pytest.mark.parametrize("field", ["a", "b", "tail_bound"])
+    def test_oversized_number_rejected(self, field):
+        record = {"a": [[0, 0], [1, 0]], "b": [], "tail_bound": 0, "r_ref": 0.9}
+        huge = 10**400  # a float() of it overflows
+        record[field] = huge if field == "tail_bound" else [[0, 0], [huge, 0]]
+        with pytest.raises(ValueError, match="malformed harmonic-map record"):
+            HarmonicMap.from_json_dict(record)
+
+    @given(_JSON | _RECORDS)
+    def test_any_json_value_loads_or_raises_value_error(self, data):
+        try:
+            f = HarmonicMap.from_json_dict(data)
+        except ValueError:
+            return
+        assert isinstance(f, HarmonicMap)
 
     def test_validation(self):
         with pytest.raises(ValueError):

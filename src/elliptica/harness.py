@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .constants import (
     DistortionBound,
@@ -202,6 +201,8 @@ def bloch_pipeline(f, params: EllipticityParams, grid: SamplingSpec | None = Non
         if not isinstance(f, HarmonicMap):
             raise TypeError("shrink < 1 requires a series map (precomposition needed)")
         f = f.precompose_scale(shrink).scale_output(1.0 / shrink)
+    # imported here: scipy.optimize is most of the import time of elliptica
+    from scipy.optimize import minimize
 
     p0 = profile(f, 0.0)
     if abs(p0.lambda_min - 1.0) > _HYP_TOL:

@@ -7,12 +7,13 @@ budget was exhausted without either.  Verdicts never silently degrade: a
 precondition the data fails to meet refines the mesh or ends inconclusive.
 
 Refutation of injectivity is exact in spirit: candidate near-collisions
-found by image-space binning are polished with a damped Gauss-Newton
-iteration until two genuinely distinct preimages agree to 1e-12, or the
-candidate is discarded.  Certification combines a positive-Jacobian sweep
-of the closed sub-disk with a simplicity check of the boundary curve
-(binned pair scan under per-sample movement radii, plus a tangent-turning
-bound), which is the standard degree-theoretic criterion.
+found by image-space binning are polished, all together as one array batch,
+with a damped Gauss-Newton iteration until two genuinely distinct preimages
+agree to 1e-12, or the candidate is discarded; the first candidate in scan
+order that converges is the witness.  Certification combines a
+positive-Jacobian sweep of the closed sub-disk with a simplicity check of
+the boundary curve (binned pair scan under per-sample movement radii, plus
+a tangent-turning bound), which is the standard degree-theoretic criterion.
 
 Coverage uses winding numbers of the sampled boundary curve, with a
 per-segment resolution precondition: a segment chord must not exceed a
@@ -161,50 +162,73 @@ def _near_pairs(points: np.ndarray, images: np.ndarray, eps_img: float, sep: flo
     return list(zip(i[order].tolist(), j[order].tolist()))
 
 
-def _refine_collision(f, z1: complex, z2: complex, radius: float):
-    """Damped Gauss-Newton polish of a candidate collision pair.
+def _pair_residuals(f, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """f(z1) - f(z2) for each pair, from one evaluation of both point arrays."""
+    values = f.eval(np.concatenate([z1, z2]))
+    return values[: len(z1)] - values[len(z1):]
 
-    Treats (z1, z2) as four real unknowns and drives f(z1) - f(z2) to zero
-    with minimum-norm steps, backtracking on the residual and projecting
-    back into the closed disk of the given radius.  Success requires the
-    residual below 1e-12 while the pair stays separated by more than 1e-6.
+
+def _polish_collisions(f, z1: np.ndarray, z2: np.ndarray, radius: float):
+    """Damped Gauss-Newton polish of candidate collision pairs, as one batch.
+
+    Treats each pair (z1, z2) as four real unknowns and drives
+    f(z1) - f(z2) to zero with minimum-norm steps, backtracking on the
+    residual and projecting back into the closed disk of the given radius.
+    Every pair keeps its own stopping rules (80 steps, 12 halvings, the
+    residual and diagonal tolerances); the batch only shares the evaluations.
+    A pair converges when its residual is below 1e-12 while it stays
+    separated by more than 1e-6.
+
+    Returns arrays (z1, z2, ok, resid, sep) for the pairs up to and including
+    the first, in input order, that converges, or for all pairs if none
+    does; polishing stops as soon as that first one is known.
     """
-    z1 = complex(z1)
-    z2 = complex(z2)
+    z1 = np.array(z1, dtype=complex)
+    z2 = np.array(z2, dtype=complex)
     cap = radius * (1.0 - 1e-12)
-    for _ in range(80):
-        resid = complex(f.eval(z1)) - complex(f.eval(z2))
-        if abs(resid) < 0.1 * _RESID_TOL:
+    resid = _pair_residuals(f, z1, z2)
+    live = np.ones(len(z1), dtype=bool)
+    # the 81st pass only settles the pairs that took all 80 steps
+    for steps in range(81):
+        live &= (_cabs(resid) >= 0.1 * _RESID_TOL) & (steps < 80)
+        ok = ((_cabs(resid) < _RESID_TOL) & (_cabs(z1 - z2) > _DIAG_TOL)
+              & (_cabs(z1) <= radius + 1e-15) & (_cabs(z2) <= radius + 1e-15))
+        won = np.flatnonzero(~live & ok)
+        if not live.any() or (len(won) and not live[: won[0]].any()):
             break
-        fz1, fzb1 = f.partials(z1)
-        fz2, fzb2 = f.partials(z2)
+        idx = np.flatnonzero(live)
+        m = len(idx)
+        fz, fzb = f.partials(np.concatenate([z1[idx], z2[idx]]))
         # d/dx = f_z + f_zbar, d/dy = i (f_z - f_zbar); second point negated
-        cols = (fz1 + fzb1, 1j * (fz1 - fzb1), -(fz2 + fzb2), -1j * (fz2 - fzb2))
-        jac = np.array([[c.real for c in cols], [c.imag for c in cols]])
-        rhs = np.array([-resid.real, -resid.imag])
-        step, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
-        move1 = complex(step[0], step[1])
-        move2 = complex(step[2], step[3])
+        dx = fz + fzb
+        dy = 1j * (fz - fzb)
+        cols = np.stack([dx[:m], dy[:m], -dx[m:], -dy[m:]], axis=-1)
+        jac = np.stack([cols.real, cols.imag], axis=1)
+        rhs = np.stack([-resid[idx].real, -resid[idx].imag], axis=-1)[..., None]
+        # rtol=None cuts singular values below 4 eps of the largest; the default cut is 1e-15
+        moves = (np.linalg.pinv(jac, rtol=None) @ rhs).reshape(m, 4).view(complex)
         scale = 1.0
+        halving = np.arange(m)
         for _ in range(12):
-            w1 = z1 + scale * move1
-            w2 = z2 + scale * move2
-            if abs(w1) > cap:
-                w1 *= cap / abs(w1)
-            if abs(w2) > cap:
-                w2 *= cap / abs(w2)
-            if abs(complex(f.eval(w1)) - complex(f.eval(w2))) < abs(resid):
+            w1 = z1[idx[halving]] + scale * moves[halving, 0]
+            w2 = z2[idx[halving]] + scale * moves[halving, 1]
+            for w in (w1, w2):
+                size = _cabs(w)
+                out = size > cap
+                w[out] *= cap / size[out]
+            trial = _pair_residuals(f, w1, w2)
+            better = _cabs(trial) < _cabs(resid[idx[halving]])
+            took = idx[halving[better]]
+            z1[took], z2[took], resid[took] = w1[better], w2[better], trial[better]
+            live[took] &= _cabs(z1[took] - z2[took]) >= 0.1 * _DIAG_TOL
+            halving = halving[~better]
+            if not len(halving):
                 break
             scale *= 0.5
-        else:
-            break
-        z1, z2 = w1, w2
-        if abs(z1 - z2) < 0.1 * _DIAG_TOL:
-            break
-    resid = abs(complex(f.eval(z1)) - complex(f.eval(z2)))
-    sep = abs(z1 - z2)
-    ok = resid < _RESID_TOL and sep > _DIAG_TOL and abs(z1) <= radius + 1e-15 and abs(z2) <= radius + 1e-15
-    return z1, z2, ok, resid, sep
+        live[idx[halving]] = False
+
+    keep = won[0] + 1 if len(won) else len(ok)
+    return z1[:keep], z2[:keep], ok[:keep], _cabs(resid[:keep]), _cabs(z1[:keep] - z2[:keep])
 
 
 def _curve_scan(f, radius: float, n_curve: int):
@@ -259,8 +283,10 @@ def univalence_probe(f, radius: float, spec: SamplingSpec | None = None) -> Orac
     """Three-way injectivity verdict for f on the closed disk |z| <= radius.
 
     Refutation first: grid points whose images nearly coincide while the
-    points stay apart are polished into an exact collision witness.  If no
-    collision survives polishing, certification requires a strictly
+    points stay apart are polished into an exact collision witness.  The
+    first 64 such pairs, closest images first, are polished as one batch,
+    and the first of them in that order that converges is the witness.  If
+    no collision survives polishing, certification requires a strictly
     positive Jacobian at every sample of the closed disk together with a
     simple boundary curve; either failing leaves the verdict inconclusive.
     """
@@ -288,12 +314,14 @@ def univalence_probe(f, radius: float, spec: SamplingSpec | None = None) -> Orac
 
     candidates = _near_pairs(points, images, eps_img, sep)
     base["candidate_pairs"] = len(candidates)
-    for i, j in candidates[:64]:
-        z1, z2, ok, resid, pair_sep = _refine_collision(f, points[i], points[j], radius)
-        if ok:
+    if candidates:
+        i, j = np.array(candidates[:64]).T
+        z1, z2, ok, resid, pair_sep = _polish_collisions(f, points[i], points[j], radius)
+        if ok[-1]:
             res = dict(base)
-            res.update({"collision_residual": resid, "witness_separation": pair_sep})
-            return OracleVerdict(REFUTED, margin=-pair_sep, witness=(z1, z2), resolution=res)
+            res.update({"collision_residual": float(resid[-1]), "witness_separation": float(pair_sep[-1])})
+            return OracleVerdict(REFUTED, margin=-float(pair_sep[-1]),
+                                 witness=(complex(z1[-1]), complex(z2[-1])), resolution=res)
 
     jac_min = float(jac.min())
     base["jacobian_min"] = jac_min

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import elliptica
 from elliptica import (
     BlochRescaledMap,
     DiskAutomorphism,
@@ -117,6 +121,15 @@ class TestBlochRescaledMap:
     def test_validation(self):
         with pytest.raises(ValueError):
             BlochRescaledMap(build_Fn(2, 2.0), 0.0, 0.0)
+
+
+def test_import_does_not_load_scipy():
+    # scipy.optimize serves only bloch_pipeline and is most of the import time
+    src = os.path.dirname(os.path.dirname(elliptica.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, elliptica; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestBlochPipeline:

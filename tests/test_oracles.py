@@ -26,7 +26,8 @@ from elliptica import (
     univalence_probe,
     winding_number,
 )
-from elliptica.oracles import _MOVE_SAFETY, _curve_scan, _near_pairs
+from elliptica import oracles, seriescore
+from elliptica.oracles import _MOVE_SAFETY, _curve_scan, _near_pairs, _polish_collisions
 
 IDENTITY = HarmonicMap.identity()
 SQUARE = HarmonicMap([0.0, 0.0, 1.0])  # z^2, the canonical non-injective map
@@ -225,6 +226,144 @@ def test_near_pairs_match_brute_force():
     assert len(pairs) > 32  # antipodal samples of z^2 collide
     capped = _near_pairs(points, images, eps_img, sep, cap=5)
     assert len(capped) == 5 and set(capped) <= set(pairs)
+
+
+def _probe_candidates(monkeypatch, f, radius):
+    """The verdict of univalence_probe and the candidate arrays it polished."""
+    seen = []
+
+    def recording(f, z1, z2, radius):
+        seen.append((z1.copy(), z2.copy()))
+        return _polish_collisions(f, z1, z2, radius)
+
+    monkeypatch.setattr(oracles, "_polish_collisions", recording)
+    verdict = univalence_probe(f, radius)
+    (z1, z2), = seen
+    return verdict, z1, z2
+
+
+def _solo_polishes(f, z1, z2, radius):
+    """Each candidate polished in a batch of its own, lazily, one row per candidate."""
+    for k in range(len(z1)):
+        yield tuple(out[0] for out in _polish_collisions(f, z1[k:k + 1], z2[k:k + 1], radius))
+
+
+def _batch_polishes(f, z1, z2, radius):
+    """Every candidate polished in one batch with all the candidates after it."""
+    rows, k = [], 0
+    while k < len(z1):
+        out = _polish_collisions(f, z1[k:], z2[k:], radius)
+        rows += zip(*out)
+        k += len(out[0])
+    return rows
+
+
+def test_polish_work_count_of_a_sharp_certificate(monkeypatch):
+    # counts Horner passes, not time: the scalar per-candidate polish made
+    # about 6,400 of them on this probe
+    calls = 0
+    horner = seriescore._horner
+
+    def counting(coeffs, z):
+        nonlocal calls
+        calls += 1
+        return horner(coeffs, z)
+
+    f = build_classical(2.0, 400)
+    monkeypatch.setattr(seriescore, "_horner", counting)
+    v = univalence_probe(f, 0.99 * classical_landau(2.0).r0)
+    assert v.status == CERTIFIED
+    assert v.resolution["candidate_pairs"] == 873
+    assert calls < 640
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.05])
+def test_polish_does_not_depend_on_the_batch(monkeypatch, factor):
+    f = build_classical(2.0, 400)
+    radius = factor * classical_landau(2.0).r0
+    _, z1, z2 = _probe_candidates(monkeypatch, f, radius)
+    assert len(z1) == 64
+    solo = list(_solo_polishes(f, z1, z2, radius))
+    batch = _batch_polishes(f, z1, z2, radius)
+    assert batch == solo  # rows of z1, z2, ok, residual, separation
+    assert any(row[2] for row in solo) == (factor > 1.0)
+
+
+def _scalar_polish(f, z1, z2, radius):
+    """Reference: the damped Gauss-Newton polish of one pair, in scalar steps."""
+    cap = radius * (1.0 - 1e-12)
+    for _ in range(80):
+        resid = f.eval(z1) - f.eval(z2)
+        if abs(resid) < 1e-13:
+            break
+        fz1, fzb1 = f.partials(z1)
+        fz2, fzb2 = f.partials(z2)
+        cols = (fz1 + fzb1, 1j * (fz1 - fzb1), -(fz2 + fzb2), -1j * (fz2 - fzb2))
+        jac = np.array([[c.real for c in cols], [c.imag for c in cols]])
+        step, *_ = np.linalg.lstsq(jac, [-resid.real, -resid.imag], rcond=None)
+        for k in range(12):
+            w1 = z1 + 0.5**k * complex(step[0], step[1])
+            w2 = z2 + 0.5**k * complex(step[2], step[3])
+            w1 *= min(1.0, cap / abs(w1))
+            w2 *= min(1.0, cap / abs(w2))
+            if abs(f.eval(w1) - f.eval(w2)) < abs(resid):
+                break
+        else:
+            break
+        z1, z2 = w1, w2
+        if abs(z1 - z2) < 1e-7:
+            break
+    resid = abs(f.eval(z1) - f.eval(z2))
+    ok = resid < 1e-12 and abs(z1 - z2) > 1e-6 and max(abs(z1), abs(z2)) <= radius + 1e-15
+    return z1, z2, ok
+
+
+@pytest.mark.parametrize("factor,count", [(0.99, 16), (1.05, 64)])
+def test_polish_matches_the_scalar_reference(monkeypatch, factor, count):
+    # array and scalar complex arithmetic differ in the last ulp, so the
+    # polished points agree to a tolerance and the convergence flags exactly
+    f = build_classical(2.0, 400)
+    radius = factor * classical_landau(2.0).r0
+    _, z1, z2 = _probe_candidates(monkeypatch, f, radius)
+    flags = []
+    for got, (a, b) in zip(_solo_polishes(f, z1[:count], z2[:count], radius), zip(z1, z2)):
+        w1, w2, ok = _scalar_polish(f, complex(a), complex(b), radius)
+        assert abs(got[0] - w1) < 1e-12 and abs(got[1] - w2) < 1e-12
+        assert got[2] == ok
+        flags.append(ok)
+    assert any(flags) == (factor > 1.0) and not all(flags[:count])
+
+
+@pytest.mark.parametrize("M", [1.5, 2.0, 3.0, 5.0])
+def test_refutation_witness_is_the_first_converging_candidate(monkeypatch, M):
+    f = build_classical(M, 400)
+    radius = 1.05 * classical_landau(M).r0
+    v, z1, z2 = _probe_candidates(monkeypatch, f, radius)
+    assert v.status == REFUTED
+    first = next(row for row in _solo_polishes(f, z1, z2, radius) if row[2])
+    w1, w2 = v.witness
+    assert (w1, w2) == (first[0], first[1])
+    assert v.resolution["collision_residual"] == first[3]
+    assert v.resolution["witness_separation"] == first[4] == -v.margin
+    gap = float(abs(f.eval_hp(w1, dps=50) - f.eval_hp(w2, dps=50)))
+    assert gap <= 1e-10
+    assert abs(w1 - w2) >= 1e-6
+    assert max(abs(w1), abs(w2)) <= radius
+
+
+# pairs for z^2: one that never converges (slow), one that converges after a
+# few steps, one that converges at once, and one that collapses to the diagonal
+_SQUARE_PAIRS = [(0.6j, 0.1), (0.5 + 0.1j, -0.2 + 0.3j), (0.3 + 0.1j, -0.299999 - 0.1j), (0.4, 0.4 + 1e-9)]
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (0, 3, 1, 2), (1, 2, 0, 3), (3, 0, 2, 1), (2, 1, 3, 0)])
+def test_batch_polish_stops_at_the_first_converging_pair(order):
+    z1 = np.array([_SQUARE_PAIRS[k][0] for k in order], dtype=complex)
+    z2 = np.array([_SQUARE_PAIRS[k][1] for k in order], dtype=complex)
+    solo = list(_solo_polishes(SQUARE, z1, z2, 0.9))
+    first = next(k for k, row in enumerate(solo) if row[2])
+    out = _polish_collisions(SQUARE, z1, z2, 0.9)
+    assert list(zip(*out)) == solo[: first + 1]
 
 
 class TestOracleVerdict:

@@ -79,13 +79,19 @@ class DistortionProfile:
 
 @dataclass(frozen=True)
 class EllipticityReport:
-    """Sampled ellipticity evidence; min_margin < 0 certifies a violation."""
+    """Sampled ellipticity evidence; min_margin < 0 certifies a violation.
+
+    sup_lambda_min is the maximum of lambda_min over the polar grid alone
+    (not the refinement clouds), equal to :func:`sup_lambda_min` on that
+    grid; it is not part of the JSON record.
+    """
 
     params: EllipticityParams
     min_margin: float
     worst_point: complex
     sample_count: int
     sense_preserving_everywhere_sampled: bool
+    sup_lambda_min: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,7 +147,7 @@ def ellipticity_check(
     spec = grid if grid is not None else _DEFAULT_GRID
 
     pts = polar_grid(region_radius, spec.n_r, spec.n_theta)
-    lam_max, _, jac = distortion_arrays(f, pts)
+    lam_max, lam_min, jac = distortion_arrays(f, pts)
     margin = _margin(params, lam_max, jac)
 
     k = int(np.argmin(margin))
@@ -172,6 +178,7 @@ def ellipticity_check(
         worst_point=worst,
         sample_count=count,
         sense_preserving_everywhere_sampled=sense,
+        sup_lambda_min=float(np.max(lam_min)),
     )
 
 

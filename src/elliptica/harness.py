@@ -31,7 +31,7 @@ from .constants import (
     psi,
     remark_inequalities,
 )
-from .distortion import EllipticityParams, distortion_arrays, ellipticity_check, profile, sup_lambda_min
+from .distortion import EllipticityParams, distortion_arrays, ellipticity_check, profile
 from .oracles import CERTIFIED, REFUTED, OracleVerdict, coverage_probe, univalence_probe
 from .sampling import SamplingSpec, halton, polar_grid
 from .seriescore import HarmonicMap
@@ -332,10 +332,10 @@ def _hypothesis_review(f, params: EllipticityParams, bound: DistortionBound,
     p0 = profile(f, 0.0)
     if abs(p0.lambda_min - 1.0) > _HYP_TOL:
         reasons.append(f"lambda(0) = {p0.lambda_min!r} is not 1")
-    sup_lam = sup_lambda_min(f, 0.999, grid)
+    report = ellipticity_check(f, params, grid)
+    sup_lam = report.sup_lambda_min
     if sup_lam > float(bound.lam) + _HYP_TOL:
         reasons.append(f"sup lambda = {sup_lam!r} exceeds {float(bound.lam)!r}")
-    report = ellipticity_check(f, params, grid)
     if report.min_margin < -_HYP_TOL:
         reasons.append(f"ellipticity margin {report.min_margin!r} at {report.worst_point!r}")
     if not report.sense_preserving_everywhere_sampled:
@@ -606,7 +606,6 @@ def remark_campaign(samples: int = 1000, k_range: tuple[float, float] = (1.0, 8.
             if slack < min_slacks[key]:
                 min_slacks[key] = slack
                 if key != "radius_literal":
-                    argmin.setdefault(key, {})
                     argmin[key] = {"K": k_val, "Kp": kp_val, "lam": lam_val}
 
     lo, hi = math.log(1e-3), math.log(1e3)

@@ -59,6 +59,10 @@ _MOVE_SAFETY = 0.75
 _RESID_TOL = 1e-12
 _DIAG_TOL = 1e-6
 
+# inconclusive reason for a map that overflows: no margin computed from
+# inf or nan values means anything, and JSON has no spelling for them
+_NONFINITE = "non-finite map values"
+
 
 class MeshPrecisionError(RuntimeError):
     """The boundary mesh is too coarse for a trustworthy winding sum."""
@@ -109,7 +113,8 @@ def _cell_pairs(values: np.ndarray, cell: float):
     arrays in chunks of about _PAIR_CHUNK pairs, ordered by i, then by the
     neighbouring cell (dx outer, dy inner, each over -1, 0, 1), then by j,
     so callers that stop early or keep the first of equal values stay
-    deterministic.
+    deterministic.  Each point finds its neighbours with one key range per
+    neighbouring column, three ``searchsorted`` queries in all.
     """
     kx = np.floor(values.real / cell).astype(np.int64)
     ky = np.floor(values.imag / cell).astype(np.int64)
@@ -117,12 +122,15 @@ def _cell_pairs(values: np.ndarray, cell: float):
     # values, so each axis spans at most a few cells per sample and the flat
     # cell key stays far from int64 overflow
     width = int(ky.max() - ky.min()) + 3
+    # rows run 1..width-2, so rows dy = -1, 0, +1 of one column dx stay inside
+    # that column and are the consecutive keys key + dx*width - 1 .. + 1; the
+    # stable sort orders that key range by dy, then by j
     key = (kx - kx.min() + 1) * width + (ky - ky.min() + 1)
     members = np.argsort(key, kind="stable")
     sorted_key = key[members]
-    wanted = key[:, None] + np.array([dx * width + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
-    first = np.searchsorted(sorted_key, wanted, side="left")
-    count = np.searchsorted(sorted_key, wanted, side="right") - first
+    column = key[:, None] + np.array([-width, 0, width])
+    first = np.searchsorted(sorted_key, column - 1, side="left")
+    count = np.searchsorted(sorted_key, column + 1, side="right") - first
 
     per_point = count.sum(axis=1)
     done = np.cumsum(per_point)
@@ -246,7 +254,10 @@ def _curve_scan(f, radius: float, n_curve: int):
     curve = np.asarray(f.eval(z), dtype=complex)
     chords = np.roll(curve, -1) - curve
     abs_chords = np.abs(chords)
-    info = {"curve_points": n_curve, "max_chord": float(abs_chords.max())}
+    info = {"curve_points": n_curve}
+    if not np.isfinite(abs_chords).all():
+        return False, 0.0, _NONFINITE + " on the boundary curve", info
+    info["max_chord"] = float(abs_chords.max())
     if abs_chords.min() == 0.0:
         return False, 0.0, "stationary boundary samples", info
     turn = np.angle(np.roll(chords, -1) * np.conj(chords))
@@ -288,7 +299,8 @@ def univalence_probe(f, radius: float, spec: SamplingSpec | None = None) -> Orac
     and the first of them in that order that converges is the witness.  If
     no collision survives polishing, certification requires a strictly
     positive Jacobian at every sample of the closed disk together with a
-    simple boundary curve; either failing leaves the verdict inconclusive.
+    simple boundary curve; either failing leaves the verdict inconclusive,
+    as does a map whose values or derivatives overflow on the samples.
     """
     if spec is None:
         spec = SamplingSpec()
@@ -299,6 +311,10 @@ def univalence_probe(f, radius: float, spec: SamplingSpec | None = None) -> Orac
     points = polar_grid(radius, spec.n_r, spec.n_theta)
     images = np.asarray(f.eval(points), dtype=complex)
     lam_max, _, jac = distortion_arrays(f, points)
+    if not (np.isfinite(images).all() and np.isfinite(lam_max).all()):
+        reason = _NONFINITE + " or derivatives on the probe grid"
+        return OracleVerdict(INCONCLUSIVE, margin=0.0,
+                             resolution={"n_r": spec.n_r, "n_theta": spec.n_theta, "reason": reason})
     sup_lam = float(lam_max.max())
     mesh = max(radius / spec.n_r, 2.0 * np.pi * radius / spec.n_theta)
     sep = 2.0 * mesh
@@ -411,9 +427,9 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
     ``winding_min``, certifies when it is at least one and otherwise
     refutes with the centre as witness.  A curve that meets the disk within
     sampling slack is refuted by a net point with winding zero or less
-    under valid per-segment preconditions.  Orientation matters: the
-    verdicts read the winding as a covering count, which is the right
-    reading for sense-preserving maps.
+    under valid per-segment preconditions.  A curve with non-finite samples
+    is inconclusive.  Orientation matters: the verdicts read the winding as
+    a covering count, which is the right reading for sense-preserving maps.
     """
     if spec is None:
         spec = SamplingSpec()
@@ -434,6 +450,11 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
         abs_chords = np.abs(np.roll(curve, -1) - curve)
         chord_max = float(abs_chords.max())
         min_abs = float(np.abs(curve).min())
+        if not (math.isfinite(chord_max) and math.isfinite(min_abs)):
+            # refining the curve cannot remove an overflowing sample
+            res = {"curve_points": n_curve, "rounds_used": round_idx,
+                   "reason": _NONFINITE + " on the boundary curve"}
+            return OracleVerdict(INCONCLUSIVE, margin=0.0, resolution=res)
         gap = min_abs - rho
         info = {
             "curve_points": n_curve,

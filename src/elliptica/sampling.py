@@ -62,16 +62,15 @@ def halton(count: int, base: int, start: int = 1) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    out = np.empty(count)
-    for k in range(count):
-        i = start + k
-        f = 1.0
-        x = 0.0
-        while i > 0:
-            f /= base
-            x += f * (i % base)
-            i //= base
-        out[k] = x
+    i = np.arange(start, start + count, dtype=np.int64)
+    out = np.zeros(count)
+    f = 1.0
+    # an index whose digits are used up adds f*0 = 0.0, so every entry is
+    # bit-identical to its own scalar radical inverse
+    while i.any():
+        f /= base
+        out += f * (i % base)
+        i //= base
     return out
 
 

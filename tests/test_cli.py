@@ -159,6 +159,21 @@ class TestExtremalAndCheckMap:
         assert out == ""
         assert "error: malformed harmonic-map record" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mode", [["univalence"], ["coverage", "--rho", "0.1"]])
+    def test_overflowing_map_is_inconclusive_strict_json(self, capsys, tmp_path, mode):
+        path = tmp_path / "overflow.json"
+        HarmonicMap([0.0, 1.0, 1.5e308, 1.5e308]).save(path)
+        code, out, _ = run(capsys, "check-map", "--map", str(path), "--r", "0.9", "--mode", *mode)
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        assert code == 0
+        verdict = json.loads(out, parse_constant=reject)
+        assert verdict["status"] == "inconclusive"
+        assert "non-finite map values" in verdict["resolution"]["reason"]
+
     def test_extremal_family_argument_coupling(self):
         with pytest.raises(SystemExit) as exc:
             main(["extremal", "--family", "Fn", "--lam", "2"])  # --n missing

@@ -116,6 +116,14 @@ class TestEllipticityCheck:
 
 
 class TestSupLambdaMin:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_report_field_is_the_grid_supremum(self, seed):
+        f = random_map(seed)
+        grid = SamplingSpec(24, 96, 2)
+        rep = ellipticity_check(f, EllipticityParams(2.0, 0.5), grid, 0.9)
+        assert rep.sup_lambda_min == sup_lambda_min(f, 0.9, grid)
+        assert "sup_lambda_min" not in rep.to_json_dict()
+
     def test_affine(self):
         assert sup_lambda_min(AFFINE, 0.999) == 0.5
 

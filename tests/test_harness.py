@@ -24,12 +24,14 @@ from elliptica import (
     profile,
     random_elliptic,
     remark_campaign,
+    sup_lambda_min,
     thread_count,
     verify_bloch_pipeline,
     verify_coefficient_bounds,
     verify_jacobian_normalized,
     verify_landau_probes,
 )
+from elliptica.harness import _hypothesis_review
 
 P = EllipticityParams
 SMALL_GRID = SamplingSpec(n_r=24, n_theta=96, refinement_rounds=2)
@@ -213,6 +215,33 @@ class TestRandomElliptic:
             random_elliptic(P(1, 0), 1.0)
         with pytest.raises(ValueError):
             random_elliptic(P(1, 0), 0.5)
+
+
+BENCHMARK_REGIMES = ((2.0, 0.5, 1.5), (1.0, 0.0, 2.0), (4.0, 1.0, 3.0), (1.5, 0.25, 1.2))
+
+
+class TestHypothesisReview:
+    def test_one_partials_call_on_the_grid(self, monkeypatch):
+        f = random_elliptic(P(2, 0.5), 1.5, seed=0)
+        sizes = []
+        partials = HarmonicMap.partials
+
+        def recording(self, z):
+            sizes.append(np.size(z))
+            return partials(self, z)
+
+        monkeypatch.setattr(HarmonicMap, "partials", recording)
+        ok, _ = _hypothesis_review(f, P(2, 0.5), DistortionBound(1.5))
+        assert ok
+        assert sizes.count(64 * 256 + 1) == 1
+
+    @pytest.mark.parametrize("k,kp,lam", BENCHMARK_REGIMES)
+    def test_sup_lambda_is_the_grid_supremum(self, k, kp, lam):
+        grid = SamplingSpec(n_r=64, n_theta=256, refinement_rounds=3)
+        for seed in range(4):
+            f = random_elliptic(P(k, kp), lam, seed=seed)
+            _, detail = _hypothesis_review(f, P(k, kp), DistortionBound(lam))
+            assert detail["sup_lambda"] == sup_lambda_min(f, 0.999, grid)
 
 
 class TestCampaigns:

@@ -165,6 +165,37 @@ class TestCoverageProbe:
             coverage_probe(IDENTITY, 0.5, 0.0)
 
 
+# 1.5e308 z^2 overflows to inf on the grid; the map must not be certified
+# with a NaN margin, nor crash the coverage refinement
+OVERFLOWING = HarmonicMap([0.0, 1.0, 1.5e308, 1.5e308])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteMaps:
+    def _assert_strict_inconclusive(self, v):
+        assert v.status == INCONCLUSIVE
+        assert v.margin == 0.0
+        assert "non-finite map values" in v.resolution["reason"]
+        json.dumps(v.to_json_dict(), allow_nan=False)
+
+    def test_univalence_inconclusive(self):
+        self._assert_strict_inconclusive(univalence_probe(OVERFLOWING, 0.9))
+
+    def test_coverage_inconclusive(self):
+        self._assert_strict_inconclusive(coverage_probe(OVERFLOWING, 0.9, 0.1))
+
+    def test_curve_scan_fails_on_the_refined_curve(self):
+        simple, margin, reason, info = _curve_scan(OVERFLOWING, 0.9, 4096)
+        assert (simple, margin, info) == (False, 0.0, {"curve_points": 4096})
+        assert "non-finite map values" in reason
+
+    def test_huge_finite_map_still_refuted(self):
+        # values and stretches stay finite (only the Jacobian product
+        # overflows), so the collision witness still stands
+        v = univalence_probe(HarmonicMap([0.0, 1.0, 1e307]), 0.5)
+        assert v.status == REFUTED
+
+
 def _gap_certified_cases():
     yield pytest.param(IDENTITY, 0.5, 0.45, id="identity")
     yield pytest.param(SQUARE, 0.5, 0.2, id="square")
@@ -226,6 +257,56 @@ def test_near_pairs_match_brute_force():
     assert len(pairs) > 32  # antipodal samples of z^2 collide
     capped = _near_pairs(points, images, eps_img, sep, cap=5)
     assert len(capped) == 5 and set(capped) <= set(pairs)
+
+
+def _nine_query_cell_pairs(values, cell):
+    """Reference: the cell join with one searchsorted query per neighbour cell."""
+    kx = np.floor(values.real / cell).astype(np.int64)
+    ky = np.floor(values.imag / cell).astype(np.int64)
+    width = int(ky.max() - ky.min()) + 3
+    key = (kx - kx.min() + 1) * width + (ky - ky.min() + 1)
+    members = np.argsort(key, kind="stable")
+    sorted_key = key[members]
+    wanted = key[:, None] + np.array([dx * width + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+    first = np.searchsorted(sorted_key, wanted, side="left")
+    count = np.searchsorted(sorted_key, wanted, side="right") - first
+    per_point = count.sum(axis=1)
+    done = np.cumsum(per_point)
+    lo = 0
+    while lo < len(values):
+        base = done[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(done, base + oracles._PAIR_CHUNK, side="right")))
+        runs = count[lo:hi].ravel()
+        i = np.repeat(np.arange(lo, hi), per_point[lo:hi])
+        j = members[np.repeat(first[lo:hi].ravel() - (np.cumsum(runs) - runs), runs)
+                    + np.arange(done[hi - 1] - base)]
+        keep = j > i
+        yield i[keep], j[keep]
+        lo = hi
+
+
+def _cell_join_cases():
+    rng = np.random.default_rng(7)
+    for n, cell in ((1, 0.1), (2, 0.5), (17, 0.3), (500, 0.05), (4000, 0.02), (20_000, 0.01)):
+        yield rng.random(n) + 1j * rng.random(n), cell
+    yield 1e-3 * (rng.random(800) + 1j * rng.random(800)), 1.0  # one cell, 319,600 pairs
+    yield rng.random(20_000) + 1j * rng.random(20_000), 0.04  # ~2.7e6 pairs
+    radius = 1.05 * classical_landau(2.0).r0
+    curve = np.asarray(build_classical(2.0, 400).eval(radius * np.exp(2j * np.pi * np.arange(1024) / 1024)))
+    chords = np.abs(np.roll(curve, -1) - curve)
+    yield curve, 3.0 * float((_MOVE_SAFETY * np.maximum(np.roll(chords, 1), chords)).max())
+
+
+def test_cell_join_matches_the_nine_query_reference():
+    chunk_counts = []
+    for values, cell in _cell_join_cases():
+        got = list(oracles._cell_pairs(values, cell))
+        want = list(_nine_query_cell_pairs(values, cell))
+        assert len(got) == len(want)
+        for (i, j), (ri, rj) in zip(got, want):
+            assert np.array_equal(i, ri) and np.array_equal(j, rj)
+        chunk_counts.append(len(got))
+    assert chunk_counts[6] > 1 and chunk_counts[7] > 10
 
 
 def _probe_candidates(monkeypatch, f, radius):

@@ -38,7 +38,28 @@ class TestPolarGrid:
             polar_grid(0.0, 4, 8)
 
 
+def _scalar_halton(count, base, start=1):
+    """Reference: the radical inverse of each index, one digit at a time."""
+    out = np.empty(count)
+    for k in range(count):
+        i = start + k
+        f = 1.0
+        x = 0.0
+        while i > 0:
+            f /= base
+            x += f * (i % base)
+            i //= base
+        out[k] = x
+    return out
+
+
 class TestHalton:
+    @pytest.mark.parametrize("base", [2, 3, 5, 7, 11])
+    def test_bit_identical_to_the_scalar_reference(self, base):
+        for start in (1, 129, 257, 1000):
+            for count in (0, 1, 128, 2000):
+                assert np.array_equal(halton(count, base, start), _scalar_halton(count, base, start))
+
     def test_base2_prefix(self):
         # radical inverse of 1,2,3,4 in base 2
         assert np.allclose(halton(4, 2), [0.5, 0.25, 0.75, 0.125], atol=0, rtol=0)

@@ -17,8 +17,6 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .constants import (
     DistortionBound,
     bloch_jacobian_normalized,
@@ -38,7 +36,7 @@ from .harness import (
     verify_jacobian_normalized,
     verify_landau_probes,
 )
-from .oracles import REFUTED, coverage_probe, univalence_probe
+from .oracles import REFUTED, coverage_probe, sample_circle, univalence_probe
 from .sampling import SamplingSpec
 from .seriescore import HarmonicMap
 
@@ -223,8 +221,7 @@ def _cmd_report(args) -> tuple[dict, bool]:
 
 def _cmd_boundary(args) -> int:
     f = HarmonicMap.load(args.map)
-    theta = 2.0 * np.pi * np.arange(args.n) / args.n
-    curve = np.asarray(f.eval(args.r * np.exp(1j * theta)), dtype=complex)
+    theta, curve = sample_circle(f.eval, args.r, args.n)
     lines = ["theta,re,im"]
     lines.extend(
         f"{t:.17g},{v.real:.17g},{v.imag:.17g}" for t, v in zip(theta, curve)
@@ -273,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--r", type=_float_arg("r", 0.0, strict=True), required=True)
     p_chk.add_argument("--mode", choices=("univalence", "coverage"), required=True)
     p_chk.add_argument("--rho", type=_float_arg("rho", 0.0, strict=True), default=None)
-    # the probe grid has n_r * n_theta + 1 <= 2^23 + 1 points, and the
-    # univalence curve grows to max(1024, 4 n_theta) * 2^rounds <= 2^24
+    # the probe grid has n_r * n_theta + 1 <= 2^23 + 1 points, the
+    # univalence curve grows to max(1024, 4 n_theta) * 2^rounds <= 2^24, and
+    # the winding refinements stop at 2^18 points
     p_chk.add_argument("--n-r", type=_int_arg("n-r", 1, 1 << 11), default=48)
     p_chk.add_argument("--n-theta", type=_int_arg("n-theta", 4, 1 << 12), default=192)
     p_chk.add_argument("--rounds", type=_int_arg("rounds", 0, 10), default=3)

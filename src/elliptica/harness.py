@@ -365,12 +365,15 @@ def build_report(theorem: str, params: dict, maps: list, worst_case: dict) -> di
 MapEntry = tuple[str, str, Any]  # (id, source description, map object)
 
 
-def _campaign(entries: Sequence[MapEntry], check: Callable) -> tuple[list, tuple | None]:
-    """Check every map; return the rows and the first least-slack ``(slack, row)``.
+def _campaign(entries: Sequence[MapEntry], check: Callable, worst_keys: Callable | None = None,
+              **context) -> tuple[list, dict]:
+    """Check every map; return the rows and the worst case.
 
     ``check(f)`` returns ``(verdict, verdicts, slacks)``; a RuntimeError it raises
-    makes that map an excluded row carrying the message.  Only rows with slacks
-    can be the worst case, which is None when no row has any.
+    makes that map an excluded row carrying the message.  The worst case says
+    whether any row is refuted or a violation, carries ``context``, and then
+    describes the first row with the least slack by ``worst_keys(row, slack)``,
+    by default its id and that slack.  Only rows with slacks can be the worst.
     """
 
     def one(entry: MapEntry) -> dict:
@@ -383,8 +386,12 @@ def _campaign(entries: Sequence[MapEntry], check: Callable) -> tuple[list, tuple
                 "verdicts": verdicts, "slacks": slacks}
 
     rows = parallel_map(one, entries)
+    worst_case = {"refuted": any(r["verdict"] in ("refuted", "violation") for r in rows), **context}
     scored = [(min(r["slacks"].values()), r) for r in rows if r["slacks"]]
-    return rows, min(scored, key=lambda pair: pair[0], default=None)
+    if scored:
+        slack, row = min(scored, key=lambda pair: pair[0])
+        worst_case.update(worst_keys(row, slack) if worst_keys else {"map": row["id"], "slack": slack})
+    return rows, worst_case
 
 
 def verify_coefficient_bounds(entries: Sequence[MapEntry], params: EllipticityParams,
@@ -413,12 +420,8 @@ def verify_coefficient_bounds(entries: Sequence[MapEntry], params: EllipticityPa
         verdict = "pass" if worst >= -tol else "violation"
         return verdict, {"hypotheses": detail, "worst_degree": worst_n}, slacks
 
-    rows, worst = _campaign(entries, check)
-    worst_case: dict = {"refuted": any(r["verdict"] == "violation" for r in rows)}
-    if worst is not None:
-        slack, row = worst
-        worst_case.update({"map": row["id"], "degree": row["verdicts"]["worst_degree"],
-                           "slack": slack})
+    rows, worst_case = _campaign(entries, check, lambda row, slack: {
+        "map": row["id"], "degree": row["verdicts"]["worst_degree"], "slack": slack})
     return build_report(
         "coefficient-bounds",
         {"K": params.K, "Kp": params.Kp, "lam": float(bound.lam), "tol": tol},
@@ -458,15 +461,8 @@ def verify_landau_probes(entries: Sequence[MapEntry], params: EllipticityParams,
                 {"univalence": uni.to_json_dict(), "coverage": cov.to_json_dict()},
                 {"univalence_margin": uni.margin, "coverage_margin": cov.margin})
 
-    rows, worst = _campaign(entries, check)
-    worst_case: dict = {
-        "refuted": any(r["verdict"] == "refuted" for r in rows),
-        "probe_radius": probe_radius,
-        "probe_rho": probe_rho,
-    }
-    if worst is not None:
-        margin, row = worst
-        worst_case.update({"map": row["id"], "margin": margin})
+    rows, worst_case = _campaign(entries, check, lambda row, margin: {"map": row["id"], "margin": margin},
+                                 probe_radius=probe_radius, probe_rho=probe_rho)
     return build_report(
         "landau-radius",
         {"K": params.K, "Kp": params.Kp, "lam": float(bound.lam),
@@ -497,11 +493,7 @@ def verify_bloch_pipeline(entries: Sequence[MapEntry], params: EllipticityParams
               and slacks["normalization"] >= 0.0)
         return "pass" if ok else "violation", trace.to_json_dict(), slacks
 
-    rows, worst = _campaign(entries, check)
-    worst_case: dict = {"refuted": any(r["verdict"] == "violation" for r in rows)}
-    if worst is not None:
-        slack, row = worst
-        worst_case.update({"map": row["id"], "slack": slack})
+    rows, worst_case = _campaign(entries, check)
     return build_report("bloch-pipeline",
                         {"K": params.K, "Kp": params.Kp, "lam": float(bound.lam)},
                         rows, worst_case)
@@ -515,7 +507,9 @@ def verify_jacobian_normalized(f, params: EllipticityParams,
     Requires J(0) = 1 within 1e-9 (that is the normalization this route
     assumes); rejects otherwise.  The origin bound Lambda(0) <= sqrt(K+K')
     is evaluated and reported, not enforced: a failure here falsifies the
-    bound for this map, which is exactly what the report should say.
+    bound for this map, which is exactly what the report should say.  The
+    map runs as a one-entry campaign, so the row and worst case take the
+    shape of every other campaign's.
     """
     p0 = profile(f, 0.0)
     if abs(p0.jacobian - 1.0) > _HYP_TOL:
@@ -523,40 +517,28 @@ def verify_jacobian_normalized(f, params: EllipticityParams,
     if not isinstance(f, HarmonicMap):
         raise TypeError("this route rescales coefficients and needs a series map")
 
-    target = math.sqrt(params.K + params.Kp)
-    lambda0_slack = target + _HYP_TOL - p0.lambda_max
-    scaled = f.scale_output(1.0 / p0.lambda_min)
-    scaled_p0 = profile(scaled, 0.0)
     eff = EllipticityParams(params.K, params.Kp * (params.K + params.Kp))
-    report = ellipticity_check(scaled, eff, grid)
-    input_report = ellipticity_check(f, params, grid)
-    rho2 = bloch_jacobian_normalized(params)
 
-    entry = {
-        "id": map_id,
-        "source": source,
-        "verdict": "pass" if (lambda0_slack >= 0.0 and report.min_margin >= -_HYP_TOL) else "violation",
-        "verdicts": {
+    def check(f) -> tuple[str, dict, dict]:
+        lambda0_slack = math.sqrt(params.K + params.Kp) + _HYP_TOL - p0.lambda_max
+        scaled = f.scale_output(1.0 / p0.lambda_min)
+        report = ellipticity_check(scaled, eff, grid)
+        verdicts = {
             "lambda0_bound_holds": bool(lambda0_slack >= 0.0),
-            "input_ellipticity_margin": input_report.min_margin,
-            "rescaled_lambda_origin": scaled_p0.lambda_min,
+            "input_ellipticity_margin": ellipticity_check(f, params, grid).min_margin,
+            "rescaled_lambda_origin": profile(scaled, 0.0).lambda_min,
             "rescaled_ellipticity": report.to_json_dict(),
-        },
-        "slacks": {
-            "lambda0_slack": lambda0_slack,
-            "ellipticity_margin": report.min_margin,
-        },
-    }
-    worst_case = {
-        "refuted": entry["verdict"] == "violation",
-        "map": map_id,
-        "slack": min(entry["slacks"].values()),
-    }
+        }
+        ok = lambda0_slack >= 0.0 and report.min_margin >= -_HYP_TOL
+        return ("pass" if ok else "violation", verdicts,
+                {"lambda0_slack": lambda0_slack, "ellipticity_margin": report.min_margin})
+
+    rows, worst_case = _campaign([(map_id, source, f)], check)
     return build_report(
         "bloch-jacobian-normalized",
         {"K": params.K, "Kp": params.Kp, "K_eff": eff.K, "Kp_eff": eff.Kp,
-         "rho2": rho2.rho},
-        [entry],
+         "rho2": bloch_jacobian_normalized(params).rho},
+        rows,
         worst_case,
     )
 

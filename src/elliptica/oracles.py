@@ -10,10 +10,11 @@ Refutation of injectivity is exact in spirit: candidate near-collisions
 found by image-space binning are polished, all together as one array batch,
 with a damped Gauss-Newton iteration until two genuinely distinct preimages
 agree to 1e-12, or the candidate is discarded; the first candidate in scan
-order that converges is the witness.  Certification combines a
-positive-Jacobian sweep of the closed sub-disk with a simplicity check of
-the boundary curve (binned pair scan under per-sample movement radii, plus
-a tangent-turning bound), which is the standard degree-theoretic criterion.
+order that converges is the witness.  Certification reads only the boundary
+circle: a positive Jacobian on the closed disk, from the zeros of f_z and
+|f_zbar| < |f_z|, and a simple boundary curve (binned pair scan under
+per-sample movement radii, plus a tangent-turning bound), which is the
+standard degree-theoretic criterion.
 
 Coverage uses winding numbers of the sampled boundary curve, with a
 per-segment resolution precondition: a segment chord must not exceed a
@@ -43,6 +44,7 @@ __all__ = [
     "REFUTED",
     "SamplingSpec",
     "coverage_probe",
+    "sample_circle",
     "univalence_probe",
     "winding_number",
 ]
@@ -62,6 +64,9 @@ _DIAG_TOL = 1e-6
 # inconclusive reason for a map that overflows: no margin computed from
 # inf or nan values means anything, and JSON has no spelling for them
 _NONFINITE = "non-finite map values"
+
+# the winding refinements of both probes stop at this many curve points
+_CURVE_CAP = 1 << 18
 
 
 class MeshPrecisionError(RuntimeError):
@@ -99,6 +104,26 @@ class OracleVerdict:
 
 
 _PAIR_CHUNK = 1 << 18
+
+
+def sample_circle(fn, radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """theta_k = 2 pi k / n for k < n, and fn at the points radius e^{i theta_k}.
+
+    The values come back as one complex array; when fn returns several
+    arrays, such as the pair of partials, they are its rows.
+    """
+    theta = 2.0 * np.pi * np.arange(n) / n
+    return theta, np.asarray(fn(radius * np.exp(1j * theta)), dtype=complex)
+
+
+def _chords(curve: np.ndarray) -> np.ndarray:
+    """Cyclic chords curve[k+1] - curve[k] of a sampled closed curve."""
+    return np.roll(curve, -1) - curve
+
+
+def _refined(n: int, need: float) -> int:
+    """n times the power of two, 2 to 32, that a chord precondition short by need asks for."""
+    return min(_CURVE_CAP, n * max(2, 2 ** math.ceil(math.log2(min(32.0, need)))))
 
 
 def _cabs(d: np.ndarray) -> np.ndarray:
@@ -249,10 +274,8 @@ def _curve_scan(f, radius: float, n_curve: int):
     bound for the separation slack over all such pairs, binned pairs
     explicitly and the rest by the bin-size guarantee.
     """
-    theta = 2.0 * np.pi * np.arange(n_curve) / n_curve
-    z = radius * np.exp(1j * theta)
-    curve = np.asarray(f.eval(z), dtype=complex)
-    chords = np.roll(curve, -1) - curve
+    theta, curve = sample_circle(f.eval, radius, n_curve)
+    chords = _chords(curve)
     abs_chords = np.abs(chords)
     info = {"curve_points": n_curve}
     if not np.isfinite(abs_chords).all():
@@ -290,17 +313,49 @@ def _curve_scan(f, radius: float, n_curve: int):
     return True, float(margin), "", info
 
 
+def _jacobian_certificate(f, radius: float, n: int, rounds: int) -> tuple[str, dict]:
+    """Boundary certificate of J > 0 on |z| <= radius: (reason it fails, or "", keys).
+
+    Write f = h + conj(g), so f_z = h' and |f_zbar| = |g'|.  J > 0 on the
+    closed disk if and only if h' has no zero in it and |g'| < |h'| on the
+    circle, since the dilatation g'/h' is then analytic on the disk and, by
+    the maximum principle, of modulus below 1 inside.  The zeros of h' are
+    its winding about 0 under the chord precondition of _winding_block; at
+    most ``rounds`` refinements each jump to the resolution it demands.
+    """
+    for round_idx in range(rounds + 1):
+        info = {"hprime_points": n}
+        theta, (fz, fzb) = sample_circle(f.partials, radius, n)
+        abs_fz, abs_fzb = np.abs(fz), np.abs(fzb)
+        if not (np.isfinite(abs_fz).all() and np.isfinite(abs_fzb).all()):
+            return _NONFINITE + " or derivatives on the boundary circle", info
+        if not (abs_fzb < abs_fz).all():
+            worst = float(theta[np.argmax(abs_fzb - abs_fz)])
+            return f"nonpositive Jacobian on the boundary circle at theta = {worst!r}; cannot certify", info
+        info["dilatation_max"] = float((abs_fzb / abs_fz).max())
+        # h' / max|h'| winds as h' does, and its angle products cannot overflow
+        hprime = fz / abs_fz.max()
+        abs_chords = np.abs(_chords(hprime))
+        wind, valid, dist = _winding_block(hprime, abs_chords, np.zeros(1, dtype=complex))
+        if valid[0]:
+            info["hprime_zeros"] = zeros = int(wind[0])
+            return (f"h' = f_z has {zeros} zeros in the disk, where J <= 0" if zeros else ""), info
+        if round_idx == rounds or n >= _CURVE_CAP:
+            return "winding preconditions for the zeros of h' = f_z unmet at this resolution", info
+        n = _refined(n, abs_chords.max() / (0.1 * dist[0]))
+
+
 def univalence_probe(f, radius: float, spec: SamplingSpec | None = None) -> OracleVerdict:
     """Three-way injectivity verdict for f on the closed disk |z| <= radius.
 
-    Refutation first: grid points whose images nearly coincide while the
-    points stay apart are polished into an exact collision witness.  The
-    first 64 such pairs, closest images first, are polished as one batch,
-    and the first of them in that order that converges is the witness.  If
-    no collision survives polishing, certification requires a strictly
-    positive Jacobian at every sample of the closed disk together with a
-    simple boundary curve; either failing leaves the verdict inconclusive,
-    as does a map whose values or derivatives overflow on the samples.
+    The certificate reads the boundary circle alone: a positive Jacobian on
+    the closed disk (:func:`_jacobian_certificate`) and a simple boundary
+    curve (:func:`_curve_scan`), each refined within ``refinement_rounds``.
+    Only when it fails does the probe sample the disk: grid points whose
+    images nearly coincide while the points stay apart are candidates, and
+    the first 64, closest images first, are polished as one batch into a
+    collision witness, the first that converges.  Without one the verdict
+    is inconclusive with the reason the certificate failed.
     """
     if spec is None:
         spec = SamplingSpec()
@@ -308,63 +363,37 @@ def univalence_probe(f, radius: float, spec: SamplingSpec | None = None) -> Orac
     if not (0.0 < radius < 1.0):
         raise ValueError(f"radius must lie in (0, 1), got {radius}")
 
+    n_curve = max(1024, 4 * spec.n_theta)
+    reason, cert = _jacobian_certificate(f, radius, n_curve, spec.refinement_rounds)
+    if not reason:
+        for round_idx in range(spec.refinement_rounds + 1):
+            simple, margin, reason, info = _curve_scan(f, radius, n_curve << round_idx)
+            if simple:
+                res = {**cert, **info, "rounds_used": round_idx}
+                return OracleVerdict(CERTIFIED, margin=margin, resolution=res)
+        cert.update(info)
+
     points = polar_grid(radius, spec.n_r, spec.n_theta)
     images = np.asarray(f.eval(points), dtype=complex)
-    lam_max, _, jac = distortion_arrays(f, points)
+    lam_max = distortion_arrays(f, points)[0]
+    res = {"n_r": spec.n_r, "n_theta": spec.n_theta}
     if not (np.isfinite(images).all() and np.isfinite(lam_max).all()):
-        reason = _NONFINITE + " or derivatives on the probe grid"
-        return OracleVerdict(INCONCLUSIVE, margin=0.0,
-                             resolution={"n_r": spec.n_r, "n_theta": spec.n_theta, "reason": reason})
+        res["reason"] = _NONFINITE + " or derivatives on the probe grid"
+        return OracleVerdict(INCONCLUSIVE, margin=0.0, resolution=res)
     sup_lam = float(lam_max.max())
     mesh = max(radius / spec.n_r, 2.0 * np.pi * radius / spec.n_theta)
-    sep = 2.0 * mesh
-    eps_img = sup_lam * mesh / 4.0
-    base = {
-        "n_r": spec.n_r,
-        "n_theta": spec.n_theta,
-        "mesh": mesh,
-        "sep_threshold": sep,
-        "image_threshold": eps_img,
-        "sup_lambda": sup_lam,
-    }
-
-    candidates = _near_pairs(points, images, eps_img, sep)
-    base["candidate_pairs"] = len(candidates)
+    res.update(mesh=mesh, sep_threshold=2.0 * mesh, image_threshold=sup_lam * mesh / 4.0,
+               sup_lambda=sup_lam)
+    candidates = _near_pairs(points, images, res["image_threshold"], res["sep_threshold"])
+    res["candidate_pairs"] = len(candidates)
     if candidates:
         i, j = np.array(candidates[:64]).T
         z1, z2, ok, resid, pair_sep = _polish_collisions(f, points[i], points[j], radius)
         if ok[-1]:
-            res = dict(base)
             res.update({"collision_residual": float(resid[-1]), "witness_separation": float(pair_sep[-1])})
             return OracleVerdict(REFUTED, margin=-float(pair_sep[-1]),
                                  witness=(complex(z1[-1]), complex(z2[-1])), resolution=res)
-
-    jac_min = float(jac.min())
-    base["jacobian_min"] = jac_min
-    if jac_min <= 0.0:
-        worst = points[int(np.argmin(jac))]
-        res = dict(base)
-        res["reason"] = (
-            f"nonpositive Jacobian sample at z = {complex(worst)!r}; cannot certify"
-        )
-        return OracleVerdict(INCONCLUSIVE, margin=0.0, resolution=res)
-
-    n_curve = max(1024, 4 * spec.n_theta)
-    reason = "refinement budget exhausted"
-    info: dict = {}
-    for round_idx in range(spec.refinement_rounds + 1):
-        simple, margin, fail_reason, info = _curve_scan(f, radius, n_curve)
-        if simple:
-            res = dict(base)
-            res.update(info)
-            res["rounds_used"] = round_idx
-            return OracleVerdict(CERTIFIED, margin=margin, resolution=res)
-        reason = fail_reason
-        n_curve *= 2
-    res = dict(base)
-    res.update(info)
-    res["reason"] = reason
-    return OracleVerdict(INCONCLUSIVE, margin=0.0, resolution=res)
+    return OracleVerdict(INCONCLUSIVE, margin=0.0, resolution={**res, **cert, "reason": reason})
 
 
 def _winding_block(curve: np.ndarray, abs_chords: np.ndarray, targets: np.ndarray):
@@ -404,9 +433,8 @@ def winding_number(f, radius: float, w: complex, n_theta: int = 2048) -> int:
         raise ValueError(f"radius must lie in (0, 1), got {radius}")
     if n_theta < 8:
         raise ValueError("n_theta must be at least 8")
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    curve = np.asarray(f.eval(radius * np.exp(1j * theta)), dtype=complex)
-    abs_chords = np.abs(np.roll(curve, -1) - curve)
+    _, curve = sample_circle(f.eval, radius, n_theta)
+    abs_chords = np.abs(_chords(curve))
     wind, valid, dist = _winding_block(curve, abs_chords, np.asarray([complex(w)]))
     if not valid[0]:
         raise MeshPrecisionError(
@@ -441,13 +469,9 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
         raise ValueError(f"rho must be positive, got {rho}")
 
     n_curve = max(2048, 4 * spec.n_theta)
-    cap_curve = 1 << 18
-    reason = "refinement budget exhausted"
-    last_info: dict = {}
     for round_idx in range(spec.refinement_rounds + 1):
-        theta = 2.0 * np.pi * np.arange(n_curve) / n_curve
-        curve = np.asarray(f.eval(radius * np.exp(1j * theta)), dtype=complex)
-        abs_chords = np.abs(np.roll(curve, -1) - curve)
+        _, curve = sample_circle(f.eval, radius, n_curve)
+        abs_chords = np.abs(_chords(curve))
         chord_max = float(abs_chords.max())
         min_abs = float(np.abs(curve).min())
         if not (math.isfinite(chord_max) and math.isfinite(min_abs)):
@@ -462,7 +486,6 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
             "curve_min_abs": min_abs,
             "rounds_used": round_idx,
         }
-        last_info = info
 
         if gap > 0.0 and chord_max <= 0.1 * gap:
             # the polygon misses the disk by >= 0.95 gap, so the winding at
@@ -493,17 +516,14 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
                 reason = "boundary curve meets the target disk within sampling slack; cannot certify the remainder"
             else:
                 reason = "winding preconditions unmet near the curve at this resolution"
-            factor = 2
+            need = 2.0
         else:
             # jump straight to the resolution the precondition demands
             need = chord_max / (0.1 * gap)
-            factor = int(min(32, max(2, 2 ** math.ceil(math.log2(need)))))
             reason = "chord length exceeds a tenth of the curve-to-disk gap"
 
-        if n_curve >= cap_curve:
+        if n_curve >= _CURVE_CAP:
             break
-        n_curve = min(n_curve * factor, cap_curve)
+        n_curve = _refined(n_curve, need)
 
-    res = dict(last_info)
-    res["reason"] = reason
-    return OracleVerdict(INCONCLUSIVE, margin=0.0, resolution=res)
+    return OracleVerdict(INCONCLUSIVE, margin=0.0, resolution={**info, "reason": reason})

@@ -20,6 +20,7 @@ from elliptica import (
     classical_landau,
     coverage_probe,
     disk_net,
+    distortion_arrays,
     landau,
     polar_grid,
     random_elliptic,
@@ -39,7 +40,8 @@ class TestUnivalenceProbe:
         assert v.status == CERTIFIED
         assert bool(v)
         assert v.margin > 0
-        assert v.resolution["jacobian_min"] > 0
+        assert v.resolution["hprime_zeros"] == 0
+        assert 0 <= v.resolution["dilatation_max"] < 1
 
     def test_square_refuted_with_antipodal_witness(self):
         v = univalence_probe(SQUARE, 0.9)
@@ -79,9 +81,14 @@ class TestUnivalenceProbe:
                 univalence_probe(IDENTITY, bad)
 
     def test_resolution_records_thresholds(self):
-        v = univalence_probe(IDENTITY, 0.5, SamplingSpec(16, 64, 1))
+        v = univalence_probe(SQUARE, 0.5, SamplingSpec(16, 64, 1))
+        assert v.status == REFUTED
         for key in ("mesh", "sep_threshold", "image_threshold", "sup_lambda",
-                    "candidate_pairs", "jacobian_min"):
+                    "candidate_pairs"):
+            assert key in v.resolution
+        v = univalence_probe(IDENTITY, 0.5, SamplingSpec(16, 64, 1))
+        assert v.status == CERTIFIED
+        for key in ("hprime_zeros", "hprime_points", "dilatation_max"):
             assert key in v.resolution
 
 
@@ -323,6 +330,12 @@ def _probe_candidates(monkeypatch, f, radius):
     return verdict, z1, z2
 
 
+def _refutation_candidates(monkeypatch, f, radius):
+    """The verdict and the candidate arrays of the refutation path, run whatever the certificate says."""
+    monkeypatch.setattr(oracles, "_jacobian_certificate", lambda *args: ("certificate withheld", {}))
+    return _probe_candidates(monkeypatch, f, radius)
+
+
 def _solo_polishes(f, z1, z2, radius):
     """Each candidate polished in a batch of its own, lazily, one row per candidate."""
     for k in range(len(z1)):
@@ -354,16 +367,18 @@ def test_polish_work_count_of_a_sharp_certificate(monkeypatch):
     monkeypatch.setattr(seriescore, "_horner", counting)
     v = univalence_probe(f, 0.99 * classical_landau(2.0).r0)
     assert v.status == CERTIFIED
-    assert v.resolution["candidate_pairs"] == 873
-    assert calls < 640
+    assert "candidate_pairs" not in v.resolution
+    # two partials and two curve samplings, two Horner passes each
+    assert calls <= 8
 
 
 @pytest.mark.parametrize("factor", [0.99, 1.05])
 def test_polish_does_not_depend_on_the_batch(monkeypatch, factor):
     f = build_classical(2.0, 400)
     radius = factor * classical_landau(2.0).r0
-    _, z1, z2 = _probe_candidates(monkeypatch, f, radius)
+    v, z1, z2 = _refutation_candidates(monkeypatch, f, radius)
     assert len(z1) == 64
+    assert v.resolution["candidate_pairs"] == (873 if factor < 1.0 else 2438)
     solo = list(_solo_polishes(f, z1, z2, radius))
     batch = _batch_polishes(f, z1, z2, radius)
     assert batch == solo  # rows of z1, z2, ok, residual, separation
@@ -405,7 +420,7 @@ def test_polish_matches_the_scalar_reference(monkeypatch, factor, count):
     # polished points agree to a tolerance and the convergence flags exactly
     f = build_classical(2.0, 400)
     radius = factor * classical_landau(2.0).r0
-    _, z1, z2 = _probe_candidates(monkeypatch, f, radius)
+    _, z1, z2 = _refutation_candidates(monkeypatch, f, radius)
     flags = []
     for got, (a, b) in zip(_solo_polishes(f, z1[:count], z2[:count], radius), zip(z1, z2)):
         w1, w2, ok = _scalar_polish(f, complex(a), complex(b), radius)
@@ -464,3 +479,112 @@ class TestOracleVerdict:
         assert type(d["resolution"]["count"]) is int
         assert type(d["resolution"]["gap"]) is float
         json.dumps(d)  # round-trips without a custom encoder
+
+
+def _strict_json_probes():
+    """(id, map, radius, rho): the fixtures, the extremal probes at the paper's radii, random maps."""
+    yield "identity", IDENTITY, 0.9, 0.5
+    yield "square", SQUARE, 0.9, 0.5
+    yield "fold", HarmonicMap([0.0, 1.0], [0.0, 0.75]), 0.9, 0.5
+    yield "conj", HarmonicMap([0.0], [1.0]), 0.9, 0.5
+    yield "overflowing", OVERFLOWING, 0.9, 0.1
+    yield "huge-jacobian", HarmonicMap([0.0, 1e200, 1e200]), 0.5, 0.1
+    yield "huge-finite", HarmonicMap([0.0, 1.0, 1e307]), 0.5, 0.1
+    for m in (1.5, 2.0, 3.0, 5.0):
+        f, cl = build_classical(m, 400), classical_landau(m)
+        for factor in (0.99, 1.05):
+            yield f"classical-{m:g}-{factor:g}", f, factor * cl.r0, 0.99 * cl.R0
+    for n in (2, 3, 5, 8):
+        for lam in (1.5, 2.0, 5.0):
+            res = landau(EllipticityParams(1.0, 0.0), DistortionBound(lam))
+            yield f"Fn-{n}-{lam:g}", build_Fn(n, lam, 128), res.r1 * (1 - 1e-6), res.sigma1 * (1 - 1e-3)
+    for seed, (k, kp, lam) in enumerate(((2.0, 0.5, 1.5), (1.0, 0.0, 2.0), (4.0, 1.0, 3.0), (1.5, 0.25, 1.2))):
+        res = landau(EllipticityParams(k, kp), DistortionBound(lam))
+        f = random_elliptic(EllipticityParams(k, kp), lam, seed)
+        yield f"random-{seed}", f, res.r1 * (1 - 1e-6), res.sigma1 * (1 - 1e-3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_every_verdict_is_strict_json():
+    # the Jacobian product of 1e200 (z + z^2) overflows although its values
+    # and stretches stay finite; no key may record inf or nan
+    for name, f, radius, rho in _strict_json_probes():
+        for v in (univalence_probe(f, radius), coverage_probe(f, radius, rho)):
+            json.dumps(v.to_json_dict(), allow_nan=False)
+            assert "jacobian_min" not in v.resolution, name
+
+
+def _certificate_cases():
+    res = landau(EllipticityParams(1.0, 0.0), DistortionBound(2.0))
+    for n in range(2, 7):
+        yield f"F_{n}", build_Fn(n, 2.0, 128), res.r1 * (1 - 1e-6), None
+    for m in (1.5, 2.0, 3.0, 5.0):
+        r0 = classical_landau(m).r0
+        for factor in (0.99, 1.05):
+            yield f"classical-{m:g}-{factor:g}", build_classical(m, 400), factor * r0, r0
+    params = EllipticityParams(2.0, 0.5)
+    r1 = landau(params, DistortionBound(1.5)).r1
+    for seed in range(8):
+        yield f"random-elliptic-{seed}", random_elliptic(params, 1.5, seed), r1, None
+    # unconstrained harmonic polynomials, some of them sense-reversing near the rim
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        coeffs = [(rng.standard_normal(5) + 1j * rng.standard_normal(5)) * 0.3 / np.arange(1, 6) ** 2
+                  for _ in range(2)]
+        yield f"harmonic-{seed}", HarmonicMap([0.0, 1.0, *coeffs[0][1:]], coeffs[1]), 0.9, None
+
+
+@pytest.mark.parametrize("name,f,radius,critical", list(_certificate_cases()))
+def test_jacobian_certificate_agrees_with_a_2d_reference(name, f, radius, critical):
+    spec = SamplingSpec()
+    reference = distortion_arrays(f, polar_grid(radius, spec.n_r, spec.n_theta))[2].min() > 0
+    _, keys = oracles._jacobian_certificate(f, radius, max(1024, 4 * spec.n_theta), spec.refinement_rounds)
+    certified = keys.get("hprime_zeros") == 0 and keys.get("dilatation_max", 1.0) < 1.0
+    if critical is not None and critical < radius:
+        # the classical h' = f' vanishes at r0 alone, so J = |h'|^2 is positive
+        # at every grid sample and zero to rounding at r0: sampling cannot
+        # decide J > 0 here, and the certificate counts that zero instead
+        assert reference and not certified
+        assert keys["hprime_zeros"] == 1
+        assert abs(f.partials(critical)[0]) < 1e-12
+    else:
+        assert certified == reference
+
+
+@pytest.mark.parametrize("f,radius", [
+    pytest.param(IDENTITY, 0.9, id="identity"),
+    pytest.param(build_classical(2.0, 400), 0.99 * classical_landau(2.0).r0, id="classical"),
+    pytest.param(build_Fn(3, 2.0, 128), landau(EllipticityParams(1.0, 0.0), DistortionBound(2.0)).r1,
+                 id="F_3"),
+    pytest.param(random_elliptic(EllipticityParams(2.0, 0.5), 1.5, 0),
+                 landau(EllipticityParams(2.0, 0.5), DistortionBound(1.5)).r1, id="random"),
+])
+def test_certified_probe_does_no_2d_work(monkeypatch, f, radius):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certified probe sampled the disk")
+
+    for name in ("polar_grid", "_near_pairs", "_polish_collisions"):
+        monkeypatch.setattr(oracles, name, refuse)
+    v = univalence_probe(f, radius)
+    assert v.status == CERTIFIED
+    assert v.resolution["hprime_zeros"] == 0
+
+
+def test_winding_refinement_jumps_within_one_round():
+    # the chord precondition of h' needs about 6x the 1024 base points here;
+    # one refinement jumps to 8192 instead of doubling three times
+    f = build_classical(2.0, 400)
+    v = univalence_probe(f, 0.99 * classical_landau(2.0).r0, SamplingSpec(refinement_rounds=1))
+    assert v.status == CERTIFIED
+    assert v.resolution["hprime_points"] == 8192
+    assert v.resolution["rounds_used"] == 1
+
+
+def test_sense_reversing_fails_the_certificate_on_the_circle():
+    v = univalence_probe(HarmonicMap([0.0], [1.0]), 0.9)
+    assert v.status == INCONCLUSIVE
+    assert "Jacobian" in v.resolution["reason"]
+    assert "boundary circle" in v.resolution["reason"]
+    # |f_zbar| < |f_z| fails, so no dilatation maximum is recorded
+    assert "dilatation_max" not in v.resolution
+    assert v.resolution["candidate_pairs"] == 0

@@ -221,7 +221,7 @@ def _cmd_report(args) -> tuple[dict, bool]:
 
 def _cmd_boundary(args) -> int:
     f = HarmonicMap.load(args.map)
-    theta, curve = sample_circle(f.eval, args.r, args.n)
+    theta, curve = sample_circle(f, args.r, args.n)
     lines = ["theta,re,im"]
     lines.extend(
         f"{t:.17g},{v.real:.17g},{v.imag:.17g}" for t, v in zip(theta, curve)

@@ -34,7 +34,6 @@ from typing import Any
 import numpy as np
 
 from .sampling import SamplingSpec, disk_net, polar_grid
-from .distortion import distortion_arrays
 
 __all__ = [
     "CERTIFIED",
@@ -106,14 +105,18 @@ class OracleVerdict:
 _PAIR_CHUNK = 1 << 18
 
 
-def sample_circle(fn, radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """theta_k = 2 pi k / n for k < n, and fn at the points radius e^{i theta_k}.
+def sample_circle(f, radius, n: int, partials: bool = False):
+    """theta_k = 2 pi k / n for k < n, and f (or its partials) at radius e^{i theta_k}.
 
-    The values come back as one complex array; when fn returns several
-    arrays, such as the pair of partials, they are its rows.
+    radius may be an array of radii, one row of values each.  A series map
+    sums each circle with one inverse DFT (``on_rings``); any other map is
+    evaluated at the points.  The pair of partials comes back as two arrays.
     """
     theta = 2.0 * np.pi * np.arange(n) / n
-    return theta, np.asarray(fn(radius * np.exp(1j * theta)), dtype=complex)
+    if hasattr(f, "on_rings"):
+        return theta, f.on_rings(radius, n, partials)
+    values = (f.partials if partials else f.eval)(np.multiply.outer(radius, np.exp(1j * theta)))
+    return theta, np.asarray(values, dtype=complex)
 
 
 def _chords(curve: np.ndarray) -> np.ndarray:
@@ -274,7 +277,7 @@ def _curve_scan(f, radius: float, n_curve: int):
     bound for the separation slack over all such pairs, binned pairs
     explicitly and the rest by the bin-size guarantee.
     """
-    theta, curve = sample_circle(f.eval, radius, n_curve)
+    theta, curve = sample_circle(f, radius, n_curve)
     chords = _chords(curve)
     abs_chords = np.abs(chords)
     info = {"curve_points": n_curve}
@@ -325,7 +328,7 @@ def _jacobian_certificate(f, radius: float, n: int, rounds: int) -> tuple[str, d
     """
     for round_idx in range(rounds + 1):
         info = {"hprime_points": n}
-        theta, (fz, fzb) = sample_circle(f.partials, radius, n)
+        theta, (fz, fzb) = sample_circle(f, radius, n, partials=True)
         abs_fz, abs_fzb = np.abs(fz), np.abs(fzb)
         if not (np.isfinite(abs_fz).all() and np.isfinite(abs_fzb).all()):
             return _NONFINITE + " or derivatives on the boundary circle", info
@@ -340,9 +343,12 @@ def _jacobian_certificate(f, radius: float, n: int, rounds: int) -> tuple[str, d
         if valid[0]:
             info["hprime_zeros"] = zeros = int(wind[0])
             return (f"h' = f_z has {zeros} zeros in the disk, where J <= 0" if zeros else ""), info
-        if round_idx == rounds or n >= _CURVE_CAP:
+        # the longest chord shrinks no faster than 1/n and dist cannot grow
+        # under refinement, so a need beyond the cap cannot be met within it
+        need = abs_chords.max() / (0.1 * dist[0])
+        if round_idx == rounds or n * need > _CURVE_CAP:
             return "winding preconditions for the zeros of h' = f_z unmet at this resolution", info
-        n = _refined(n, abs_chords.max() / (0.1 * dist[0]))
+        n = _refined(n, need)
 
 
 def univalence_probe(f, radius: float, spec: SamplingSpec | None = None) -> OracleVerdict:
@@ -374,8 +380,13 @@ def univalence_probe(f, radius: float, spec: SamplingSpec | None = None) -> Orac
         cert.update(info)
 
     points = polar_grid(radius, spec.n_r, spec.n_theta)
-    images = np.asarray(f.eval(points), dtype=complex)
-    lam_max = distortion_arrays(f, points)[0]
+    # the grid's rings, each starting at angle 0 where the point is its
+    # radius, after a ring of radius 0 whose first value is the centre's
+    radii = np.concatenate([[0.0], points[1::spec.n_theta].real])
+    _, images = sample_circle(f, radii, spec.n_theta)
+    _, (fz, fzb) = sample_circle(f, radii, spec.n_theta, partials=True)
+    images, lam_max = (np.concatenate([rows[0, :1], rows[1:].ravel()])
+                       for rows in (images, np.abs(fz) + np.abs(fzb)))
     res = {"n_r": spec.n_r, "n_theta": spec.n_theta}
     if not (np.isfinite(images).all() and np.isfinite(lam_max).all()):
         res["reason"] = _NONFINITE + " or derivatives on the probe grid"
@@ -433,7 +444,7 @@ def winding_number(f, radius: float, w: complex, n_theta: int = 2048) -> int:
         raise ValueError(f"radius must lie in (0, 1), got {radius}")
     if n_theta < 8:
         raise ValueError("n_theta must be at least 8")
-    _, curve = sample_circle(f.eval, radius, n_theta)
+    _, curve = sample_circle(f, radius, n_theta)
     abs_chords = np.abs(_chords(curve))
     wind, valid, dist = _winding_block(curve, abs_chords, np.asarray([complex(w)]))
     if not valid[0]:
@@ -470,7 +481,7 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
 
     n_curve = max(2048, 4 * spec.n_theta)
     for round_idx in range(spec.refinement_rounds + 1):
-        _, curve = sample_circle(f.eval, radius, n_curve)
+        _, curve = sample_circle(f, radius, n_curve)
         abs_chords = np.abs(_chords(curve))
         chord_max = float(abs_chords.max())
         min_abs = float(np.abs(curve).min())

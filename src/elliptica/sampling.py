@@ -3,12 +3,14 @@
 Everything here is reproducible from its arguments alone: polar grids are
 index-generated, quasi-random refinement uses a Halton radical inverse with a
 fixed index origin, and disk nets are laid out ring by ring from the rim
-inward.  No global RNG state is touched.
+inward.  No global RNG state is touched.  Polar grids and the unit Halton
+clouds behind halton_disk are cached, a few at a time, as read-only arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +39,12 @@ class SamplingSpec:
             raise ValueError("refinement_rounds must be a nonnegative integer")
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=8)
 def polar_grid(radius: float, n_r: int, n_theta: int, include_center: bool = True) -> np.ndarray:
     """Complex sample points on rings r_i = radius*(i+1)/n_r, i = 0..n_r-1.
 
@@ -51,7 +59,7 @@ def polar_grid(radius: float, n_r: int, n_theta: int, include_center: bool = Tru
     pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     if include_center:
         pts = np.concatenate([[0.0 + 0.0j], pts])
-    return pts
+    return _frozen(pts)
 
 
 def halton(count: int, base: int, start: int = 1) -> np.ndarray:
@@ -74,11 +82,17 @@ def halton(count: int, base: int, start: int = 1) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def _unit_cloud(count: int, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(u) and exp(2 pi i v) of the Halton pairs (u, v) in bases 2 and 3."""
+    return (_frozen(np.sqrt(halton(count, 2, start))),
+            _frozen(np.exp(2j * np.pi * halton(count, 3, start))))
+
+
 def halton_disk(center: complex, radius: float, count: int, start: int = 1) -> np.ndarray:
     """Area-uniform quasi-random points in the disk |z - center| < radius."""
-    u = halton(count, 2, start)
-    v = halton(count, 3, start)
-    return center + radius * np.sqrt(u) * np.exp(2j * np.pi * v)
+    root_u, spin = _unit_cloud(count, start)
+    return center + radius * root_u * spin
 
 
 def disk_net(rho: float, spacing: float) -> np.ndarray:

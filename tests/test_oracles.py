@@ -236,7 +236,8 @@ def test_gap_certificate_winding_is_constant_on_disk(f, radius, rho):
 def test_curve_scan_margin_matches_brute_force(f, radius):
     n_curve = 256
     simple, margin, _, info = _curve_scan(f, radius, n_curve)
-    curve = np.asarray(f.eval(radius * np.exp(2j * np.pi * np.arange(n_curve) / n_curve)))
+    # the scan's own samples: a series map's circle comes from one DFT
+    _, curve = oracles.sample_circle(f, radius, n_curve)
     chords = np.abs(np.roll(curve, -1) - curve)
     move = _MOVE_SAFETY * np.maximum(np.roll(chords, 1), chords)
     brute = float(move.max())
@@ -352,24 +353,102 @@ def _batch_polishes(f, z1, z2, radius):
     return rows
 
 
-def test_polish_work_count_of_a_sharp_certificate(monkeypatch):
-    # counts Horner passes, not time: the scalar per-candidate polish made
-    # about 6,400 of them on this probe
-    calls = 0
+def _count_horner(monkeypatch):
+    """A list that grows by one for every Horner pass from here on."""
+    calls = []
     horner = seriescore._horner
 
     def counting(coeffs, z):
-        nonlocal calls
-        calls += 1
+        calls.append(np.size(z))
         return horner(coeffs, z)
 
-    f = build_classical(2.0, 400)
     monkeypatch.setattr(seriescore, "_horner", counting)
+    return calls
+
+
+def test_polish_work_count_of_a_sharp_certificate(monkeypatch):
+    # counts Horner passes, not time: the scalar per-candidate polish made
+    # about 6,400 of them on this probe, and the certificate's circles are
+    # now each one inverse DFT, so a certified probe makes none
+    calls = _count_horner(monkeypatch)
+    f = build_classical(2.0, 400)
     v = univalence_probe(f, 0.99 * classical_landau(2.0).r0)
     assert v.status == CERTIFIED
     assert "candidate_pairs" not in v.resolution
-    # two partials and two curve samplings, two Horner passes each
-    assert calls <= 8
+    assert len(calls) == 0
+
+
+def test_certified_coverage_makes_no_horner_pass(monkeypatch):
+    calls = _count_horner(monkeypatch)
+    cl = classical_landau(2.0)
+    v = coverage_probe(build_classical(2.0, 400), 0.99 * cl.r0, 0.99 * cl.R0)
+    assert v.status == CERTIFIED
+    assert len(calls) == 0
+
+
+def test_refutation_grid_keeps_horner_for_the_polish_only(monkeypatch):
+    calls = _count_horner(monkeypatch)
+    f = build_classical(2.0, 400)
+    v = univalence_probe(f, 1.05 * classical_landau(2.0).r0)
+    assert v.status == REFUTED
+    # the grid's 9217 points never go through Horner; polish batches are
+    # at most two points per candidate pair
+    assert calls and max(calls) <= 2 * 64
+
+
+class Affine:
+    """z + 0.5 conj(z) as a plain planar map: point evaluation only, no on_rings."""
+
+    def eval(self, z):
+        return z + 0.5 * np.conj(z)
+
+    def partials(self, z):
+        one = np.ones_like(z)
+        return one, 0.5 * one
+
+
+def test_sample_circle_dispatches_on_the_map():
+    series = HarmonicMap([0.0, 1.0], [0.5])
+    radii = np.array([0.0, 0.3, 0.6])
+    theta, plain = oracles.sample_circle(Affine(), radii, 16)
+    points = np.multiply.outer(radii, np.exp(1j * theta))
+    assert np.array_equal(plain, Affine().eval(points))
+    _, pair = oracles.sample_circle(Affine(), 0.6, 16, partials=True)
+    assert np.array_equal(pair, np.stack(Affine().partials(points[2])))
+    _, ring = oracles.sample_circle(series, radii, 16)
+    assert np.abs(ring - plain).max() < 1e-15
+
+
+def test_point_evaluated_map_runs_both_probes():
+    for f in (Affine(), HarmonicMap([0.0, 1.0], [0.5])):
+        uni = univalence_probe(f, 0.9)
+        assert uni.status == CERTIFIED and uni.resolution["hprime_zeros"] == 0
+        # the image of |z| = 0.9 is an ellipse with semi-axes 1.35 and 0.45
+        assert coverage_probe(f, 0.9, 0.4).status == CERTIFIED
+        assert coverage_probe(f, 0.9, 0.5).status == REFUTED
+
+    class PlainSquare:
+        def eval(self, z):
+            return z * z
+
+        def partials(self, z):
+            return 2 * z, np.zeros_like(z)
+
+    # the refutation grid samples a point-evaluated map at its points too
+    v = univalence_probe(PlainSquare(), 0.5)
+    assert v.status == REFUTED
+    w1, w2 = v.witness
+    assert abs(w1 * w1 - w2 * w2) < 1e-12 and abs(w1 - w2) > 1e-6
+
+
+def test_hprime_zero_on_the_circle_stops_without_refining_to_the_cap():
+    # h' = 1 - 2 e^{-i} z vanishes at 0.5 e^{i}, on the circle and between
+    # samples: no resolution within the cap meets the chord precondition,
+    # so the certificate gives up at the first resolution that shows it
+    f = HarmonicMap([0.0, 1.0, -np.exp(-1j)])
+    reason, keys = oracles._jacobian_certificate(f, 0.5, 1024, 3)
+    assert reason == "winding preconditions for the zeros of h' = f_z unmet at this resolution"
+    assert keys["hprime_points"] == 1024
 
 
 @pytest.mark.parametrize("factor", [0.99, 1.05])

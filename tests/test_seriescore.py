@@ -11,8 +11,10 @@ from elliptica import (
     DistortionBound,
     EllipticityParams,
     HarmonicMap,
+    build_classical,
     build_Fn,
     growth_rate,
+    random_elliptic,
     truncate_with_tail,
 )
 
@@ -98,6 +100,57 @@ class TestPartials:
         fz, fzb = f.partials(zs)
         s0 = f.partials(complex(zs[0]))
         assert (fz[0], fzb[0]) == s0
+
+
+def _ring_maps():
+    yield "classical-2", build_classical(2.0, 400), 0.25
+    yield "F_3", build_Fn(3, 2.0, n_terms=128), 0.5
+    for seed, (k, kp, lam) in enumerate(((2.0, 0.5, 1.5), (1.0, 0.0, 2.0), (4.0, 1.0, 3.0), (1.5, 0.25, 1.2))):
+        yield f"random-{seed}", random_elliptic(EllipticityParams(k, kp), lam, seed), 0.6
+
+
+class TestOnRings:
+    """Circles summed by one inverse DFT agree with Horner at every sample."""
+
+    @pytest.mark.parametrize("name,f,radius", [pytest.param(*case, id=case[0]) for case in _ring_maps()])
+    def test_matches_horner_within_the_coefficient_sum(self, name, f, radius):
+        eps = np.finfo(float).eps
+        k = np.arange(f.truncation_degree + 1)
+        moduli = np.abs(f.analytic_coeffs) + np.abs(f._b_full)
+        radii = np.array([0.5 * radius, radius])
+        # folded (n < N + 1) and unfolded (n >= N + 1) spectra
+        for n in ((f.truncation_degree + 1) // 2, 2 * f.truncation_degree + 8):
+            points = np.multiply.outer(radii, np.exp(2j * np.pi * np.arange(n) / n))
+            values = f.on_rings(radii, n)
+            fz, fzb = f.on_rings(radii, n, partials=True)
+            assert values.shape == fz.shape == fzb.shape == (2, n)
+            ref_fz, ref_fzb = f.partials(points)
+            for row, r in enumerate(radii):
+                value_sum = (moduli * r**k).sum()
+                slope_sum = (k[1:] * moduli[1:] * r ** k[:-1]).sum()
+                assert np.abs(values[row] - f.eval(points[row])).max() <= 64 * eps * value_sum
+                assert np.abs(fz[row] - ref_fz[row]).max() <= 64 * eps * slope_sum
+                assert np.abs(fzb[row] - ref_fzb[row]).max() <= 64 * eps * slope_sum
+
+    def test_repeated_calls_are_bit_identical(self):
+        f = build_classical(2.0, 400)
+        radii = np.array([0.0, 0.1, 0.2])
+        for partials in (False, True):
+            first = np.asarray(f.on_rings(radii, 192, partials))
+            assert np.array_equal(first, np.asarray(f.on_rings(radii, 192, partials)))
+
+    def test_scalar_radius_and_centre(self):
+        f = random_map(5)
+        values = f.on_rings(0.0, 8)
+        assert values.shape == (8,)
+        assert np.allclose(values, f.analytic_coeffs[0], rtol=0, atol=1e-15)
+        fz, fzb = f.on_rings(0.0, 4, partials=True)
+        assert np.allclose(fz, f.analytic_coeffs[1], rtol=0, atol=1e-15)
+        assert np.allclose(fzb, np.conj(f.antianalytic_coeffs[0]), rtol=0, atol=1e-15)
+
+    def test_domain_rejected(self):
+        with pytest.raises(ValueError):
+            HarmonicMap.identity().on_rings([0.5, 1.0], 16)
 
 
 class TestCoefficients:

@@ -36,8 +36,8 @@ from .harness import (
     verify_jacobian_normalized,
     verify_landau_probes,
 )
-from .oracles import REFUTED, coverage_probe, sample_circle, univalence_probe
-from .sampling import SamplingSpec
+from .oracles import REFUTED, coverage_probe, univalence_probe
+from .sampling import SamplingSpec, sample_circle
 from .seriescore import HarmonicMap
 
 # No array a command builds may exceed this many points; the arguments that

@@ -30,7 +30,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .sampling import SamplingSpec, halton_disk, polar_grid
+from .sampling import SamplingSpec, halton_disk, polar_grid, sample_grid
 
 __all__ = [
     "PlanarMap",
@@ -39,6 +39,7 @@ __all__ = [
     "EllipticityReport",
     "profile",
     "distortion_arrays",
+    "stretches",
     "ellipticity_check",
     "sup_lambda_min",
 ]
@@ -116,12 +117,16 @@ def profile(f: PlanarMap, z: complex) -> DistortionProfile:
     )
 
 
-def distortion_arrays(f: PlanarMap, z: np.ndarray):
-    """Vectorized (lambda_max, lambda_min, jacobian) over an array of points."""
-    fz, fzb = f.partials(z)
+def stretches(fz, fzb):
+    """(lambda_max, lambda_min, jacobian) from arrays of the pair (f_z, f_zbar)."""
     m1 = np.abs(fz)
     m2 = np.abs(fzb)
     return m1 + m2, np.abs(m1 - m2), (m1 - m2) * (m1 + m2)
+
+
+def distortion_arrays(f: PlanarMap, z: np.ndarray):
+    """Vectorized (lambda_max, lambda_min, jacobian) over an array of points."""
+    return stretches(*f.partials(z))
 
 
 def _margin(params: EllipticityParams, lam_max, jac):
@@ -147,7 +152,7 @@ def ellipticity_check(
     spec = grid if grid is not None else _DEFAULT_GRID
 
     pts = polar_grid(region_radius, spec.n_r, spec.n_theta)
-    lam_max, lam_min, jac = distortion_arrays(f, pts)
+    lam_max, lam_min, jac = stretches(*sample_grid(f, region_radius, spec.n_r, spec.n_theta, partials=True))
     margin = _margin(params, lam_max, jac)
 
     k = int(np.argmin(margin))
@@ -187,6 +192,5 @@ def sup_lambda_min(f: PlanarMap, region_radius: float, grid: SamplingSpec | None
     if not (0.0 < region_radius < 1.0):
         raise ValueError("region_radius must lie in (0, 1)")
     spec = grid if grid is not None else _DEFAULT_GRID
-    pts = polar_grid(region_radius, spec.n_r, spec.n_theta)
-    _, lam_min, _ = distortion_arrays(f, pts)
+    _, lam_min, _ = stretches(*sample_grid(f, region_radius, spec.n_r, spec.n_theta, partials=True))
     return float(np.max(lam_min))

@@ -31,9 +31,9 @@ from .constants import (
     psi,
     remark_inequalities,
 )
-from .distortion import EllipticityParams, distortion_arrays, ellipticity_check, profile
+from .distortion import EllipticityParams, ellipticity_check, profile, stretches
 from .oracles import CERTIFIED, REFUTED, OracleVerdict, coverage_probe, univalence_probe
-from .sampling import SamplingSpec, halton, polar_grid
+from .sampling import SamplingSpec, halton, polar_grid, sample_grid
 from .seriescore import HarmonicMap
 
 __all__ = [
@@ -212,7 +212,7 @@ def bloch_pipeline(f, params: EllipticityParams, grid: SamplingSpec | None = Non
 
     z_pts = polar_grid(0.999, grid.n_r, grid.n_theta)
     r_sq = z_pts.real**2 + z_pts.imag**2
-    _, lam_min_arr, jac_arr = distortion_arrays(f, z_pts)
+    _, lam_min_arr, jac_arr = stretches(*sample_grid(f, 0.999, grid.n_r, grid.n_theta, partials=True))
     if jac_arr.min() < 0.0:
         bad = z_pts[int(np.argmin(jac_arr))]
         raise RuntimeError(f"sense-reversal at sample z = {complex(bad)!r}; Jacobian = {jac_arr.min()!r}")
@@ -245,7 +245,7 @@ def bloch_pipeline(f, params: EllipticityParams, grid: SamplingSpec | None = Non
     gp0 = profile(g_map, 0.0)
 
     # bound checks on the rescaled map, over the same grid read as w points
-    lam_max_g, lam_min_g, jac_g = distortion_arrays(g_map, z_pts)
+    lam_max_g, lam_min_g, jac_g = stretches(*sample_grid(g_map, 0.999, grid.n_r, grid.n_theta, partials=True))
     if jac_g.min() < 0.0:
         bad = z_pts[int(np.argmin(jac_g))]
         raise RuntimeError(f"sense-reversal after rescaling at w = {complex(bad)!r}")
@@ -297,14 +297,13 @@ def random_elliptic(params: EllipticityParams, lam: float, seed: int = 0) -> Har
     if b1_cap == 0.0:
         b_hi = np.zeros(shape, dtype=complex)  # conformal regime: no antianalytic part at all
 
-    check_grid = polar_grid(1.0 - 1e-7, 48, 192)
     jac_floor = 0.02
     scale = 1.0
     for _ in range(64):
         analytic = np.concatenate(([0.0, a1], scale * a_hi))
         anti = np.concatenate(([b1], scale * b_hi))
         candidate = HarmonicMap(analytic, anti)
-        lam_max, lam_min_arr, jac = distortion_arrays(candidate, check_grid)
+        lam_max, lam_min_arr, jac = stretches(*sample_grid(candidate, 1.0 - 1e-7, 48, 192, partials=True))
         if (
             float(lam_min_arr.max()) <= 0.98 * lam
             and float(np.min(params.K * jac + params.Kp - lam_max * lam_max)) >= margin_buffer
@@ -394,14 +393,16 @@ def _campaign(entries: Sequence[MapEntry], check: Callable, worst_keys: Callable
     return rows, worst_case
 
 
+_COEFF_TOL = 1e-10
+
+
 def verify_coefficient_bounds(entries: Sequence[MapEntry], params: EllipticityParams,
-                              bound: DistortionBound, tol: float = 1e-10,
-                              grid: SamplingSpec | None = None) -> dict:
+                              bound: DistortionBound, grid: SamplingSpec | None = None) -> dict:
     """Check |a_n| + |b_n| <= T/n for every map against its series.
 
     Maps failing the hypotheses are reported as excluded.  The worst case
-    tracks the smallest slack among included maps; a slack below -tol is a
-    violation and flips the report's refuted flag.
+    tracks the smallest slack among included maps; a slack below -1e-10 is
+    a violation and flips the report's refuted flag.
     """
 
     def check(f) -> tuple[str, dict, dict]:
@@ -417,23 +418,21 @@ def verify_coefficient_bounds(entries: Sequence[MapEntry], params: EllipticityPa
             if slack < worst:
                 worst = slack
                 worst_n = n
-        verdict = "pass" if worst >= -tol else "violation"
+        verdict = "pass" if worst >= -_COEFF_TOL else "violation"
         return verdict, {"hypotheses": detail, "worst_degree": worst_n}, slacks
 
     rows, worst_case = _campaign(entries, check, lambda row, slack: {
         "map": row["id"], "degree": row["verdicts"]["worst_degree"], "slack": slack})
     return build_report(
         "coefficient-bounds",
-        {"K": params.K, "Kp": params.Kp, "lam": float(bound.lam), "tol": tol},
+        {"K": params.K, "Kp": params.Kp, "lam": float(bound.lam), "tol": _COEFF_TOL},
         rows,
         worst_case,
     )
 
 
 def verify_landau_probes(entries: Sequence[MapEntry], params: EllipticityParams,
-                         bound: DistortionBound, spec: SamplingSpec | None = None,
-                         radius_slack: float = 1e-6, rho_slack: float = 1e-3,
-                         grid: SamplingSpec | None = None) -> dict:
+                         bound: DistortionBound, grid: SamplingSpec | None = None) -> dict:
     """Probe univalence at r1 and coverage at sigma1 for each map.
 
     Probes run just inside the stated radii (relative slacks are part of
@@ -442,15 +441,15 @@ def verify_landau_probes(entries: Sequence[MapEntry], params: EllipticityParams,
     the refuted flag.
     """
     result = landau(params, bound)
-    probe_radius = result.r1 * (1.0 - radius_slack)
-    probe_rho = result.sigma1 * (1.0 - rho_slack)
+    probe_radius = result.r1 * (1.0 - 1e-6)
+    probe_rho = result.sigma1 * (1.0 - 1e-3)
 
     def check(f) -> tuple[str, dict, dict]:
         ok, detail = _hypothesis_review(f, params, bound, grid)
         if not ok:
             return "excluded", {"hypotheses": detail}, {}
-        uni = univalence_probe(f, probe_radius, spec)
-        cov = coverage_probe(f, probe_radius, probe_rho, spec)
+        uni = univalence_probe(f, probe_radius)
+        cov = coverage_probe(f, probe_radius, probe_rho)
         if uni.status == REFUTED or cov.status == REFUTED:
             verdict = "refuted"
         elif uni.status == CERTIFIED and cov.status == CERTIFIED:

@@ -33,7 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from .sampling import SamplingSpec, disk_net, polar_grid
+from .sampling import SamplingSpec, disk_net, polar_grid, sample_circle, sample_grid
 
 __all__ = [
     "CERTIFIED",
@@ -43,7 +43,6 @@ __all__ = [
     "REFUTED",
     "SamplingSpec",
     "coverage_probe",
-    "sample_circle",
     "univalence_probe",
     "winding_number",
 ]
@@ -103,20 +102,6 @@ class OracleVerdict:
 
 
 _PAIR_CHUNK = 1 << 18
-
-
-def sample_circle(f, radius, n: int, partials: bool = False):
-    """theta_k = 2 pi k / n for k < n, and f (or its partials) at radius e^{i theta_k}.
-
-    radius may be an array of radii, one row of values each.  A series map
-    sums each circle with one inverse DFT (``on_rings``); any other map is
-    evaluated at the points.  The pair of partials comes back as two arrays.
-    """
-    theta = 2.0 * np.pi * np.arange(n) / n
-    if hasattr(f, "on_rings"):
-        return theta, f.on_rings(radius, n, partials)
-    values = (f.partials if partials else f.eval)(np.multiply.outer(radius, np.exp(1j * theta)))
-    return theta, np.asarray(values, dtype=complex)
 
 
 def _chords(curve: np.ndarray) -> np.ndarray:
@@ -380,13 +365,8 @@ def univalence_probe(f, radius: float, spec: SamplingSpec | None = None) -> Orac
         cert.update(info)
 
     points = polar_grid(radius, spec.n_r, spec.n_theta)
-    # the grid's rings, each starting at angle 0 where the point is its
-    # radius, after a ring of radius 0 whose first value is the centre's
-    radii = np.concatenate([[0.0], points[1::spec.n_theta].real])
-    _, images = sample_circle(f, radii, spec.n_theta)
-    _, (fz, fzb) = sample_circle(f, radii, spec.n_theta, partials=True)
-    images, lam_max = (np.concatenate([rows[0, :1], rows[1:].ravel()])
-                       for rows in (images, np.abs(fz) + np.abs(fzb)))
+    images = sample_grid(f, radius, spec.n_r, spec.n_theta)
+    lam_max = np.abs(sample_grid(f, radius, spec.n_r, spec.n_theta, partials=True)).sum(axis=0)
     res = {"n_r": spec.n_r, "n_theta": spec.n_theta}
     if not (np.isfinite(images).all() and np.isfinite(lam_max).all()):
         res["reason"] = _NONFINITE + " or derivatives on the probe grid"
@@ -444,12 +424,15 @@ def winding_number(f, radius: float, w: complex, n_theta: int = 2048) -> int:
         raise ValueError(f"radius must lie in (0, 1), got {radius}")
     if n_theta < 8:
         raise ValueError("n_theta must be at least 8")
+    w = complex(w)
+    if not np.isfinite(w):
+        raise ValueError(f"w must be finite, got {w!r}")
     _, curve = sample_circle(f, radius, n_theta)
     abs_chords = np.abs(_chords(curve))
-    wind, valid, dist = _winding_block(curve, abs_chords, np.asarray([complex(w)]))
+    wind, valid, dist = _winding_block(curve, abs_chords, np.asarray([w]))
     if not valid[0]:
         raise MeshPrecisionError(
-            f"chord length exceeds a tenth of the distance to w = {complex(w)!r} "
+            f"chord length exceeds a tenth of the distance to w = {w!r} "
             f"(nearest sample at {dist[0]:.3e}); refine n_theta beyond {n_theta}"
         )
     return int(wind[0])
@@ -476,8 +459,8 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
     rho = float(rho)
     if not (0.0 < radius < 1.0):
         raise ValueError(f"radius must lie in (0, 1), got {radius}")
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not (0.0 < rho < math.inf):
+        raise ValueError(f"rho must be positive and finite, got {rho}")
 
     n_curve = max(2048, 4 * spec.n_theta)
     for round_idx in range(spec.refinement_rounds + 1):

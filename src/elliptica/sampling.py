@@ -1,10 +1,11 @@
-"""Deterministic sampling grids for the unit disk.
+"""Deterministic sampling grids for the unit disk, and maps sampled on them.
 
 Everything here is reproducible from its arguments alone: polar grids are
 index-generated, quasi-random refinement uses a Halton radical inverse with a
 fixed index origin, and disk nets are laid out ring by ring from the rim
 inward.  No global RNG state is touched.  Polar grids and the unit Halton
 clouds behind halton_disk are cached, a few at a time, as read-only arrays.
+Maps are sampled on circles and polar grids here, and nowhere else.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["SamplingSpec", "polar_grid", "halton", "halton_disk", "disk_net"]
+__all__ = ["SamplingSpec", "polar_grid", "sample_circle", "sample_grid", "halton", "halton_disk", "disk_net"]
 
 
 @dataclass(frozen=True)
@@ -45,21 +46,42 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def polar_grid(radius: float, n_r: int, n_theta: int, include_center: bool = True) -> np.ndarray:
+def polar_grid(radius: float, n_r: int, n_theta: int) -> np.ndarray:
     """Complex sample points on rings r_i = radius*(i+1)/n_r, i = 0..n_r-1.
 
-    The outermost ring sits exactly at `radius`; the center point is prepended
-    unless disabled.  Ordering is fixed (center, then ring-major), so grid
-    index positions are stable across runs.
+    The outermost ring sits exactly at `radius`; the center point comes
+    first.  Ordering is fixed (center, then ring-major), so grid index
+    positions are stable across runs.
     """
     if not (radius > 0.0):
         raise ValueError("radius must be positive")
-    radii = radius * (np.arange(1, n_r + 1) / n_r)
     angles = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    if include_center:
-        pts = np.concatenate([[0.0 + 0.0j], pts])
-    return _frozen(pts)
+    rings = np.multiply.outer(radius * (np.arange(1, n_r + 1) / n_r), np.exp(1j * angles))
+    return _frozen(np.concatenate([[0.0 + 0.0j], rings.ravel()]))
+
+
+def sample_circle(f, radius, n: int, partials: bool = False):
+    """theta_k = 2 pi k / n for k < n, and f (or its partials) at radius e^{i theta_k}.
+
+    radius may be an array of radii, one row of values each.  A series map
+    sums each circle with one inverse DFT (``on_rings``); any other map is
+    evaluated at the points.  The pair of partials comes back as two arrays.
+    """
+    theta = 2.0 * np.pi * np.arange(n) / n
+    if hasattr(f, "on_rings"):
+        return theta, f.on_rings(radius, n, partials)
+    values = (f.partials if partials else f.eval)(np.multiply.outer(radius, np.exp(1j * theta)))
+    return theta, np.asarray(values, dtype=complex)
+
+
+def sample_grid(f, radius: float, n_r: int, n_theta: int, partials: bool = False):
+    """f, or the pair (f_z, f_zbar), at the points of polar_grid(radius, n_r, n_theta), in its order.
+
+    One sample_circle call reads the rings after one of radius 0, whose first value is the centre's.
+    """
+    _, rings = sample_circle(f, radius * (np.arange(n_r + 1) / n_r), n_theta, partials)
+    grid = [np.concatenate([rows[0, :1], rows[1:].ravel()]) for rows in (rings if partials else [rings])]
+    return tuple(grid) if partials else grid[0]
 
 
 def halton(count: int, base: int, start: int = 1) -> np.ndarray:

@@ -15,15 +15,15 @@ Scattered points are evaluated by a fixed-order Horner recurrence (highest
 stored degree down to the constant), identically for scalars and ndarrays;
 its error is at most gamma_{2N} * sum_k |a_k| |z|^k per series (Higham,
 *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 5.1).
-Equispaced circles |z| = r go through :meth:`HarmonicMap.on_rings`, one
-inverse DFT of the coefficients scaled by r^k, in O(n log n) rather than
-O(n N) per circle; its 2-norm error over a circle of n samples is at most
-log2(n) * eta / (1 - log2(n) * eta) times the 2-norm of the values, with
-eta = mu + gamma_4 * (sqrt(2) + mu) and mu the error of the computed roots of
-unity (Higham, section 24.1).  Both are deterministic, so results are
-bit-reproducible for a given coefficient vector and sample set.  Wirtinger
-derivatives come from the term-differentiated series, never from finite
-differences.
+Circles |z| = r, and the rings of polar grids, go through
+:meth:`HarmonicMap.on_rings`, one inverse DFT of the coefficients scaled by
+r^k, in O(n log n) rather than O(n N) per circle; its 2-norm error over a
+circle of n samples is at most log2(n) * eta / (1 - log2(n) * eta) times the
+2-norm of the values, with eta = mu + gamma_4 * (sqrt(2) + mu) and mu the
+error of the computed roots of unity (Higham, section 24.1).  Both are
+deterministic, so results are bit-reproducible for a given coefficient vector
+and sample set.  Wirtinger derivatives come from the term-differentiated
+series, never from finite differences.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _coeff_array(values, name: str) -> np.ndarray:
 
 
 def _horner(coeffs: np.ndarray, z):
-    # Scattered points only; circles go through _ring_spectrum and one DFT.
+    # Scattered points only; circles and grid rings go through _ring_spectrum and one DFT.
     # The fixed order keeps each point's value bit-reproducible and within
     # the Horner bound of the module docstring, so do not swap in a scheme
     # with another reduction order, such as np.polyval.

@@ -20,6 +20,7 @@ from elliptica import (
     bloch_pipeline,
     build_Fn,
     build_report,
+    ellipticity_check,
     parallel_map,
     profile,
     random_elliptic,
@@ -31,6 +32,7 @@ from elliptica import (
     verify_jacobian_normalized,
     verify_landau_probes,
 )
+from elliptica import seriescore
 from elliptica.harness import _hypothesis_review
 
 P = EllipticityParams
@@ -217,23 +219,52 @@ class TestRandomElliptic:
             random_elliptic(P(1, 0), 0.5)
 
 
+def test_grid_scans_make_no_horner_pass_beyond_a_cloud(monkeypatch):
+    f = random_elliptic(P(2, 0.5), 1.5, seed=11)
+    sizes = []
+    horner = seriescore._horner
+
+    def counting(coeffs, z):
+        sizes.append(np.size(z))
+        return horner(coeffs, z)
+
+    monkeypatch.setattr(seriescore, "_horner", counting)
+    random_elliptic(P(2, 0.5), 1.5, seed=12)
+    ellipticity_check(f, P(2, 0.5))
+    assert sizes and max(sizes) <= 128
+    sizes.clear()
+    bloch_pipeline(f, P(2, 0.5), grid=SMALL_GRID)
+    # only the rescaled map, a composition without rings, is evaluated at
+    # the grid points: its base map's h' and g' over every ring
+    assert [n for n in sizes if n > 128] == [25 * 96] * 2
+
+
 BENCHMARK_REGIMES = ((2.0, 0.5, 1.5), (1.0, 0.0, 2.0), (4.0, 1.0, 3.0), (1.5, 0.25, 1.2))
 
 
 class TestHypothesisReview:
     def test_one_partials_call_on_the_grid(self, monkeypatch):
+        # the 64 x 256 grid is read once, its rings (and a radius-0 ring for
+        # the centre) summed by on_rings; point partials serve only the
+        # origin and the refinement clouds
         f = random_elliptic(P(2, 0.5), 1.5, seed=0)
-        sizes = []
-        partials = HarmonicMap.partials
+        rings, sizes = [], []
+        on_rings, partials = HarmonicMap.on_rings, HarmonicMap.partials
+
+        def ring_recording(self, radii, n, partials=False):
+            rings.append((np.size(radii), n, partials))
+            return on_rings(self, radii, n, partials)
 
         def recording(self, z):
             sizes.append(np.size(z))
             return partials(self, z)
 
+        monkeypatch.setattr(HarmonicMap, "on_rings", ring_recording)
         monkeypatch.setattr(HarmonicMap, "partials", recording)
         ok, _ = _hypothesis_review(f, P(2, 0.5), DistortionBound(1.5))
         assert ok
-        assert sizes.count(64 * 256 + 1) == 1
+        assert rings == [(65, 256, True)]
+        assert sizes and max(sizes) <= 128
 
     @pytest.mark.parametrize("k,kp,lam", BENCHMARK_REGIMES)
     def test_sup_lambda_is_the_grid_supremum(self, k, kp, lam):

@@ -9,6 +9,7 @@ from elliptica import (
     CERTIFIED,
     INCONCLUSIVE,
     REFUTED,
+    BlochRescaledMap,
     DistortionBound,
     EllipticityParams,
     HarmonicMap,
@@ -29,6 +30,7 @@ from elliptica import (
 )
 from elliptica import oracles, seriescore
 from elliptica.oracles import _MOVE_SAFETY, _curve_scan, _near_pairs, _polish_collisions
+from elliptica.sampling import sample_grid
 
 IDENTITY = HarmonicMap.identity()
 SQUARE = HarmonicMap([0.0, 0.0, 1.0])  # z^2, the canonical non-injective map
@@ -115,6 +117,19 @@ class TestWindingNumber:
             winding_number(IDENTITY, 1.0, 0.0)
         with pytest.raises(ValueError):
             winding_number(IDENTITY, 0.5, 0.0, n_theta=4)
+
+
+def test_nonfinite_targets_are_usage_errors():
+    # no refinement can place a curve around inf or nan, so neither oracle
+    # may ask for one, and no winding sum may run on them
+    fn2 = build_Fn(2, 2.0)
+    calls = [lambda: winding_number(IDENTITY, 0.5, np.inf),
+             lambda: winding_number(IDENTITY, 0.5, np.nan),
+             lambda: coverage_probe(fn2, 0.3, np.nan),
+             lambda: coverage_probe(fn2, 0.3, np.inf)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestCoverageProbe:
@@ -417,6 +432,15 @@ def test_sample_circle_dispatches_on_the_map():
     assert np.array_equal(pair, np.stack(Affine().partials(points[2])))
     _, ring = oracles.sample_circle(series, radii, 16)
     assert np.abs(ring - plain).max() < 1e-15
+
+
+@pytest.mark.parametrize("f", [Affine(), BlochRescaledMap(build_Fn(2, 2.0), 0.3 - 0.2j, 1.5)],
+                         ids=["affine", "bloch-rescaled"])
+def test_sample_grid_evaluates_other_maps_at_the_grid_points(f):
+    points = polar_grid(0.9, 6, 40)
+    assert np.array_equal(sample_grid(f, 0.9, 6, 40), f.eval(points))
+    for got, want in zip(sample_grid(f, 0.9, 6, 40, partials=True), f.partials(points)):
+        assert np.array_equal(got, want)
 
 
 def test_point_evaluated_map_runs_both_probes():

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from elliptica import SamplingSpec, disk_net, halton, halton_disk, polar_grid
+from elliptica import (
+    EllipticityParams,
+    SamplingSpec,
+    build_classical,
+    build_Fn,
+    disk_net,
+    halton,
+    halton_disk,
+    polar_grid,
+    random_elliptic,
+)
+from elliptica.sampling import sample_grid
 
 
 class TestPolarGrid:
@@ -19,11 +30,6 @@ class TestPolarGrid:
         assert np.max(np.abs(pts)) == pytest.approx(0.5, abs=1e-15)
         assert abs(pts[-8]) == 0.5  # the theta = 0 rim sample is exact
 
-    def test_no_center(self):
-        pts = polar_grid(0.9, 3, 8, include_center=False)
-        assert pts.shape == (24,)
-        assert np.min(np.abs(pts)) > 0.0
-
     def test_no_duplicates(self):
         pts = polar_grid(0.7, 16, 64)
         assert len(np.unique(np.round(pts, 15))) == len(pts)
@@ -36,6 +42,34 @@ class TestPolarGrid:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             polar_grid(0.0, 4, 8)
+
+
+def _grid_maps():
+    yield "classical-2", build_classical(2.0, 400), 0.25
+    yield "F_3", build_Fn(3, 2.0, n_terms=128), 0.5
+    for seed, (k, kp, lam) in enumerate(((2.0, 0.5, 1.5), (4.0, 1.0, 3.0))):
+        yield f"random-{seed}", random_elliptic(EllipticityParams(k, kp), lam, seed), 0.999
+
+
+@pytest.mark.parametrize("name,f,radius", [pytest.param(*case, id=case[0]) for case in _grid_maps()])
+def test_sample_grid_matches_horner_at_the_grid_points(name, f, radius):
+    # a series map's grid, read ring by ring, is the map at polar_grid's points, in its order
+    eps = np.finfo(float).eps
+    k = np.arange(f.truncation_degree + 1)
+    moduli = np.abs(f.analytic_coeffs) + np.abs(f._b_full)
+    # the sums at the outer radius bound those of every inner ring
+    value_sum = (moduli * radius**k).sum()
+    slope_sum = (k[1:] * moduli[1:] * radius ** k[:-1]).sum()
+    # folded (n_theta < N + 1) and unfolded (n_theta >= N + 1) rings
+    for n_r, n_theta in ((3, (f.truncation_degree + 1) // 2), (5, 2 * f.truncation_degree + 8)):
+        points = polar_grid(radius, n_r, n_theta)
+        values = sample_grid(f, radius, n_r, n_theta)
+        fz, fzb = sample_grid(f, radius, n_r, n_theta, partials=True)
+        assert values.shape == fz.shape == fzb.shape == points.shape
+        ref_fz, ref_fzb = f.partials(points)
+        assert np.abs(values - f.eval(points)).max() <= 64 * eps * value_sum
+        assert np.abs(fz - ref_fz).max() <= 64 * eps * slope_sum
+        assert np.abs(fzb - ref_fzb).max() <= 64 * eps * slope_sum
 
 
 def _scalar_halton(count, base, start=1):

@@ -232,9 +232,10 @@ def bloch_pipeline(f, params: EllipticityParams, grid: SamplingSpec | None = Non
         method="Nelder-Mead",
         options={"xatol": 1e-11, "fatol": 1e-16, "maxiter": 600, "maxfev": 1200},
     )
-    # adopt the polished point only on strict improvement; ties keep the
-    # grid point so exactly-normalized inputs stay exact
-    if polish.success and -float(polish.fun) > m_grid:
+    # adopt the polished point on any strict improvement, also when the
+    # polish stops at its evaluation budget; ties keep the grid point so
+    # exactly-normalized inputs stay exact
+    if -float(polish.fun) > m_grid:
         z0 = complex(polish.x[0], polish.x[1])
     m_sup = _weighted_lambda(f, z0)
 

@@ -102,6 +102,9 @@ class OracleVerdict:
 
 
 _PAIR_CHUNK = 1 << 18
+# the cell join counts keys in a table while their range is at most this
+# many times the point count
+_TABLE_SPAN = 32
 
 
 def _chords(curve: np.ndarray) -> np.ndarray:
@@ -127,7 +130,9 @@ def _cell_pairs(values: np.ndarray, cell: float):
     neighbouring cell (dx outer, dy inner, each over -1, 0, 1), then by j,
     so callers that stop early or keep the first of equal values stay
     deterministic.  Each point finds its neighbours with one key range per
-    neighbouring column, three ``searchsorted`` queries in all.
+    neighbouring column: three lookups in a prefix count of the keys when
+    the key range is at most _TABLE_SPAN times the point count, else three
+    ``searchsorted`` queries, whose memory does not grow with a sparse range.
     """
     kx = np.floor(values.real / cell).astype(np.int64)
     ky = np.floor(values.imag / cell).astype(np.int64)
@@ -140,10 +145,18 @@ def _cell_pairs(values: np.ndarray, cell: float):
     # stable sort orders that key range by dy, then by j
     key = (kx - kx.min() + 1) * width + (ky - ky.min() + 1)
     members = np.argsort(key, kind="stable")
-    sorted_key = key[members]
     column = key[:, None] + np.array([-width, 0, width])
-    first = np.searchsorted(sorted_key, column - 1, side="left")
-    count = np.searchsorted(sorted_key, column + 1, side="right") - first
+    # keys run from width + 1, so every range column - 1 .. column + 1 lies in 0 .. span - 1
+    span = int(key.max()) + width + 2
+    if span <= _TABLE_SPAN * len(values):
+        # below[q] is the number of keys below q
+        below = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=span))])
+        first = below[column - 1]
+        count = below[column + 2] - first
+    else:
+        sorted_key = key[members]
+        first = np.searchsorted(sorted_key, column - 1, side="left")
+        count = np.searchsorted(sorted_key, column + 1, side="right") - first
 
     per_point = count.sum(axis=1)
     done = np.cumsum(per_point)
@@ -173,7 +186,8 @@ def _near_pairs(points: np.ndarray, images: np.ndarray, eps_img: float, sep: flo
     room = cap
     for i, j in _cell_pairs(images, eps_img if eps_img > 0 else 1e-12):
         dist_img = _cabs(images[i] - images[j])
-        hit = np.flatnonzero((dist_img <= eps_img) & (_cabs(points[i] - points[j]) > sep))[:room]
+        close = np.flatnonzero(dist_img <= eps_img)
+        hit = close[_cabs(points[i[close]] - points[j[close]]) > sep][:room]
         found.append((dist_img[hit], i[hit], j[hit]))
         room -= len(hit)
         if room == 0:

@@ -77,9 +77,13 @@ def sample_circle(f, radius, n: int, partials: bool = False):
 def sample_grid(f, radius: float, n_r: int, n_theta: int, partials: bool = False):
     """f, or the pair (f_z, f_zbar), at the points of polar_grid(radius, n_r, n_theta), in its order.
 
-    One sample_circle call reads the rings after one of radius 0, whose first value is the centre's.
+    A series map reads the rings from one on_rings call after one of radius 0, whose first value is
+    the centre's; any other map is evaluated once at the grid's points, so the centre only once.
     """
-    _, rings = sample_circle(f, radius * (np.arange(n_r + 1) / n_r), n_theta, partials)
+    if not hasattr(f, "on_rings"):
+        values = np.asarray((f.partials if partials else f.eval)(polar_grid(radius, n_r, n_theta)), dtype=complex)
+        return tuple(values) if partials else values
+    rings = f.on_rings(radius * (np.arange(n_r + 1) / n_r), n_theta, partials)
     grid = [np.concatenate([rows[0, :1], rows[1:].ravel()]) for rows in (rings if partials else [rings])]
     return tuple(grid) if partials else grid[0]
 

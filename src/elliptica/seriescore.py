@@ -11,10 +11,24 @@ polynomial map simply carries tail_bound = 0.  Maps are immutable; the
 coefficient arrays are frozen at construction, so instances may be shared
 freely across worker threads.
 
-Scattered points are evaluated by a fixed-order Horner recurrence (highest
-stored degree down to the constant), identically for scalars and ndarrays;
-its error is at most gamma_{2N} * sum_k |a_k| |z|^k per series (Higham,
-*Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 5.1).
+Scattered points are evaluated by a fixed-order Horner recurrence (from the
+point's effective degree down to the constant), identically for scalars and
+ndarrays; its error is at most gamma_{2N} * sum_k |a_k| |z|^k per series
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section
+5.1).  The effective degree comes from a ladder of radii rho_j = j / L,
+j = 1..L: for each of the four series h, g, h', g', K(rho_j) is the smallest
+K whose dropped tail sum_{k>K} |c_k| rho_j^k is at most u = 2^-53 times the
+kept sum_{k<=K} |c_k| rho_j^k.  That ratio is nondecreasing in rho, since
+every tail exponent exceeds every head exponent, so K(rho_j) serves every
+point with |z| <= rho_j, and a point with floor(|z| L) = j - 1 uses it.  The
+dropped tail adds at most u * sum_k |c_k| |z|^k, and gamma_{2K} + u <=
+gamma_{2N} for K < N, so the bound above holds unchanged.  The sums are
+compared with a factor 1 +- gamma_{4N+8} on each side, covering the
+rounding of the moduli, powers and sums and of |z| itself, and a power that
+underflows counts as the smallest normal number.  The ladder is built on the
+first Horner evaluation of a map and cached on it.  A series keeps its full
+degree, which is always sound, when its sums are not finite or when its top
+term is not negligible even at rho_1.
 Circles |z| = r, and the rings of polar grids, go through
 :meth:`HarmonicMap.on_rings`, one inverse DFT of the coefficients scaled by
 r^k, in O(n log n) rather than O(n N) per circle; its 2-norm error over a
@@ -31,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import mpmath
 import numpy as np
@@ -52,13 +67,63 @@ def _coeff_array(values, name: str) -> np.ndarray:
 
 def _horner(coeffs: np.ndarray, z):
     # Scattered points only; circles and grid rings go through _ring_spectrum and one DFT.
-    # The fixed order keeps each point's value bit-reproducible and within
-    # the Horner bound of the module docstring, so do not swap in a scheme
-    # with another reduction order, such as np.polyval.
+    # HarmonicMap passes each point's effective-degree prefix of a series (see
+    # the module docstring).  The fixed order keeps each point's value
+    # bit-reproducible and within the Horner bound of the module docstring,
+    # so do not swap in a scheme with another reduction order, such as np.polyval.
     acc = np.zeros_like(z, dtype=complex) + coeffs[-1]
     for k in range(coeffs.size - 2, -1, -1):
         acc = acc * z + coeffs[k]
     return acc
+
+
+# the ladder radii rho_j = j / _LADDER_LEVELS, j = 1.._LADDER_LEVELS
+_LADDER_LEVELS = 64
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _ladder(coeffs: np.ndarray, powers: np.ndarray, upper: np.ndarray):
+    """The degree ladder of one series (see the module docstring).
+
+    One degree when it serves every level, else an int array whose entry j
+    is the degree for the level j points (index 0 unused).  Row k of powers
+    holds rho_j^k over the levels, and upper is powers bounded below by the
+    smallest normal number, which bounds an underflowing power from above.
+    """
+    nonzero = np.flatnonzero(coeffs)
+    top = int(nonzero[-1]) if nonzero.size else 0
+    if top == 0:
+        return 0
+    moduli = np.abs(coeffs[: top + 1])[:, None]
+    nu = (4 * top + 8) * _UNIT_ROUNDOFF
+    gamma = nu / (1.0 - nu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the full degree is always sound; keep it at once when the top term
+        # is not negligible even on the smallest radius
+        if moduli[top, 0] * powers[top, 0] > _UNIT_ROUNDOFF * (moduli[:top, 0] @ powers[:top, 0]):
+            return top
+        head = moduli * powers[: top + 1]
+        np.cumsum(head, axis=0, out=head)
+        # tail[K] = sum_{k>K}, summed from the top down
+        tail = moduli[:0:-1] * upper[top:0:-1]
+        np.cumsum(tail, axis=0, out=tail)
+        tail = tail[::-1]
+        if not np.isfinite(head[-1] + tail[0]).all():
+            return top
+        # tail (1 + gamma) <= u (1 - gamma) head, with an absolute term for
+        # products that land among the subnormals
+        tail *= (1.0 + gamma) / (_UNIT_ROUNDOFF * (1.0 - gamma))
+        tail += (top + 1) * 2.0**-1074
+        fits = tail <= head[:-1]
+    # fits holds from some K on (head grows, tail shrinks), so its False entries count the degree
+    degrees = top - fits.sum(axis=0)
+    return int(degrees[0]) if degrees[0] == degrees[-1] else np.concatenate([degrees[:1], degrees])
+
+
+def _levels(z) -> np.ndarray:
+    """The ladder level floor(|z| L) + 1 of each point; |z| < 1 keeps it at most L."""
+    z = np.asarray(z)
+    return (np.sqrt(z.real * z.real + z.imag * z.imag) * _LADDER_LEVELS).astype(np.int64) + 1
 
 
 def _ring_spectrum(coeffs: np.ndarray, powers: np.ndarray, n: int) -> np.ndarray:
@@ -101,16 +166,20 @@ class HarmonicMap:
             raise ValueError("reference_radius must lie in (0, 1)")
         # Degree-aligned copy of g's coefficients (index = degree) for Horner.
         b_full = np.concatenate([[0.0 + 0.0j], b1])
+        # h' and g' coefficients; huge inputs may overflow to inf, which the
+        # evaluations then report as non-finite values
+        with np.errstate(over="ignore", invalid="ignore"):
+            hp, gp = (np.arange(1, n + 1) * c[1:] for c in (a, b_full))
         for name, value in (
             ("analytic_coeffs", a),
             ("antianalytic_coeffs", b1),
             ("_b_full", b_full),
+            ("_series", (a, b_full, hp, gp)),
             ("truncation_degree", n),
         ):
             object.__setattr__(self, name, value)
-        a.setflags(write=False)
-        b1.setflags(write=False)
-        b_full.setflags(write=False)
+        for arr in (a, b1, b_full, hp, gp):
+            arr.setflags(write=False)
 
     # ------------------------------------------------------------------
     # constructors
@@ -175,23 +244,50 @@ class HarmonicMap:
         if np.any(np.abs(z) >= 1.0):
             raise ValueError("evaluation requires |z| < 1")
 
+    @cached_property
+    def _ladders(self) -> list:
+        """Degree ladders of h, g, h', g' (see the module docstring), built on first use."""
+        degrees = np.arange(self.truncation_degree + 1)[:, None]
+        powers = np.power(np.arange(1, _LADDER_LEVELS + 1) / _LADDER_LEVELS, degrees)
+        upper = np.maximum(powers, np.finfo(float).tiny)
+        return [_ladder(c, powers, upper) for c in self._series]
+
+    def _sums(self, z, which):
+        """Horner sums at z of the series numbered in which, each point to its effective degree."""
+        ladders = self._ladders
+        levels = None
+        sums = []
+        for s in which:
+            coeffs, degrees = self._series[s], ladders[s]
+            if isinstance(degrees, int):
+                sums.append(_horner(coeffs[: degrees + 1], z))
+                continue
+            if levels is None:
+                levels = _levels(z)
+            point_degrees = degrees[levels]
+            # np.unique would import numpy.ma, a megabyte of resident memory
+            spread = np.flatnonzero(np.bincount(np.ravel(point_degrees)))
+            if spread.size == 1:
+                sums.append(_horner(coeffs[: spread[0] + 1], z))
+                continue
+            values = np.empty(np.shape(z), dtype=complex)
+            for d in spread:
+                at = point_degrees == d
+                values[at] = _horner(coeffs[: d + 1], np.asarray(z)[at])
+            sums.append(values)
+        return sums
+
     def eval(self, z):
         """f(z) for scalar or ndarray z with |z| < 1."""
         self._check_domain(z)
-        value = _horner(self.analytic_coeffs, z) + np.conj(_horner(self._b_full, z))
+        h, g = self._sums(z, (0, 1))
+        value = h + np.conj(g)
         return complex(value) if np.isscalar(z) or np.ndim(z) == 0 else value
 
     def partials(self, z):
         """Wirtinger pair (f_z, f_zbar) from the differentiated series."""
         self._check_domain(z)
-        n = self.truncation_degree
-        degrees = np.arange(1, n + 1)
-        if n >= 1:
-            hp = _horner(degrees * self.analytic_coeffs[1:], z)
-            gp = _horner(degrees * self._b_full[1:], z)
-        else:  # pragma: no cover - padding guarantees n >= 1
-            hp = np.zeros_like(z, dtype=complex)
-            gp = np.zeros_like(z, dtype=complex)
+        hp, gp = self._sums(z, (2, 3))
         fzb = np.conj(gp)
         if np.isscalar(z) or np.ndim(z) == 0:
             return complex(hp), complex(fzb)
@@ -211,8 +307,7 @@ class HarmonicMap:
         degrees = np.arange(self.truncation_degree + 1)
         powers = np.power(radii[..., None], degrees)
         if partials:
-            hp, gp = (np.fft.ifft(_ring_spectrum(degrees[1:] * c[1:], powers, n), norm="forward")
-                      for c in (self.analytic_coeffs, self._b_full))
+            hp, gp = (np.fft.ifft(_ring_spectrum(c, powers, n), norm="forward") for c in self._series[2:])
             return hp, np.conj(gp)
         g_spectrum = _ring_spectrum(np.conj(self._b_full), powers, n)
         spectrum = _ring_spectrum(self.analytic_coeffs, powers, n) + g_spectrum[..., -np.arange(n) % n]

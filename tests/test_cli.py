@@ -234,6 +234,14 @@ class TestVerifyCommand:
         assert rep["theorem"] == "bloch-pipeline"
         assert a == json.dumps(rep, indent=2) + "\n"
 
+    def test_bloch_suite_adopts_a_polish_stopped_by_its_budget(self, capsys):
+        # random2 is random_elliptic(seed=8631), whose argmax polish stops at maxfev
+        code, out, _ = run(capsys, "verify-theorem", "--which", "3", "--K", "4", "--Kp", "1",
+                           "--lam", "3", "--seed", "8629")
+        rep = json.loads(out)
+        assert code == 0 and rep["worst_case"]["refuted"] is False
+        assert [m["verdict"] for m in rep["maps"]] == ["pass"] * 5
+
     def test_jacobian_route_exit_codes(self, capsys):
         # the fixture violates the origin bound at K = 1 and satisfies it at K = 4
         code_bad, out_bad, _ = run(capsys, "verify-theorem", "--which", "c1", "--K", "1")

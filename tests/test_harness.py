@@ -161,6 +161,14 @@ class TestBlochPipeline:
         assert tr.ellipticity_margin >= -1e-9
         assert tr.sup_weighted_distortion > 0
 
+    def test_polish_stopped_by_its_budget_still_improves_the_argmax(self):
+        # Nelder-Mead stops at maxfev here, at 1.0329406 against the grid's
+        # 1.0328814; keeping the grid point left lambda above 2/(2 - |w|^2)
+        f = random_elliptic(P(4, 1), 3.0, seed=8631)
+        tr = bloch_pipeline(f, P(4, 1))
+        assert tr.sup_weighted_distortion > 1.03294
+        assert tr.distortion_bound_excess <= 1e-9
+
     def test_requires_normalized_input(self):
         with pytest.raises(ValueError):
             bloch_pipeline(HarmonicMap([0.0, 2.0]), P(1, 0))
@@ -235,8 +243,8 @@ def test_grid_scans_make_no_horner_pass_beyond_a_cloud(monkeypatch):
     sizes.clear()
     bloch_pipeline(f, P(2, 0.5), grid=SMALL_GRID)
     # only the rescaled map, a composition without rings, is evaluated at
-    # the grid points: its base map's h' and g' over every ring
-    assert [n for n in sizes if n > 128] == [25 * 96] * 2
+    # the grid points: its base map's h' and g' over every ring and the centre
+    assert [n for n in sizes if n > 128] == [24 * 96 + 1] * 2
 
 
 BENCHMARK_REGIMES = ((2.0, 0.5, 1.5), (1.0, 0.0, 2.0), (4.0, 1.0, 3.0), (1.5, 0.25, 1.2))

@@ -318,6 +318,12 @@ def _cell_join_cases():
     curve = np.asarray(build_classical(2.0, 400).eval(radius * np.exp(2j * np.pi * np.arange(1024) / 1024)))
     chords = np.abs(np.roll(curve, -1) - curve)
     yield curve, 3.0 * float((_MOVE_SAFETY * np.maximum(np.roll(chords, 1), chords)).max())
+    # a row of 8 points across `columns` unit cells has a key range of
+    # 3 * columns + 6: the widest row the prefix-count table takes, then
+    # the narrowest that goes to searchsorted
+    widest = (8 * oracles._TABLE_SPAN - 6) // 3
+    for columns in (widest, widest + 1):
+        yield np.linspace(0.5, columns - 0.5, 8) + 0.5j, 1.0
 
 
 def test_cell_join_matches_the_nine_query_reference():
@@ -411,6 +417,22 @@ def test_refutation_grid_keeps_horner_for_the_polish_only(monkeypatch):
     assert calls and max(calls) <= 2 * 64
 
 
+def test_refutation_polish_runs_horner_to_the_effective_degree(monkeypatch):
+    # the witnesses lie within |z| <= 0.29, where the series needs about 21
+    # of its 401 coefficients
+    lengths = []
+    horner = seriescore._horner
+
+    def counting(coeffs, z):
+        lengths.append(coeffs.size)
+        return horner(coeffs, z)
+
+    monkeypatch.setattr(seriescore, "_horner", counting)
+    v = univalence_probe(build_classical(2.0, 400), 1.05 * classical_landau(2.0).r0)
+    assert v.status == REFUTED
+    assert lengths and max(lengths) <= 32
+
+
 class Affine:
     """z + 0.5 conj(z) as a plain planar map: point evaluation only, no on_rings."""
 
@@ -441,6 +463,23 @@ def test_sample_grid_evaluates_other_maps_at_the_grid_points(f):
     assert np.array_equal(sample_grid(f, 0.9, 6, 40), f.eval(points))
     for got, want in zip(sample_grid(f, 0.9, 6, 40, partials=True), f.partials(points)):
         assert np.array_equal(got, want)
+
+
+def test_sample_grid_evaluates_the_centre_of_other_maps_once():
+    sizes = []
+
+    class Recording(Affine):
+        def eval(self, z):
+            sizes.append(np.size(z))
+            return super().eval(z)
+
+        def partials(self, z):
+            sizes.append(np.size(z))
+            return super().partials(z)
+
+    sample_grid(Recording(), 0.9, 6, 40)
+    sample_grid(Recording(), 0.9, 6, 40, partials=True)
+    assert sizes == [6 * 40 + 1] * 2
 
 
 def test_point_evaluated_map_runs_both_probes():

@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,7 @@ from elliptica import (
     random_elliptic,
     truncate_with_tail,
 )
+from elliptica import seriescore
 
 AFFINE = HarmonicMap([0.0, 1.0], [0.5])  # z + 0.5*conj(z)
 
@@ -151,6 +153,97 @@ class TestOnRings:
     def test_domain_rejected(self):
         with pytest.raises(ValueError):
             HarmonicMap.identity().on_rings([0.5, 1.0], 16)
+
+
+def _full_horner(coeffs, z):
+    """Reference: Horner over every stored coefficient, highest degree first."""
+    acc = np.zeros_like(z, dtype=complex) + coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def _degree_maps():
+    yield "classical-2", build_classical(2.0, 400)
+    yield "F_3", build_Fn(3, 2.0, n_terms=128)
+    for seed, (k, kp, lam) in enumerate(((2.0, 0.5, 1.5), (1.0, 0.0, 2.0))):
+        yield f"random-{seed}", random_elliptic(EllipticityParams(k, kp), lam, seed)
+    yield "random_map", random_map(6, degree=40)
+
+
+class TestEffectiveDegree:
+    """Horner runs each point only to the degree its modulus needs."""
+
+    @pytest.mark.parametrize("name,f", [pytest.param(*case, id=case[0]) for case in _degree_maps()])
+    def test_matches_full_degree_horner(self, name, f):
+        eps = np.finfo(float).eps
+        k = np.arange(f.truncation_degree + 1)
+        moduli = np.abs(f.analytic_coeffs) + np.abs(f._b_full)
+        radii = np.concatenate([[0.0], np.linspace(0.001, 0.999, 97)])
+        z = radii * np.exp(1j * (0.3 + 2.4 * np.arange(radii.size)))
+        values = f.eval(z)
+        fz, fzb = f.partials(z)
+        ref = _full_horner(f.analytic_coeffs, z) + np.conj(_full_horner(f._b_full, z))
+        ref_fz = _full_horner(k[1:] * f.analytic_coeffs[1:], z)
+        ref_fzb = np.conj(_full_horner(k[1:] * f._b_full[1:], z))
+        value_sum = (moduli * np.abs(z)[:, None] ** k).sum(axis=1)
+        slope_sum = (k[1:] * moduli[1:] * np.abs(z)[:, None] ** k[:-1]).sum(axis=1)
+        assert (np.abs(values - ref) <= 64 * eps * value_sum).all()
+        assert (np.abs(fz - ref_fz) <= 64 * eps * slope_sum).all()
+        assert (np.abs(fzb - ref_fzb) <= 64 * eps * slope_sum).all()
+        for m in range(0, radii.size, 12):
+            assert abs(f.eval(complex(z[m])) - ref[m]) <= 64 * eps * value_sum[m]
+            pair = f.partials(complex(z[m]))
+            assert abs(pair[0] - ref_fz[m]) <= 64 * eps * slope_sum[m]
+            assert abs(pair[1] - ref_fzb[m]) <= 64 * eps * slope_sum[m]
+
+    def test_each_point_is_evaluated_alone(self):
+        # the classical map's degrees grow with |z|, so this array spans many;
+        # every value must be the one the point gets in an array of its own
+        f = build_classical(2.0, 400)
+        z = np.linspace(0.0, 0.99, 41) * np.exp(1j * np.arange(41))
+        values = f.eval(z)
+        fz, fzb = f.partials(z)
+        for m in range(z.size):
+            alone = z[m:m + 1]
+            assert values[m] == f.eval(alone)[0]
+            assert (fz[m], fzb[m]) == tuple(part[0] for part in f.partials(alone))
+
+    def test_dropped_tail_is_negligible_at_the_point(self, monkeypatch):
+        # radii on both sides of every ladder radius j/64, where a point
+        # given the level below its own would drop too much
+        f = build_classical(2.0, 400)
+        kept = []
+        horner = seriescore._horner
+
+        def recording(coeffs, z):
+            kept.append(coeffs.size)
+            return horner(coeffs, z)
+
+        monkeypatch.setattr(seriescore, "_horner", recording)
+        with mpmath.workdps(40):
+            moduli = [mpmath.mpf(abs(c)) for c in f.analytic_coeffs]
+            for j in range(1, 64):
+                for r in (np.nextafter(j / 64, 0.0), j / 64, np.nextafter(j / 64, 1.0)):
+                    kept.clear()
+                    f.eval(np.array([r]))
+                    terms = [m * mpmath.mpf(r) ** k for k, m in enumerate(moduli)]
+                    assert mpmath.fsum(terms[kept[0]:]) <= 2.0**-53 * mpmath.fsum(terms[:kept[0]])
+
+    def test_ladders_are_lazy_and_small_where_the_series_decay(self):
+        f = build_classical(2.0, 400)
+        assert "_ladders" not in vars(f)
+        f.eval(0.1)
+        h, g, hp, gp = f._ladders
+        assert g == gp == 0  # the classical map is analytic
+        assert h[1] <= h[32] <= h[64] < 400
+        # a degree-8 map needs its whole degree at every level
+        assert random_elliptic(EllipticityParams(2.0, 0.5), 1.5, 0)._ladders[0] == 8
+
+    def test_overflowing_sums_keep_the_full_degree(self):
+        # warnings fail the suite, so building the ladder must raise none
+        f = HarmonicMap([0.0, 1.0, 1.5e308, 1.5e308])
+        assert f._ladders == [3, 0, 2, 0]
 
 
 class TestCoefficients:

@@ -32,7 +32,7 @@ from .distortion import (
     profile,
     sup_lambda_min,
 )
-from .extremals import ExtremalSpec, build_classical, build_extremal, build_fn, build_Fn
+from .extremals import build_classical, build_fn, build_Fn
 from .harness import (
     PACKAGE_VERSION,
     BlochRescaledMap,
@@ -74,7 +74,6 @@ __all__ = [
     "DistortionProfile",
     "EllipticityParams",
     "EllipticityReport",
-    "ExtremalSpec",
     "HarmonicMap",
     "INCONCLUSIVE",
     "LandauResult",
@@ -90,7 +89,6 @@ __all__ = [
     "bloch_lambda_normalized",
     "bloch_pipeline",
     "build_classical",
-    "build_extremal",
     "build_fn",
     "build_Fn",
     "build_report",

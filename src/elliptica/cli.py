@@ -26,7 +26,7 @@ from .constants import (
     landau,
 )
 from .distortion import EllipticityParams
-from .extremals import ExtremalSpec, build_extremal
+from .extremals import build_classical, build_Fn
 from .harness import (
     PACKAGE_VERSION,
     random_elliptic,
@@ -150,8 +150,11 @@ def _cmd_extremal(args, parser: argparse.ArgumentParser) -> int:
     needs = ("M",) if args.family == "classical" else ("n", "lam")
     if any(getattr(args, name) is None for name in needs):
         parser.error(f"family {args.family} requires " + " and ".join(f"--{name}" for name in needs))
-    spec = ExtremalSpec(args.family, getattr(args, needs[-1]), args.n)
-    return _emit(_json_text(build_extremal(spec, n_terms=args.N).to_json_dict()), args.out)
+    if args.family == "classical":
+        f = build_classical(args.M, args.N)
+    else:
+        f = build_Fn(args.n, args.lam, args.N)
+    return _emit(_json_text(f.to_json_dict()), args.out)
 
 
 def _cmd_check_map(args, parser: argparse.ArgumentParser) -> int:
@@ -171,7 +174,7 @@ def _standard_entries(params: EllipticityParams, bound: DistortionBound, n_rando
     entries = []
     for n in range(2, 2 + families):
         entries.append((f"Fn{n}", f"series extremal n={n}, lam={float(bound.lam):g}",
-                        build_extremal(ExtremalSpec("Fn", float(bound.lam), n))))
+                        build_Fn(n, bound.lam)))
     for i in range(n_random):
         entries.append((f"random{i}", f"random_elliptic(seed={seed + i})",
                         random_elliptic(params, float(bound.lam), seed + i)))
@@ -244,6 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     # a campaign checks each random map on 64 x 256 = 2^14-point grids
     n_random_type = _int_arg("n-random", 0, _MAX_POINTS >> 14)
     samples_type = _int_arg("samples", 1, _MAX_POINTS)
+    seed_type = _int_arg("seed", 0)
 
     p_const = sub.add_parser("constants", help="closed-form constants for given parameters")
     p_const.add_argument("--K", type=k_type, required=True)
@@ -283,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--K", type=k_type, default=1.0)
     p_ver.add_argument("--Kp", type=kp_type, default=0.0)
     p_ver.add_argument("--lam", type=lam_type, default=2.0)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=seed_type, default=0)
     p_ver.add_argument("--n-random", type=n_random_type, default=3)
     p_ver.add_argument("--samples", type=samples_type, default=1000)
     p_ver.add_argument("--map", default=None, help="map JSON for --which c1")
@@ -295,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--K", type=k_type, required=True)
     p_rep.add_argument("--Kp", type=kp_type, default=0.0)
     p_rep.add_argument("--lam", type=lam_type, required=True)
-    p_rep.add_argument("--seed", type=int, default=0)
+    p_rep.add_argument("--seed", type=seed_type, default=0)
     p_rep.add_argument("--n-random", type=n_random_type, default=2)
     p_rep.add_argument("--samples", type=samples_type, default=200)
     p_rep.add_argument("--timestamp", action="store_true")
@@ -325,10 +329,7 @@ def main(argv=None) -> int:
             command = _cmd_verify if args.command == "verify-theorem" else _cmd_report
             return _emit_report(*command(args), args, t0)
         return _cmd_boundary(args)
-    except (ValueError, TypeError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, TypeError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,59 +9,12 @@ reference radius, so truncation error is certified rather than estimated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .seriescore import HarmonicMap
 
-__all__ = [
-    "ExtremalSpec",
-    "build_classical",
-    "build_extremal",
-    "build_fn",
-    "build_Fn",
-]
-
-_FAMILIES = ("Fn", "fn", "classical")
-
-
-@dataclass(frozen=True)
-class ExtremalSpec:
-    """Names one member of the extremal families.
-
-    ``family`` is one of ``"Fn"`` (minimum-distortion pinned), ``"fn"``
-    (maximum-distortion pinned) or ``"classical"`` (bounded analytic
-    extremal).  ``n`` is the branch-point order for the first two and
-    ignored for ``"classical"``.  ``parameter`` is the pinned distortion
-    value (lam) or the sup bound (M).
-    """
-
-    family: str
-    parameter: float
-    n: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
-        if self.family in ("Fn", "fn"):
-            if self.n is None or not isinstance(self.n, int) or isinstance(self.n, bool):
-                raise ValueError("families 'Fn' and 'fn' require an integer n >= 2")
-            if self.n < 2:
-                raise ValueError(f"n must be >= 2, got {self.n}")
-        p = float(self.parameter)
-        if not math.isfinite(p):
-            raise ValueError("parameter must be finite")
-        if self.family == "classical":
-            if p <= 1.0:
-                raise ValueError(f"classical family needs M > 1, got {p}")
-        elif p < 1.0:
-            raise ValueError(f"distortion parameter must be >= 1, got {p}")
-
-    def describe(self) -> str:
-        if self.family == "classical":
-            return f"classical(M={float(self.parameter):g})"
-        return f"{self.family}(n={self.n},lam={float(self.parameter):g})"
+__all__ = ["build_classical", "build_fn", "build_Fn"]
 
 
 def _check_common(n_terms: int, r_ref: float) -> None:
@@ -132,11 +85,3 @@ def build_classical(m_sup: float, n_terms: int = 64, r_ref: float = 0.9) -> Harm
     tail = (m_sup * m_sup - 1.0) * r_ref * q**n_terms / (1.0 - q)
     return HarmonicMap(coeffs, (), tail_bound=tail, reference_radius=r_ref)
 
-
-def build_extremal(spec: ExtremalSpec, n_terms: int = 64, r_ref: float = 0.9) -> HarmonicMap:
-    """Dispatch on ``spec.family``."""
-    if spec.family == "Fn":
-        return build_Fn(spec.n, spec.parameter, n_terms, r_ref)
-    if spec.family == "fn":
-        return build_fn(spec.n, spec.parameter, n_terms, r_ref)
-    return build_classical(spec.parameter, n_terms, r_ref)

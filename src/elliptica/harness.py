@@ -33,7 +33,7 @@ from .constants import (
 )
 from .distortion import EllipticityParams, ellipticity_check, profile, stretches
 from .oracles import CERTIFIED, REFUTED, OracleVerdict, coverage_probe, univalence_probe
-from .sampling import SamplingSpec, halton, polar_grid, sample_grid
+from .sampling import halton, polar_grid, sample_grid
 from .seriescore import HarmonicMap
 
 __all__ = [
@@ -180,27 +180,17 @@ def _weighted_lambda(f, z: complex) -> float:
     return (1.0 - _abs2(z)) * abs(abs(complex(fz)) - abs(complex(fzb)))
 
 
-_PIPELINE_GRID = SamplingSpec(n_r=64, n_theta=256, refinement_rounds=3)
+# the pipeline's scan: radius, rings and angles of one polar grid
+_PIPELINE_GRID = (0.999, 64, 256)
 
 
-def bloch_pipeline(f, params: EllipticityParams, grid: SamplingSpec | None = None,
-                   shrink: float = 1.0) -> PipelineTrace:
+def bloch_pipeline(f, params: EllipticityParams) -> PipelineTrace:
     """Renormalize f at its weighted-distortion argmax and check the bounds.
 
     Requires lambda(0) = 1 (within 1e-9).  A strictly negative Jacobian at
     any sample aborts: the pipeline only makes sense for sense-preserving
-    maps.  ``shrink`` < 1 replaces f by f(shrink z)/shrink first (series
-    maps only), which tames maps that degenerate at the rim.
+    maps.
     """
-    if grid is None:
-        grid = _PIPELINE_GRID
-    shrink = float(shrink)
-    if not (0.0 < shrink <= 1.0):
-        raise ValueError(f"shrink must lie in (0, 1], got {shrink}")
-    if shrink < 1.0:
-        if not isinstance(f, HarmonicMap):
-            raise TypeError("shrink < 1 requires a series map (precomposition needed)")
-        f = f.precompose_scale(shrink).scale_output(1.0 / shrink)
     # imported here: scipy.optimize is most of the import time of elliptica
     from scipy.optimize import minimize
 
@@ -210,9 +200,9 @@ def bloch_pipeline(f, params: EllipticityParams, grid: SamplingSpec | None = Non
             f"pipeline requires lambda(0) = 1, got {p0.lambda_min!r}; rescale the map first"
         )
 
-    z_pts = polar_grid(0.999, grid.n_r, grid.n_theta)
+    z_pts = polar_grid(*_PIPELINE_GRID)
     r_sq = z_pts.real**2 + z_pts.imag**2
-    _, lam_min_arr, jac_arr = stretches(*sample_grid(f, 0.999, grid.n_r, grid.n_theta, partials=True))
+    _, lam_min_arr, jac_arr = stretches(*sample_grid(f, *_PIPELINE_GRID, partials=True))
     if jac_arr.min() < 0.0:
         bad = z_pts[int(np.argmin(jac_arr))]
         raise RuntimeError(f"sense-reversal at sample z = {complex(bad)!r}; Jacobian = {jac_arr.min()!r}")
@@ -246,7 +236,7 @@ def bloch_pipeline(f, params: EllipticityParams, grid: SamplingSpec | None = Non
     gp0 = profile(g_map, 0.0)
 
     # bound checks on the rescaled map, over the same grid read as w points
-    lam_max_g, lam_min_g, jac_g = stretches(*sample_grid(g_map, 0.999, grid.n_r, grid.n_theta, partials=True))
+    lam_max_g, lam_min_g, jac_g = stretches(*sample_grid(g_map, *_PIPELINE_GRID, partials=True))
     if jac_g.min() < 0.0:
         bad = z_pts[int(np.argmin(jac_g))]
         raise RuntimeError(f"sense-reversal after rescaling at w = {complex(bad)!r}")
@@ -318,8 +308,7 @@ def random_elliptic(params: EllipticityParams, lam: float, seed: int = 0) -> Har
     )
 
 
-def _hypothesis_review(f, params: EllipticityParams, bound: DistortionBound,
-                       grid: SamplingSpec | None = None) -> tuple[bool, dict]:
+def _hypothesis_review(f, params: EllipticityParams, bound: DistortionBound) -> tuple[bool, dict]:
     """Check the theorem hypotheses on samples; failures exclude the map.
 
     A failed hypothesis falsifies the input, not the theorem, so campaign
@@ -332,7 +321,7 @@ def _hypothesis_review(f, params: EllipticityParams, bound: DistortionBound,
     p0 = profile(f, 0.0)
     if abs(p0.lambda_min - 1.0) > _HYP_TOL:
         reasons.append(f"lambda(0) = {p0.lambda_min!r} is not 1")
-    report = ellipticity_check(f, params, grid)
+    report = ellipticity_check(f, params)
     sup_lam = report.sup_lambda_min
     if sup_lam > float(bound.lam) + _HYP_TOL:
         reasons.append(f"sup lambda = {sup_lam!r} exceeds {float(bound.lam)!r}")
@@ -398,7 +387,7 @@ _COEFF_TOL = 1e-10
 
 
 def verify_coefficient_bounds(entries: Sequence[MapEntry], params: EllipticityParams,
-                              bound: DistortionBound, grid: SamplingSpec | None = None) -> dict:
+                              bound: DistortionBound) -> dict:
     """Check |a_n| + |b_n| <= T/n for every map against its series.
 
     Maps failing the hypotheses are reported as excluded.  The worst case
@@ -407,7 +396,7 @@ def verify_coefficient_bounds(entries: Sequence[MapEntry], params: EllipticityPa
     """
 
     def check(f) -> tuple[str, dict, dict]:
-        ok, detail = _hypothesis_review(f, params, bound, grid)
+        ok, detail = _hypothesis_review(f, params, bound)
         if not ok:
             return "excluded", {"hypotheses": detail}, {}
         slacks = {}
@@ -433,7 +422,7 @@ def verify_coefficient_bounds(entries: Sequence[MapEntry], params: EllipticityPa
 
 
 def verify_landau_probes(entries: Sequence[MapEntry], params: EllipticityParams,
-                         bound: DistortionBound, grid: SamplingSpec | None = None) -> dict:
+                         bound: DistortionBound) -> dict:
     """Probe univalence at r1 and coverage at sigma1 for each map.
 
     Probes run just inside the stated radii (relative slacks are part of
@@ -446,7 +435,7 @@ def verify_landau_probes(entries: Sequence[MapEntry], params: EllipticityParams,
     probe_rho = result.sigma1 * (1.0 - 1e-3)
 
     def check(f) -> tuple[str, dict, dict]:
-        ok, detail = _hypothesis_review(f, params, bound, grid)
+        ok, detail = _hypothesis_review(f, params, bound)
         if not ok:
             return "excluded", {"hypotheses": detail}, {}
         uni = univalence_probe(f, probe_radius)
@@ -500,7 +489,6 @@ def verify_bloch_pipeline(entries: Sequence[MapEntry], params: EllipticityParams
 
 
 def verify_jacobian_normalized(f, params: EllipticityParams,
-                               grid: SamplingSpec | None = None,
                                map_id: str = "map", source: str = "") -> dict:
     """Jacobian-normalized route: rescale by lambda(0), recheck ellipticity.
 
@@ -522,10 +510,10 @@ def verify_jacobian_normalized(f, params: EllipticityParams,
     def check(f) -> tuple[str, dict, dict]:
         lambda0_slack = math.sqrt(params.K + params.Kp) + _HYP_TOL - p0.lambda_max
         scaled = f.scale_output(1.0 / p0.lambda_min)
-        report = ellipticity_check(scaled, eff, grid)
+        report = ellipticity_check(scaled, eff)
         verdicts = {
             "lambda0_bound_holds": bool(lambda0_slack >= 0.0),
-            "input_ellipticity_margin": ellipticity_check(f, params, grid).min_margin,
+            "input_ellipticity_margin": ellipticity_check(f, params).min_margin,
             "rescaled_lambda_origin": profile(scaled, 0.0).lambda_min,
             "rescaled_ellipticity": report.to_json_dict(),
         }
@@ -543,10 +531,14 @@ def verify_jacobian_normalized(f, params: EllipticityParams,
     )
 
 
-def remark_campaign(samples: int = 1000, k_range: tuple[float, float] = (1.0, 8.0),
-                    kp_range: tuple[float, float] = (0.0, 8.0),
-                    lam_range: tuple[float, float] = (1.0, 8.0),
-                    psi_pairs: int = 10_000) -> dict:
+# the parameter box of the remark sweep, and the pair count of the psi sweep
+_K_RANGE = (1.0, 8.0)
+_KP_RANGE = (0.0, 8.0)
+_LAM_RANGE = (1.0, 8.0)
+_PSI_PAIRS = 10_000
+
+
+def remark_campaign(samples: int = 1000) -> dict:
     """Sweep the growth-rate comparisons over a low-discrepancy parameter box.
 
     Asserted relations: the correction term improves on the baseline rate,
@@ -568,9 +560,9 @@ def remark_campaign(samples: int = 1000, k_range: tuple[float, float] = (1.0, 8.
                   "radius_literal": math.inf}
     argmin: dict = {}
     for i in range(samples):
-        k_val = k_range[0] + (k_range[1] - k_range[0]) * float(u_k[i])
-        kp_val = kp_range[0] + (kp_range[1] - kp_range[0]) * float(u_kp[i])
-        lam_val = lam_range[0] + (lam_range[1] - lam_range[0]) * float(u_lam[i])
+        k_val = _K_RANGE[0] + (_K_RANGE[1] - _K_RANGE[0]) * float(u_k[i])
+        kp_val = _KP_RANGE[0] + (_KP_RANGE[1] - _KP_RANGE[0]) * float(u_kp[i])
+        lam_val = _LAM_RANGE[0] + (_LAM_RANGE[1] - _LAM_RANGE[0]) * float(u_lam[i])
         if lam_val <= 1.0:
             lam_val = 1.0 + 1e-9
         checks = remark_inequalities(EllipticityParams(k_val, kp_val), DistortionBound(lam_val))
@@ -591,10 +583,10 @@ def remark_campaign(samples: int = 1000, k_range: tuple[float, float] = (1.0, 8.
                     argmin[key] = {"K": k_val, "Kp": kp_val, "lam": lam_val}
 
     lo, hi = math.log(1e-3), math.log(1e3)
-    u1 = halton(psi_pairs, 7)
-    u2 = halton(psi_pairs, 11)
+    u1 = halton(_PSI_PAIRS, 7)
+    u2 = halton(_PSI_PAIRS, 11)
     psi_failures = 0
-    for i in range(psi_pairs):
+    for i in range(_PSI_PAIRS):
         t_a = math.exp(lo + (hi - lo) * float(u1[i]))
         t_b = math.exp(lo + (hi - lo) * float(u2[i]))
         if t_a == t_b:
@@ -609,13 +601,13 @@ def remark_campaign(samples: int = 1000, k_range: tuple[float, float] = (1.0, 8.
         "min_slacks": min_slacks,
         "argmin": argmin,
         "literal_radius_violations": literal_violations,
-        "psi_pairs": psi_pairs,
+        "psi_pairs": _PSI_PAIRS,
         "psi_failures": psi_failures,
     }
     return build_report(
         "growth-remarks",
-        {"samples": samples, "K_range": list(k_range), "Kp_range": list(kp_range),
-         "lam_range": list(lam_range)},
+        {"samples": samples, "K_range": list(_K_RANGE), "Kp_range": list(_KP_RANGE),
+         "lam_range": list(_LAM_RANGE)},
         [],
         worst_case,
     )

@@ -32,12 +32,10 @@ class SamplingSpec:
     refinement_rounds: int = 3
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_r, int) and self.n_r >= 1):
-            raise ValueError("n_r must be a positive integer")
-        if not (isinstance(self.n_theta, int) and self.n_theta >= 4):
-            raise ValueError("n_theta must be an integer >= 4")
-        if not (isinstance(self.refinement_rounds, int) and self.refinement_rounds >= 0):
-            raise ValueError("refinement_rounds must be a nonnegative integer")
+        for name, low in (("n_r", 1), ("n_theta", 4), ("refinement_rounds", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and not isinstance(value, bool) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -12,8 +12,11 @@ coefficient arrays are frozen at construction, so instances may be shared
 freely across worker threads.
 
 Scattered points are evaluated by a fixed-order Horner recurrence (from the
-point's effective degree down to the constant), identically for scalars and
-ndarrays; its error is at most gamma_{2N} * sum_k |a_k| |z|^k per series
+point's effective degree down to the constant).  Scalars and ndarrays run
+the same recurrence, but a scalar's result may differ in the last bit from
+the same point inside an array, since numpy's scalar complex arithmetic
+rounds differently from its array loops.  Either way the error is at most
+gamma_{2N} * sum_k |a_k| |z|^k per series
 (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section
 5.1).  The effective degree comes from a ladder of radii rho_j = j / L,
 j = 1..L: for each of the four series h, g, h', g', K(rho_j) is the smallest

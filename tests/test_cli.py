@@ -308,6 +308,15 @@ class TestArgumentCaps:
             assert exc.value.code == 2
         assert f"must be <= {cap}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prefix", ["verify-theorem --which 1", "report --K 1 --lam 2 --n-random 0"])
+    def test_negative_seed_is_a_usage_error(self, prefix, capsys):
+        parser = build_parser()
+        assert parser.parse_args(shlex.split(prefix) + ["--seed", "0"]).seed == 0
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(shlex.split(prefix) + ["--seed", "-3"])
+        assert exc.value.code == 2
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+
     def test_caps_bound_every_array(self):
         caps = {flag: cap for _, flag, cap in CAPS}
         # the probe grid, and the univalence curve after its last doubling

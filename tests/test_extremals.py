@@ -1,4 +1,6 @@
-"""Extremal families: coefficient laws, truncation tails, dispatch."""
+"""Extremal families: coefficient laws, truncation tails, validation."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,9 +9,7 @@ from hypothesis import given, strategies as st
 from elliptica import (
     DistortionBound,
     EllipticityParams,
-    ExtremalSpec,
     build_classical,
-    build_extremal,
     build_fn,
     build_Fn,
     coeff_bound,
@@ -101,6 +101,8 @@ class TestPinnedFamily:
             build_Fn(5, 2.0, n_terms=4)  # cannot hold the first nonlinear term
         with pytest.raises(ValueError):
             build_Fn(2, 2.0, r_ref=1.0)
+        with pytest.raises(ValueError):
+            build_Fn(2, math.inf)
 
 
 class TestClassicalFamily:
@@ -149,29 +151,20 @@ class TestClassicalFamily:
             build_classical(1.0)
         with pytest.raises(ValueError):
             build_classical(2.0, n_terms=1)
+        with pytest.raises(ValueError):
+            build_classical(math.nan)
 
 
 class TestSpecAndDispatch:
-    def test_describe(self):
-        assert ExtremalSpec("Fn", 2.0, n=3).describe() == "Fn(n=3,lam=2)"
-        assert ExtremalSpec("classical", 2.5).describe() == "classical(M=2.5)"
-
-    def test_dispatch_matches_builders(self):
-        a = build_extremal(ExtremalSpec("Fn", 2.0, n=2), n_terms=20)
-        b = build_Fn(2, 2.0, n_terms=20)
-        assert np.array_equal(a.analytic_coeffs, b.analytic_coeffs)
-        c = build_extremal(ExtremalSpec("classical", 3.0), n_terms=20)
-        d = build_classical(3.0, n_terms=20)
-        assert np.array_equal(c.analytic_coeffs, d.analytic_coeffs)
+    """The rejection cases of the former spec layer, now checked by the builders."""
 
     @pytest.mark.parametrize("bad", [
-        {"family": "nope", "parameter": 2.0},
-        {"family": "Fn", "parameter": 2.0},              # missing n
-        {"family": "Fn", "parameter": 2.0, "n": 1},
-        {"family": "Fn", "parameter": 0.5, "n": 2},
-        {"family": "classical", "parameter": 1.0},
-        {"family": "Fn", "parameter": 2.0, "n": True},
-    ])
+        lambda: build_Fn(None, 2.0),                     # missing n
+        lambda: build_Fn(1, 2.0),
+        lambda: build_Fn(2, 0.5),
+        lambda: build_classical(1.0),
+        lambda: build_Fn(True, 2.0),
+    ], ids=["bad1", "bad2", "bad3", "bad4", "bad5"])
     def test_spec_validation(self, bad):
         with pytest.raises(ValueError):
-            ExtremalSpec(**bad)
+            bad()

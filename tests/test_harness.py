@@ -155,7 +155,7 @@ class TestBlochPipeline:
 
     def test_random_map_trace(self):
         f = random_elliptic(P(2, 0.5), 1.5, seed=11)
-        tr = bloch_pipeline(f, P(2, 0.5), grid=SMALL_GRID)
+        tr = bloch_pipeline(f, P(2, 0.5))
         assert abs(tr.lambda_origin - 1.0) <= 1e-12
         assert tr.distortion_bound_excess <= 1e-9
         assert tr.ellipticity_margin >= -1e-9
@@ -173,18 +173,8 @@ class TestBlochPipeline:
         with pytest.raises(ValueError):
             bloch_pipeline(HarmonicMap([0.0, 2.0]), P(1, 0))
 
-    def test_shrink_requires_series_map(self):
-        g = BlochRescaledMap(build_Fn(2, 2.0), 0.0, 1.0)
-        with pytest.raises(TypeError):
-            bloch_pipeline(g, P(1, 0), shrink=0.5)
-
-    def test_shrink_keeps_normalization(self):
-        tr = bloch_pipeline(build_Fn(2, 2.0), P(1, 0), grid=SMALL_GRID, shrink=0.9)
-        assert tr.lambda_origin == pytest.approx(1.0, abs=1e-12)
-        assert tr.ellipticity_margin >= -1e-12
-
     def test_trace_serializes(self):
-        tr = bloch_pipeline(HarmonicMap.identity(), P(1, 0), grid=SMALL_GRID)
+        tr = bloch_pipeline(HarmonicMap.identity(), P(1, 0))
         d = tr.to_json_dict()
         assert set(d) == {"sup_weighted_distortion", "argmax_point", "center_estimate",
                           "lambda_origin", "distortion_bound_excess",
@@ -241,10 +231,10 @@ def test_grid_scans_make_no_horner_pass_beyond_a_cloud(monkeypatch):
     ellipticity_check(f, P(2, 0.5))
     assert sizes and max(sizes) <= 128
     sizes.clear()
-    bloch_pipeline(f, P(2, 0.5), grid=SMALL_GRID)
+    bloch_pipeline(f, P(2, 0.5))
     # only the rescaled map, a composition without rings, is evaluated at
     # the grid points: its base map's h' and g' over every ring and the centre
-    assert [n for n in sizes if n > 128] == [24 * 96 + 1] * 2
+    assert [n for n in sizes if n > 128] == [64 * 256 + 1] * 2
 
 
 BENCHMARK_REGIMES = ((2.0, 0.5, 1.5), (1.0, 0.0, 2.0), (4.0, 1.0, 3.0), (1.5, 0.25, 1.2))
@@ -287,7 +277,7 @@ class TestCampaigns:
     def test_coefficient_bounds_extremal_is_sharp(self):
         params, bound = P(1, 0), DistortionBound(2)
         entries = [("Fn2", "series extremal", build_Fn(2, 2.0))]
-        rep = verify_coefficient_bounds(entries, params, bound, grid=SMALL_GRID)
+        rep = verify_coefficient_bounds(entries, params, bound)
         assert not rep["worst_case"]["refuted"]
         assert rep["maps"][0]["verdict"] == "pass"
         # degree 2 attains the bound: zero slack, to the last bit
@@ -297,8 +287,7 @@ class TestCampaigns:
     def test_coefficient_bounds_excludes_hypothesis_violators(self):
         params, bound = P(1, 0), DistortionBound(2)
         wild = HarmonicMap([0.0, 1.0, 1.0])  # sup lambda ~ 3 breaks the cap
-        rep = verify_coefficient_bounds([("wild", "crafted", wild)], params, bound,
-                                        grid=SMALL_GRID)
+        rep = verify_coefficient_bounds([("wild", "crafted", wild)], params, bound)
         assert rep["maps"][0]["verdict"] == "excluded"
         reasons = rep["maps"][0]["verdicts"]["hypotheses"]["reasons"]
         assert any("sup lambda" in r for r in reasons)
@@ -307,7 +296,7 @@ class TestCampaigns:
     def test_landau_probes_certify_extremal(self):
         params, bound = P(1, 0), DistortionBound(2)
         entries = [("Fn2", "series extremal", build_Fn(2, 2.0))]
-        rep = verify_landau_probes(entries, params, bound, grid=SMALL_GRID)
+        rep = verify_landau_probes(entries, params, bound)
         assert rep["maps"][0]["verdict"] == "certified"
         assert not rep["worst_case"]["refuted"]
         assert rep["worst_case"]["probe_radius"] == pytest.approx(0.4 * (1 - 1e-6))
@@ -317,7 +306,7 @@ class TestCampaigns:
         entries = [("id", "identity", HarmonicMap.identity()),
                    ("first", "series extremal", build_Fn(2, 2.0)),
                    ("second", "series extremal", build_Fn(2, 2.0))]
-        rep = verify_coefficient_bounds(entries, params, bound, grid=SMALL_GRID)
+        rep = verify_coefficient_bounds(entries, params, bound)
         # the identity has no degree >= 2 and so no slacks; ties go to the first map
         assert rep["maps"][0]["slacks"] == {}
         assert rep["worst_case"] == {"refuted": False, "map": "first", "degree": 2, "slack": 0.0}
@@ -345,10 +334,10 @@ class TestCampaigns:
 
     def test_jacobian_normalized_route(self):
         aff = HarmonicMap([0.0, 1.25], [0.75])  # J(0) = 1.25^2 - 0.75^2 = 1
-        bad = verify_jacobian_normalized(aff, P(1, 0), grid=SMALL_GRID, map_id="aff")
+        bad = verify_jacobian_normalized(aff, P(1, 0), map_id="aff")
         assert bad["worst_case"]["refuted"]
         assert not bad["maps"][0]["verdicts"]["lambda0_bound_holds"]
-        good = verify_jacobian_normalized(aff, P(4, 0), grid=SMALL_GRID, map_id="aff")
+        good = verify_jacobian_normalized(aff, P(4, 0), map_id="aff")
         assert not good["worst_case"]["refuted"]
         # rescaled by 1/lambda(0) = 2 and checked at the inflated constant
         assert good["params"]["Kp_eff"] == 0.0
@@ -370,7 +359,7 @@ class TestCampaigns:
             verify_jacobian_normalized(Affine(), P(4, 0))
 
     def test_remark_campaign_small(self):
-        rep = remark_campaign(samples=60, psi_pairs=200)
+        rep = remark_campaign(samples=60)
         wc = rep["worst_case"]
         assert not wc["refuted"]
         assert wc["failures"] == 0 and wc["psi_failures"] == 0
@@ -387,5 +376,5 @@ class TestCampaigns:
         assert rep["runtime_ms"] is None
 
     def test_campaign_reports_serialize(self):
-        rep = remark_campaign(samples=5, psi_pairs=10)
+        rep = remark_campaign(samples=5)
         json.dumps(rep)

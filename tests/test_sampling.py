@@ -173,7 +173,9 @@ class TestSamplingSpec:
 
     @pytest.mark.parametrize("kwargs", [
         {"n_r": 0}, {"n_theta": 3}, {"refinement_rounds": -1}, {"n_r": 2.5},
+        # bool is an int subclass: True would pass as one ring, False as no rounds
+        {"n_r": True}, {"n_theta": True}, {"refinement_rounds": False},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             SamplingSpec(**kwargs)

@@ -159,7 +159,7 @@ def _cmd_extremal(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_check_map(args, parser: argparse.ArgumentParser) -> int:
     f = HarmonicMap.load(args.map)
-    spec = SamplingSpec(n_r=args.n_r, n_theta=args.n_theta, refinement_rounds=args.rounds)
+    spec = SamplingSpec(n_theta=args.n_theta, refinement_rounds=args.rounds)
     if args.mode == "univalence":
         verdict = univalence_probe(f, args.r, spec)
     else:
@@ -274,10 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--r", type=_float_arg("r", 0.0, strict=True), required=True)
     p_chk.add_argument("--mode", choices=("univalence", "coverage"), required=True)
     p_chk.add_argument("--rho", type=_float_arg("rho", 0.0, strict=True), default=None)
-    # the probe grid has n_r * n_theta + 1 <= 2^23 + 1 points, the
-    # univalence curve grows to max(1024, 4 n_theta) * 2^rounds <= 2^24, and
-    # the winding refinements stop at 2^18 points
-    p_chk.add_argument("--n-r", type=_int_arg("n-r", 1, 1 << 11), default=48)
+    # the univalence curve grows to max(1024, 4 n_theta) * 2^rounds <= 2^24,
+    # and the winding refinements stop at 2^18 points
     p_chk.add_argument("--n-theta", type=_int_arg("n-theta", 4, 1 << 12), default=192)
     p_chk.add_argument("--rounds", type=_int_arg("rounds", 0, 10), default=3)
     p_chk.add_argument("--out", default=None)

@@ -6,15 +6,13 @@ margin, or a confirmed witness), ``"inconclusive"`` means the sampling
 budget was exhausted without either.  Verdicts never silently degrade: a
 precondition the data fails to meet refines the mesh or ends inconclusive.
 
-Refutation of injectivity is exact in spirit: candidate near-collisions
-found by image-space binning are polished, all together as one array batch,
-with a damped Gauss-Newton iteration until two genuinely distinct preimages
-agree to 1e-12, or the candidate is discarded; the first candidate in scan
-order that converges is the witness.  Certification reads only the boundary
-circle: a positive Jacobian on the closed disk, from the zeros of f_z and
-|f_zbar| < |f_z|, and a simple boundary curve (binned pair scan under
-per-sample movement radii, plus a tangent-turning bound), which is the
-standard degree-theoretic criterion.
+Injectivity is read off the boundary circle, with no 2D grid.  Certification
+needs J > 0 on the closed disk (no zero of f_z, |f_zbar| < |f_z|) and a
+simple boundary curve (binned pair scan under per-sample movement radii,
+plus a tangent-turning bound).  By Lewy's theorem a univalent harmonic map
+has J != 0, so the zeros of f_z and sign changes of J, or the curve scan's
+worst pair, seed collisions that one batched damped Gauss-Newton polish
+drives to two distinct preimages agreeing to 1e-12; the first is the witness.
 
 Coverage uses winding numbers of the sampled boundary curve, with a
 per-segment resolution precondition: a segment chord must not exceed a
@@ -33,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from .sampling import SamplingSpec, disk_net, polar_grid, sample_circle, sample_grid
+from .sampling import SamplingSpec, disk_net, sample_circle
 
 __all__ = [
     "CERTIFIED",
@@ -65,6 +63,10 @@ _NONFINITE = "non-finite map values"
 
 # the winding refinements of both probes stop at this many curve points
 _CURVE_CAP = 1 << 18
+
+# the power sums lose accuracy, and np.roots costs cubic time, as zeros
+# multiply; beyond this many zeros of h' or g', none seed a pair
+_MAX_ZEROS = 64
 
 
 class MeshPrecisionError(RuntimeError):
@@ -136,9 +138,9 @@ def _cell_pairs(values: np.ndarray, cell: float):
     """
     kx = np.floor(values.real / cell).astype(np.int64)
     ky = np.floor(values.imag / cell).astype(np.int64)
-    # both callers size the cells from a Lipschitz or chord bound of the
-    # values, so each axis spans at most a few cells per sample and the flat
-    # cell key stays far from int64 overflow
+    # the curve scan sizes the cells from a chord bound of the values, so
+    # each axis spans at most a few cells per sample and the flat cell key
+    # stays far from int64 overflow
     width = int(ky.max() - ky.min()) + 3
     # rows run 1..width-2, so rows dy = -1, 0, +1 of one column dx stay inside
     # that column and are the consecutive keys key + dx*width - 1 .. + 1; the
@@ -171,30 +173,6 @@ def _cell_pairs(values: np.ndarray, cell: float):
         keep = j > i
         yield i[keep], j[keep]
         lo = hi
-
-
-def _near_pairs(points: np.ndarray, images: np.ndarray, eps_img: float, sep: float,
-                cap: int = 200_000) -> list[tuple[int, int]]:
-    """Index pairs with image distance <= eps_img but domain distance > sep.
-
-    Image-space binning keeps this linear in the sample count; the cap
-    bounds the work on degenerate maps, keeping the first pairs in scan
-    order.  The result is sorted by image distance (closest first), ties
-    broken by index, so downstream refinement order is deterministic.
-    """
-    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    room = cap
-    for i, j in _cell_pairs(images, eps_img if eps_img > 0 else 1e-12):
-        dist_img = _cabs(images[i] - images[j])
-        close = np.flatnonzero(dist_img <= eps_img)
-        hit = close[_cabs(points[i[close]] - points[j[close]]) > sep][:room]
-        found.append((dist_img[hit], i[hit], j[hit]))
-        room -= len(hit)
-        if room == 0:
-            break
-    dist_img, i, j = (np.concatenate(parts) for parts in zip(*found))
-    order = np.lexsort((j, i, dist_img))
-    return list(zip(i[order].tolist(), j[order].tolist()))
 
 
 def _pair_residuals(f, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
@@ -315,8 +293,8 @@ def _curve_scan(f, radius: float, n_curve: int):
     return True, float(margin), "", info
 
 
-def _jacobian_certificate(f, radius: float, n: int, rounds: int) -> tuple[str, dict]:
-    """Boundary certificate of J > 0 on |z| <= radius: (reason it fails, or "", keys).
+def _jacobian_certificate(f, radius: float, n: int, rounds: int):
+    """Boundary certificate of J > 0 on |z| <= radius: (reason it fails, or "", keys, circle).
 
     Write f = h + conj(g), so f_z = h' and |f_zbar| = |g'|.  J > 0 on the
     closed disk if and only if h' has no zero in it and |g'| < |h'| on the
@@ -324,16 +302,18 @@ def _jacobian_certificate(f, radius: float, n: int, rounds: int) -> tuple[str, d
     the maximum principle, of modulus below 1 inside.  The zeros of h' are
     its winding about 0 under the chord precondition of _winding_block; at
     most ``rounds`` refinements each jump to the resolution it demands.
+    circle is (theta, f_z, f_zbar) at the last samples, None if not finite.
     """
     for round_idx in range(rounds + 1):
         info = {"hprime_points": n}
         theta, (fz, fzb) = sample_circle(f, radius, n, partials=True)
         abs_fz, abs_fzb = np.abs(fz), np.abs(fzb)
         if not (np.isfinite(abs_fz).all() and np.isfinite(abs_fzb).all()):
-            return _NONFINITE + " or derivatives on the boundary circle", info
+            return _NONFINITE + " or derivatives on the boundary circle", info, None
+        circle = (theta, fz, fzb)
         if not (abs_fzb < abs_fz).all():
             worst = float(theta[np.argmax(abs_fzb - abs_fz)])
-            return f"nonpositive Jacobian on the boundary circle at theta = {worst!r}; cannot certify", info
+            return f"nonpositive Jacobian on the boundary circle at theta = {worst!r}; cannot certify", info, circle
         info["dilatation_max"] = float((abs_fzb / abs_fz).max())
         # h' / max|h'| winds as h' does, and its angle products cannot overflow
         hprime = fz / abs_fz.max()
@@ -341,26 +321,100 @@ def _jacobian_certificate(f, radius: float, n: int, rounds: int) -> tuple[str, d
         wind, valid, dist = _winding_block(hprime, abs_chords, np.zeros(1, dtype=complex))
         if valid[0]:
             info["hprime_zeros"] = zeros = int(wind[0])
-            return (f"h' = f_z has {zeros} zeros in the disk, where J <= 0" if zeros else ""), info
+            return (f"h' = f_z has {zeros} zeros in the disk, where J <= 0" if zeros else ""), info, circle
         # the longest chord shrinks no faster than 1/n and dist cannot grow
         # under refinement, so a need beyond the cap cannot be met within it
         need = abs_chords.max() / (0.1 * dist[0])
         if round_idx == rounds or n * need > _CURVE_CAP:
-            return "winding preconditions for the zeros of h' = f_z unmet at this resolution", info
+            return "winding preconditions for the zeros of h' = f_z unmet at this resolution", info, circle
         n = _refined(n, need)
+
+
+def _zeros_inside(theta: np.ndarray, values: np.ndarray, fn, radius: float) -> np.ndarray:
+    """Zeros in |z| < radius of an analytic fn sampled as values at radius e^{i theta}.
+
+    None when their count, the winding of values about 0, is unresolved
+    (:func:`_winding_block`) or above _MAX_ZEROS.  The Delves-Lyness power
+    sums of the zeros, Newton's identities and np.roots locate them, and a
+    few secant steps on fn polish them.
+    """
+    scale = np.abs(values).max()
+    if not scale > 0.0:
+        return np.zeros(0, dtype=complex)
+    # values / scale winds as values do, and its angle products cannot overflow
+    scaled = values / scale
+    wind, valid, _ = _winding_block(scaled, np.abs(_chords(scaled)), np.zeros(1, dtype=complex))
+    count = int(wind[0])
+    if not (valid[0] and 0 < count <= _MAX_ZEROS):
+        return np.zeros(0, dtype=complex)
+    # the chord precondition keeps each ratio within a tenth of 1, on the principal branch
+    dlog = np.log(np.roll(values, -1) / values)
+    # z_mid^k = (radius e^{i pi / n})^k e^{i k theta}: one DFT of dlog gives every sum
+    k = np.arange(1, count + 1)
+    sums = (radius * np.exp(1j * np.pi / len(theta))) ** k * np.fft.ifft(dlog, norm="forward")[k] / (2j * np.pi)
+    coeffs = [1.0]
+    for j in range(1, count + 1):
+        coeffs.append(-sum(coeffs[j - i] * sums[i - 1] for i in range(1, j + 1)) / j)
+    p = np.roots(coeffs)
+    p = p[np.abs(p) < radius]
+    q = p + 1e-6 * (radius - np.abs(p))
+    for _ in range(8):
+        fp, fq = np.split(fn(np.concatenate([p, q])), 2)
+        move = np.isfinite(fq - fp) & (fq != fp)
+        step = q - fq * (q - p) / np.where(move, fq - fp, 1.0)
+        p, q = q, np.where(move & (np.abs(step) < radius), step, q)
+    return q
+
+
+def _collision_seeds(f, radius: float, circle, worst_theta):
+    """Candidate collision pairs (z1, z2) from the certificate's circle samples, in polish order.
+
+    (a) The zeros p of h' = f_z inside, where J = -|g'|^2 <= 0; (b) a fold
+    p, where J changes sign between the worst circle sample (else a zero of
+    h') and the best one (else the centre, else a zero of g').  Each p gives
+    p +- t v, with v in the kernel of Df (e^{2 i alpha} = -f_zbar / f_z) and
+    t = (radius - |p|)/4.  (c) A failed curve scan's worst pair, moved to
+    0.999 radius.
+    """
+    def positive(w):
+        fz, fzb = f.partials(w)
+        return np.abs(fz) > np.abs(fzb)
+
+    p = np.zeros(0, dtype=complex)
+    if circle is not None:
+        theta, fz, fzb = circle
+        p = _zeros_inside(theta, fz, lambda w: f.partials(w)[0], radius)
+        margin = np.abs(fz) - np.abs(fzb)
+        low = np.concatenate([radius * np.exp(1j * theta[[np.argmin(margin)]]), p])
+        high = np.concatenate([radius * np.exp(1j * theta[[np.argmax(margin)]]), [0j],
+                               _zeros_inside(theta, np.conj(fzb), lambda w: np.conj(f.partials(w)[1]), radius)])
+        low, high = low[~positive(low)], high[positive(high)]
+        if len(low) and len(high):
+            # bisect 64 ways at a time: keep the first cut whose right end has J > 0
+            low, high = low[0], high[0]
+            for _ in range(3):
+                cuts = low + (high - low) * np.linspace(0.0, 1.0, 65)
+                k = max(1, int(np.argmax(positive(cuts))))
+                low, high = cuts[k - 1], cuts[k]
+            p = np.append(p, 0.5 * (low + high))
+    fz, fzb = f.partials(p)
+    tv = 0.25 * (radius - np.abs(p)) * np.exp(0.5j * (np.angle(-fzb) - np.angle(fz)))
+    z1, z2 = p + tv, p - tv
+    if worst_theta is not None:
+        ends = 0.999 * radius * np.exp(1j * np.asarray(worst_theta))
+        z1, z2 = np.append(z1, ends[0]), np.append(z2, ends[1])
+    return z1, z2
 
 
 def univalence_probe(f, radius: float, spec: SamplingSpec | None = None) -> OracleVerdict:
     """Three-way injectivity verdict for f on the closed disk |z| <= radius.
 
-    The certificate reads the boundary circle alone: a positive Jacobian on
-    the closed disk (:func:`_jacobian_certificate`) and a simple boundary
-    curve (:func:`_curve_scan`), each refined within ``refinement_rounds``.
-    Only when it fails does the probe sample the disk: grid points whose
-    images nearly coincide while the points stay apart are candidates, and
-    the first 64, closest images first, are polished as one batch into a
-    collision witness, the first that converges.  Without one the verdict
-    is inconclusive with the reason the certificate failed.
+    Certified by J > 0 on the closed disk (:func:`_jacobian_certificate`)
+    and a simple boundary curve (:func:`_curve_scan`), each refined within
+    ``refinement_rounds``.  Otherwise the circle samples seed a few
+    candidate collision pairs (:func:`_collision_seeds`), polished as one
+    batch; the first that converges is the witness, and without one the
+    verdict is inconclusive with the reason the certificate failed.
     """
     if spec is None:
         spec = SamplingSpec()
@@ -369,7 +423,7 @@ def univalence_probe(f, radius: float, spec: SamplingSpec | None = None) -> Orac
         raise ValueError(f"radius must lie in (0, 1), got {radius}")
 
     n_curve = max(1024, 4 * spec.n_theta)
-    reason, cert = _jacobian_certificate(f, radius, n_curve, spec.refinement_rounds)
+    reason, cert, circle = _jacobian_certificate(f, radius, n_curve, spec.refinement_rounds)
     if not reason:
         for round_idx in range(spec.refinement_rounds + 1):
             simple, margin, reason, info = _curve_scan(f, radius, n_curve << round_idx)
@@ -378,27 +432,15 @@ def univalence_probe(f, radius: float, spec: SamplingSpec | None = None) -> Orac
                 return OracleVerdict(CERTIFIED, margin=margin, resolution=res)
         cert.update(info)
 
-    points = polar_grid(radius, spec.n_r, spec.n_theta)
-    images = sample_grid(f, radius, spec.n_r, spec.n_theta)
-    lam_max = np.abs(sample_grid(f, radius, spec.n_r, spec.n_theta, partials=True)).sum(axis=0)
-    res = {"n_r": spec.n_r, "n_theta": spec.n_theta}
-    if not (np.isfinite(images).all() and np.isfinite(lam_max).all()):
-        res["reason"] = _NONFINITE + " or derivatives on the probe grid"
-        return OracleVerdict(INCONCLUSIVE, margin=0.0, resolution=res)
-    sup_lam = float(lam_max.max())
-    mesh = max(radius / spec.n_r, 2.0 * np.pi * radius / spec.n_theta)
-    res.update(mesh=mesh, sep_threshold=2.0 * mesh, image_threshold=sup_lam * mesh / 4.0,
-               sup_lambda=sup_lam)
-    candidates = _near_pairs(points, images, res["image_threshold"], res["sep_threshold"])
-    res["candidate_pairs"] = len(candidates)
-    if candidates:
-        i, j = np.array(candidates[:64]).T
-        z1, z2, ok, resid, pair_sep = _polish_collisions(f, points[i], points[j], radius)
+    z1, z2 = _collision_seeds(f, radius, circle, cert.get("worst_pair_theta"))
+    cert["seeds"] = len(z1)
+    if len(z1):
+        z1, z2, ok, resid, pair_sep = _polish_collisions(f, z1, z2, radius)
         if ok[-1]:
-            res.update({"collision_residual": float(resid[-1]), "witness_separation": float(pair_sep[-1])})
+            cert.update(collision_residual=float(resid[-1]), witness_separation=float(pair_sep[-1]))
             return OracleVerdict(REFUTED, margin=-float(pair_sep[-1]),
-                                 witness=(complex(z1[-1]), complex(z2[-1])), resolution=res)
-    return OracleVerdict(INCONCLUSIVE, margin=0.0, resolution={**res, **cert, "reason": reason})
+                                 witness=(complex(z1[-1]), complex(z2[-1])), resolution=cert)
+    return OracleVerdict(INCONCLUSIVE, margin=0.0, resolution={**cert, "reason": reason})
 
 
 def _winding_block(curve: np.ndarray, abs_chords: np.ndarray, targets: np.ndarray):
@@ -460,12 +502,12 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
     segment then lies within half a chord of a sample, so the polygon
     misses the disk by at least 0.95 gap and its winding number is the same
     at every point of the disk: the winding at the centre, recorded as
-    ``winding_min``, certifies when it is at least one and otherwise
-    refutes with the centre as witness.  A curve that meets the disk within
-    sampling slack is refuted by a net point with winding zero or less
-    under valid per-segment preconditions.  A curve with non-finite samples
-    is inconclusive.  Orientation matters: the verdicts read the winding as
-    a covering count, which is the right reading for sense-preserving maps.
+    ``winding_min``, certifies when it is at least one.  Else the centre,
+    or, for a curve that meets the disk within sampling slack, a net point
+    of winding <= 0 under valid per-segment preconditions refutes, if J > 0
+    on the closed disk is certified: the winding counts preimages with the
+    sign of J (z + 1.5 conj(z)^2 winds -2 about f(0) = 0).  Non-finite
+    samples, or J > 0 uncertified, leave the verdict inconclusive.
     """
     if spec is None:
         spec = SamplingSpec()
@@ -477,6 +519,7 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
         raise ValueError(f"rho must be positive and finite, got {rho}")
 
     n_curve = max(2048, 4 * spec.n_theta)
+    witness = None
     for round_idx in range(spec.refinement_rounds + 1):
         _, curve = sample_circle(f, radius, n_curve)
         abs_chords = np.abs(_chords(curve))
@@ -503,7 +546,8 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
             info["winding_min"] = wind
             if wind >= 1:
                 return OracleVerdict(CERTIFIED, margin=float(margin), resolution=info)
-            return OracleVerdict(REFUTED, margin=-min_abs, witness=0j, resolution=info)
+            witness, margin = 0j, -min_abs
+            break
 
         if gap <= 0.0:
             net = disk_net(rho, rho / 16.0)
@@ -514,12 +558,8 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
                 bad_idx = np.flatnonzero(bad_mask)
                 pick = bad_idx[int(np.argmax(dist[bad_idx]))]
                 info["winding_at_witness"] = int(wind[pick])
-                return OracleVerdict(
-                    REFUTED,
-                    margin=-float(dist[pick]),
-                    witness=complex(net[pick]),
-                    resolution=info,
-                )
+                witness, margin = complex(net[pick]), -float(dist[pick])
+                break
             if valid.all():
                 reason = "boundary curve meets the target disk within sampling slack; cannot certify the remainder"
             else:
@@ -534,4 +574,9 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
             break
         n_curve = _refined(n_curve, need)
 
+    if witness is not None:
+        reason = _jacobian_certificate(f, radius, max(1024, 4 * spec.n_theta), spec.refinement_rounds)[0]
+        if not reason:
+            return OracleVerdict(REFUTED, margin=margin, witness=witness, resolution=info)
+        reason = "a winding <= 0 shows an uncovered point only where J > 0 on the closed disk: " + reason
     return OracleVerdict(INCONCLUSIVE, margin=0.0, resolution={**info, "reason": reason})

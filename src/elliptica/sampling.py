@@ -22,9 +22,9 @@ __all__ = ["SamplingSpec", "polar_grid", "sample_circle", "sample_grid", "halton
 class SamplingSpec:
     """Resolution of a disk scan: radial rings, angular steps, refinement rounds.
 
-    The defaults are sized for the probe oracles; distortion scans pass a
-    denser spec.  refinement_rounds bounds how often an oracle may refine
-    (finer curve sampling, shrinking Halton clouds) before giving up.
+    The oracles read only n_theta and refinement_rounds; distortion scans
+    pass a denser spec.  refinement_rounds bounds how often an oracle may
+    refine (finer curve sampling, shrinking Halton clouds) before giving up.
     """
 
     n_r: int = 48

@@ -129,6 +129,23 @@ class TestExtremalAndCheckMap:
         assert code == 0
         assert json.loads(out)["status"] == "certified"
 
+    def test_coverage_without_a_positive_jacobian_is_not_refuted(self, capsys, tmp_path):
+        # z + 1.5 conj(z)^2 winds -2 about f(0) = 0, which is covered
+        path = tmp_path / "defect.json"
+        HarmonicMap([0.0, 1.0], [0.0, 1.5]).save(path)
+        code, out, _ = run(capsys, "check-map", "--map", str(path), "--r", "0.9",
+                           "--mode", "coverage", "--rho", "0.3")
+        assert code == 0
+        assert json.loads(out)["status"] == "inconclusive"
+
+    def test_probe_grid_option_is_gone(self, capsys, tmp_path):
+        # the probes sample no 2D grid, so there is no ring count to set
+        with pytest.raises(SystemExit) as exc:
+            main(["check-map", "--map", str(tmp_path / "f.json"), "--r", "0.5", "--mode", "univalence",
+                  "--n-r", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n-r 8" in capsys.readouterr().err
+
     def test_coverage_requires_rho(self, tmp_path):
         path = tmp_path / "id.json"
         HarmonicMap.identity().save(path)
@@ -284,7 +301,6 @@ class TestReportAndBoundary:
 CAPS = [
     ("extremal --family Fn --n 2 --lam 2", "--N", 2**24 - 1),
     ("boundary --map f.json --r 0.5", "--n", 2**24),
-    ("check-map --map f.json --r 0.5 --mode univalence", "--n-r", 2**11),
     ("check-map --map f.json --r 0.5 --mode univalence", "--n-theta", 2**12),
     ("check-map --map f.json --r 0.5 --mode univalence", "--rounds", 10),
     ("verify-theorem --which remarks", "--samples", 2**24),
@@ -319,8 +335,7 @@ class TestArgumentCaps:
 
     def test_caps_bound_every_array(self):
         caps = {flag: cap for _, flag, cap in CAPS}
-        # the probe grid, and the univalence curve after its last doubling
-        assert caps["--n-r"] * caps["--n-theta"] + 1 <= 2**24
+        # the univalence curve after its last doubling
         assert max(1024, 4 * caps["--n-theta"]) * 2 ** caps["--rounds"] <= 2**24
         # a campaign checks each random map on 64 x 256-point grids
         assert caps["--n-random"] * 64 * 256 <= 2**24

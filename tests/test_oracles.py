@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from elliptica import (
     CERTIFIED,
@@ -28,8 +30,8 @@ from elliptica import (
     univalence_probe,
     winding_number,
 )
-from elliptica import oracles, seriescore
-from elliptica.oracles import _MOVE_SAFETY, _curve_scan, _near_pairs, _polish_collisions
+from elliptica import oracles, sampling, seriescore
+from elliptica.oracles import _MOVE_SAFETY, _collision_seeds, _curve_scan, _polish_collisions, _zeros_inside
 from elliptica.sampling import sample_grid
 
 IDENTITY = HarmonicMap.identity()
@@ -85,9 +87,13 @@ class TestUnivalenceProbe:
     def test_resolution_records_thresholds(self):
         v = univalence_probe(SQUARE, 0.5, SamplingSpec(16, 64, 1))
         assert v.status == REFUTED
-        for key in ("mesh", "sep_threshold", "image_threshold", "sup_lambda",
-                    "candidate_pairs"):
-            assert key in v.resolution
+        # the certificate's facts that seeded the witness, and the witness's own
+        assert v.resolution["hprime_zeros"] == 1 and v.resolution["hprime_points"] == 1024
+        assert v.resolution["seeds"] >= 1
+        assert v.resolution["collision_residual"] < 1e-12
+        assert v.resolution["witness_separation"] == -v.margin > 1e-6
+        for key in ("mesh", "sep_threshold", "image_threshold", "sup_lambda", "candidate_pairs", "n_r"):
+            assert key not in v.resolution
         v = univalence_probe(IDENTITY, 0.5, SamplingSpec(16, 64, 1))
         assert v.status == CERTIFIED
         for key in ("hprime_zeros", "hprime_points", "dilatation_max"):
@@ -264,22 +270,38 @@ def test_curve_scan_margin_matches_brute_force(f, radius):
     assert info["scanned_pairs"] > 0
 
 
-def test_near_pairs_match_brute_force():
-    radius = 0.9
-    points = polar_grid(radius, 8, 32)
-    images = np.asarray(SQUARE.eval(points))
-    mesh = max(radius / 8, 2.0 * np.pi * radius / 32)
-    eps_img, sep = 2.0 * radius * mesh / 4.0, 2.0 * mesh
-    brute = sorted(
-        (abs(images[i] - images[j]), i, j)
-        for i in range(len(points)) for j in range(i + 1, len(points))
-        if abs(images[i] - images[j]) <= eps_img and abs(points[i] - points[j]) > sep
-    )
-    pairs = _near_pairs(points, images, eps_img, sep)
-    assert pairs == [(i, j) for _, i, j in brute]
-    assert len(pairs) > 32  # antipodal samples of z^2 collide
-    capped = _near_pairs(points, images, eps_img, sep, cap=5)
-    assert len(capped) == 5 and set(capped) <= set(pairs)
+def _circle_zeros(f, radius, n=2048):
+    """_zeros_inside for h' = f_z from the circle samples the certificate takes."""
+    theta, (fz, _) = oracles.sample_circle(f, radius, n, partials=True)
+    return _zeros_inside(theta, fz, lambda w: f.partials(w)[0], radius)
+
+
+@pytest.mark.parametrize("a,radius", [
+    pytest.param([0.0, 1.0, 0.0, 0.6], 0.95, id="two-zeros-centroid-0"),
+    pytest.param([0.0, 0.0, 1.0], 0.5, id="square"),
+    pytest.param([0.0, 1.0, 0.3 - 0.2j, 0.25, -0.1j, 0.2], 0.9, id="quintic"),
+    pytest.param([0.0, 1.0, 1e307], 0.5, id="huge"),
+    pytest.param([0.0, 1.0, 0.1], 0.9, id="no-zero-inside"),
+])
+def test_hprime_zeros_match_the_roots(a, radius):
+    # the exact zeros of the polynomial h' that lie inside the circle, each
+    # located to rounding: h' vanishes there to 1e-12 of its scale
+    f = HarmonicMap(a)
+    exact = np.roots((np.arange(len(a)) * np.asarray(a, dtype=complex))[:0:-1])
+    exact = exact[np.abs(exact) < radius]
+    got = _circle_zeros(f, radius)
+    assert len(got) == len(exact)
+    if len(exact):
+        gaps = np.abs(got[:, None] - exact[None, :])
+        assert gaps.min(axis=0).max() < 1e-12 and gaps.min(axis=1).max() < 1e-12
+    scale = np.abs(f.partials(np.array([radius]))[0]).max()
+    assert np.abs(f.partials(got)[0]).max(initial=0.0) < 1e-12 * scale
+
+
+def test_classical_hprime_zero_is_r0():
+    f, cl = build_classical(2.0, 400), classical_landau(2.0)
+    (p,) = _circle_zeros(f, 1.05 * cl.r0)
+    assert abs(p - cl.r0) < 1e-14
 
 
 def _nine_query_cell_pairs(values, cell):
@@ -352,10 +374,19 @@ def _probe_candidates(monkeypatch, f, radius):
     return verdict, z1, z2
 
 
-def _refutation_candidates(monkeypatch, f, radius):
-    """The verdict and the candidate arrays of the refutation path, run whatever the certificate says."""
-    monkeypatch.setattr(oracles, "_jacobian_certificate", lambda *args: ("certificate withheld", {}))
-    return _probe_candidates(monkeypatch, f, radius)
+def _seed_fan(radius):
+    """32 seed-shaped pairs p +- t e^{i phi} for the classical map at M = 2, in 16 directions each.
+
+    The middle 16 centre on its critical point r0, where the seeded path
+    centres its pair, with t = |radius - r0| / 4; the 8 before and after
+    centre on 0.5i radius, where the map is injective, so none of them
+    converges.
+    """
+    r0 = classical_landau(2.0).r0
+    spin = np.exp(1j * np.pi * np.arange(16) / 16)
+    centres = np.concatenate([np.full(8, 0.5j * radius), np.full(16, r0), np.full(8, 0.5j * radius)])
+    steps = np.concatenate([0.25 * radius * spin[:8], 0.25 * abs(radius - r0) * spin, 0.25 * radius * spin[8:]])
+    return centres + steps, centres - steps
 
 
 def _solo_polishes(f, z1, z2, radius):
@@ -407,14 +438,15 @@ def test_certified_coverage_makes_no_horner_pass(monkeypatch):
     assert len(calls) == 0
 
 
-def test_refutation_grid_keeps_horner_for_the_polish_only(monkeypatch):
+def test_refutation_makes_horner_passes_for_the_seeds_and_polish_only(monkeypatch):
     calls = _count_horner(monkeypatch)
     f = build_classical(2.0, 400)
     v = univalence_probe(f, 1.05 * classical_landau(2.0).r0)
-    assert v.status == REFUTED
-    # the grid's 9217 points never go through Horner; polish batches are
-    # at most two points per candidate pair
-    assert calls and max(calls) <= 2 * 64
+    assert v.status == REFUTED and v.resolution["seeds"] == 1
+    # the circle samples come from DFTs; the secant steps on the zero of h',
+    # the Jacobian signs at the fold's ends and the polish of the one seed
+    # evaluate at most two points at a time, and under a hundred in all
+    assert calls and max(calls) <= 2 and sum(calls) < 100
 
 
 def test_refutation_polish_runs_horner_to_the_effective_degree(monkeypatch):
@@ -497,7 +529,7 @@ def test_point_evaluated_map_runs_both_probes():
         def partials(self, z):
             return 2 * z, np.zeros_like(z)
 
-    # the refutation grid samples a point-evaluated map at its points too
+    # the seeds come from the circle samples of a point-evaluated map too
     v = univalence_probe(PlainSquare(), 0.5)
     assert v.status == REFUTED
     w1, w2 = v.witness
@@ -509,22 +541,21 @@ def test_hprime_zero_on_the_circle_stops_without_refining_to_the_cap():
     # samples: no resolution within the cap meets the chord precondition,
     # so the certificate gives up at the first resolution that shows it
     f = HarmonicMap([0.0, 1.0, -np.exp(-1j)])
-    reason, keys = oracles._jacobian_certificate(f, 0.5, 1024, 3)
+    reason, keys, _ = oracles._jacobian_certificate(f, 0.5, 1024, 3)
     assert reason == "winding preconditions for the zeros of h' = f_z unmet at this resolution"
     assert keys["hprime_points"] == 1024
 
 
 @pytest.mark.parametrize("factor", [0.99, 1.05])
-def test_polish_does_not_depend_on_the_batch(monkeypatch, factor):
+def test_polish_does_not_depend_on_the_batch(factor):
     f = build_classical(2.0, 400)
     radius = factor * classical_landau(2.0).r0
-    v, z1, z2 = _refutation_candidates(monkeypatch, f, radius)
-    assert len(z1) == 64
-    assert v.resolution["candidate_pairs"] == (873 if factor < 1.0 else 2438)
+    z1, z2 = _seed_fan(radius)
     solo = list(_solo_polishes(f, z1, z2, radius))
     batch = _batch_polishes(f, z1, z2, radius)
     assert batch == solo  # rows of z1, z2, ok, residual, separation
-    assert any(row[2] for row in solo) == (factor > 1.0)
+    # inside r0 nothing collides; beyond it every pair about r0 converges
+    assert [row[2] for row in solo] == [False] * 8 + [factor > 1.0] * 16 + [False] * 8
 
 
 def _scalar_polish(f, z1, z2, radius):
@@ -557,12 +588,12 @@ def _scalar_polish(f, z1, z2, radius):
 
 
 @pytest.mark.parametrize("factor,count", [(0.99, 16), (1.05, 64)])
-def test_polish_matches_the_scalar_reference(monkeypatch, factor, count):
+def test_polish_matches_the_scalar_reference(factor, count):
     # array and scalar complex arithmetic differ in the last ulp, so the
     # polished points agree to a tolerance and the convergence flags exactly
     f = build_classical(2.0, 400)
     radius = factor * classical_landau(2.0).r0
-    _, z1, z2 = _refutation_candidates(monkeypatch, f, radius)
+    z1, z2 = _seed_fan(radius)
     flags = []
     for got, (a, b) in zip(_solo_polishes(f, z1[:count], z2[:count], radius), zip(z1, z2)):
         w1, w2, ok = _scalar_polish(f, complex(a), complex(b), radius)
@@ -578,6 +609,9 @@ def test_refutation_witness_is_the_first_converging_candidate(monkeypatch, M):
     radius = 1.05 * classical_landau(M).r0
     v, z1, z2 = _probe_candidates(monkeypatch, f, radius)
     assert v.status == REFUTED
+    # the first seed centres on the zero r0 of h'
+    assert len(z1) == v.resolution["seeds"] >= 1
+    assert abs(0.5 * (z1[0] + z2[0]) - classical_landau(M).r0) < 1e-14
     first = next(row for row in _solo_polishes(f, z1, z2, radius) if row[2])
     w1, w2 = v.witness
     assert (w1, w2) == (first[0], first[1])
@@ -587,6 +621,9 @@ def test_refutation_witness_is_the_first_converging_candidate(monkeypatch, M):
     assert gap <= 1e-10
     assert abs(w1 - w2) >= 1e-6
     assert max(abs(w1), abs(w2)) <= radius
+    # the polish keeps the pair about the critical point it was seeded on
+    assert v.resolution["hprime_zeros"] == 1
+    assert abs(0.5 * (w1 + w2) - classical_landau(M).r0) < 0.1 * abs(w1 - w2)
 
 
 # pairs for z^2: one that never converges (slow), one that converges after a
@@ -680,7 +717,7 @@ def _certificate_cases():
 def test_jacobian_certificate_agrees_with_a_2d_reference(name, f, radius, critical):
     spec = SamplingSpec()
     reference = distortion_arrays(f, polar_grid(radius, spec.n_r, spec.n_theta))[2].min() > 0
-    _, keys = oracles._jacobian_certificate(f, radius, max(1024, 4 * spec.n_theta), spec.refinement_rounds)
+    _, keys, _ = oracles._jacobian_certificate(f, radius, max(1024, 4 * spec.n_theta), spec.refinement_rounds)
     certified = keys.get("hprime_zeros") == 0 and keys.get("dilatation_max", 1.0) < 1.0
     if critical is not None and critical < radius:
         # the classical h' = f' vanishes at r0 alone, so J = |h'|^2 is positive
@@ -693,23 +730,35 @@ def test_jacobian_certificate_agrees_with_a_2d_reference(name, f, radius, critic
         assert certified == reference
 
 
-@pytest.mark.parametrize("f,radius", [
-    pytest.param(IDENTITY, 0.9, id="identity"),
-    pytest.param(build_classical(2.0, 400), 0.99 * classical_landau(2.0).r0, id="classical"),
+@pytest.mark.parametrize("f,radius,status", [
+    pytest.param(IDENTITY, 0.9, CERTIFIED, id="identity"),
+    pytest.param(build_classical(2.0, 400), 0.99 * classical_landau(2.0).r0, CERTIFIED, id="classical"),
     pytest.param(build_Fn(3, 2.0, 128), landau(EllipticityParams(1.0, 0.0), DistortionBound(2.0)).r1,
-                 id="F_3"),
+                 CERTIFIED, id="F_3"),
     pytest.param(random_elliptic(EllipticityParams(2.0, 0.5), 1.5, 0),
-                 landau(EllipticityParams(2.0, 0.5), DistortionBound(1.5)).r1, id="random"),
+                 landau(EllipticityParams(2.0, 0.5), DistortionBound(1.5)).r1, CERTIFIED, id="random"),
+    pytest.param(build_classical(2.0, 400), 1.05 * classical_landau(2.0).r0, REFUTED, id="classical-beyond-r0"),
+    pytest.param(SQUARE, 0.9, REFUTED, id="square"),
+    pytest.param(HarmonicMap([0.0, 1.0], [0.0, 0.75]), 0.9, REFUTED, id="fold"),
+    pytest.param(HarmonicMap([0.0, 1.0, 1.0, 1.0 / 3.0]), 0.95, REFUTED, id="curve-pair"),
+    pytest.param(HarmonicMap([0.0], [1.0]), 0.9, INCONCLUSIVE, id="conj"),
+    pytest.param(HarmonicMap([0.0, 1.0, -np.exp(-1j)]), 0.5, INCONCLUSIVE, id="hprime-zero-on-the-circle"),
 ])
-def test_certified_probe_does_no_2d_work(monkeypatch, f, radius):
+def test_certified_probe_does_no_2d_work(monkeypatch, f, radius, status):
+    # no probe samples a 2D grid, whatever its verdict; a certified one
+    # polishes nothing either
     def refuse(*args, **kwargs):
-        raise AssertionError("a certified probe sampled the disk")
+        raise AssertionError("a probe sampled a 2D grid")
 
-    for name in ("polar_grid", "_near_pairs", "_polish_collisions"):
-        monkeypatch.setattr(oracles, name, refuse)
+    assert not hasattr(oracles, "polar_grid") and not hasattr(oracles, "sample_grid")
+    for name in ("polar_grid", "sample_grid"):
+        monkeypatch.setattr(sampling, name, refuse)
+    if status == CERTIFIED:
+        monkeypatch.setattr(oracles, "_polish_collisions", refuse)
     v = univalence_probe(f, radius)
-    assert v.status == CERTIFIED
-    assert v.resolution["hprime_zeros"] == 0
+    assert v.status == status
+    if status == CERTIFIED:
+        assert v.resolution["hprime_zeros"] == 0
 
 
 def test_winding_refinement_jumps_within_one_round():
@@ -727,6 +776,100 @@ def test_sense_reversing_fails_the_certificate_on_the_circle():
     assert v.status == INCONCLUSIVE
     assert "Jacobian" in v.resolution["reason"]
     assert "boundary circle" in v.resolution["reason"]
-    # |f_zbar| < |f_z| fails, so no dilatation maximum is recorded
+    # |f_zbar| < |f_z| fails, so no dilatation maximum is recorded; h' and g'
+    # have no zeros and J < 0 everywhere, so nothing seeds a collision
     assert "dilatation_max" not in v.resolution
-    assert v.resolution["candidate_pairs"] == 0
+    assert v.resolution["seeds"] == 0
+
+
+def _assert_confirmed(f, v, radius):
+    """A refuted verdict's witness confirms at 50 digits: one image, two points apart, both inside."""
+    assert v.status == REFUTED
+    w1, w2 = v.witness
+    assert float(abs(f.eval_hp(w1, dps=50) - f.eval_hp(w2, dps=50))) <= 1e-10
+    assert abs(w1 - w2) >= 1e-6
+    assert max(abs(w1), abs(w2)) <= radius
+
+
+def _seeds_of(f, radius):
+    """The seed pairs and the certificate's keys of univalence_probe(f, radius)."""
+    _, keys, circle = oracles._jacobian_certificate(f, radius, 1024, 3)
+    return _collision_seeds(f, radius, circle, None), keys
+
+
+def test_seeded_witnesses_at_two_zeros_of_hprime():
+    # h' = 1 + 1.8 z^2 vanishes at +-0.745i, whose centroid 0 is no zero
+    f = HarmonicMap([0.0, 1.0, 0.0, 0.6])
+    (z1, z2), keys = _seeds_of(f, 0.95)
+    assert keys["hprime_zeros"] == 2
+    centres = 0.5 * (z1 + z2)
+    assert np.abs(np.sort(centres.imag[:2]) - np.array([-1.0, 1.0]) * np.sqrt(1.0 / 1.8)).max() < 1e-14
+    v = univalence_probe(f, 0.95)
+    _assert_confirmed(f, v, 0.95)
+    assert v.resolution["seeds"] == len(z1)
+
+
+@pytest.mark.parametrize("b,fold", [
+    # J = 1 - 2.25 |z|^2: negative on the circle, positive at the centre, zero on |z| = 2/3
+    pytest.param([0.0, 0.75], lambda p: abs(abs(p) - 2.0 / 3.0), id="centre-end"),
+    # g' = -1.5 + 3z: J < 0 on the circle and at 0, J > 0 only on |z - 0.5| < 1/3
+    pytest.param([-1.5, 1.5], lambda p: abs(abs(p - 0.5) - 1.0 / 3.0), id="gprime-zero-end"),
+])
+def test_seeded_witness_at_a_fold(b, fold):
+    f = HarmonicMap([0.0, 1.0], b)
+    (z1, z2), keys = _seeds_of(f, 0.9)
+    assert "dilatation_max" not in keys  # the certificate failed on the circle
+    # three 64-way cuts of a bracket shorter than 2 land within 2 / 64^3 of the fold
+    assert len(z1) == 1 and fold(0.5 * (z1[0] + z2[0])) < 2.0 / 64**3
+    v = univalence_probe(f, 0.9)
+    _assert_confirmed(f, v, 0.9)
+    assert v.resolution["seeds"] == 1
+
+
+def test_seeded_witness_from_the_curve_scan():
+    # ((1+z)^3 - 1)/3 has J = |1+z|^4 > 0 on the closed disk, but its boundary
+    # curve crosses itself near z = -0.95
+    f = HarmonicMap([0.0, 1.0, 1.0, 1.0 / 3.0])
+    v = univalence_probe(f, 0.95)
+    _assert_confirmed(f, v, 0.95)
+    assert v.resolution["hprime_zeros"] == 0 and v.resolution["dilatation_max"] == 0.0
+    assert v.resolution["seeds"] == 1 and "worst_pair_theta" in v.resolution
+
+
+def test_polish_gets_no_more_candidates_than_seeds(monkeypatch):
+    # 1e200 (z + z^2): h' vanishes at -0.5, on the circle; nothing seeds a
+    # collision, so nothing is polished
+    seen = []
+
+    def recording(f, z1, z2, radius):
+        seen.append(len(z1))
+        return _polish_collisions(f, z1, z2, radius)
+
+    monkeypatch.setattr(oracles, "_polish_collisions", recording)
+    v = univalence_probe(HarmonicMap([0.0, 1e200, 1e200]), 0.5)
+    assert v.status == INCONCLUSIVE
+    assert sum(seen) <= v.resolution["seeds"]
+    assert "nonpositive Jacobian on the boundary circle" in v.resolution["reason"]
+
+
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_every_refuted_witness_confirms(degree, seed):
+    rng = np.random.default_rng(seed)
+    a, b = ((rng.standard_normal(degree) + 1j * rng.standard_normal(degree)) / np.arange(1, degree + 1)
+            for _ in range(2))
+    a[0] = 1.0
+    f = HarmonicMap([0.0, *a], b)
+    v = univalence_probe(f, 0.9)
+    if v.status == REFUTED:
+        _assert_confirmed(f, v, 0.9)
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+def test_coverage_refutes_only_with_a_positive_jacobian(rho):
+    # f = z + 1.5 conj(z)^2 winds -2 about f(0) = 0: the winding counts the
+    # preimage 0 with the sign of J there, so it cannot show 0 uncovered
+    v = coverage_probe(HarmonicMap([0.0, 1.0], [0.0, 1.5]), 0.9, rho)
+    assert v.status == INCONCLUSIVE
+    assert v.witness is None and v.margin == 0.0
+    assert v.resolution["reason"].startswith("a winding <= 0 shows an uncovered point only where J > 0")
+    assert "nonpositive Jacobian on the boundary circle" in v.resolution["reason"]

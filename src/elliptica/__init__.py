@@ -3,7 +3,8 @@
 The packages splits into closed-form constants (:mod:`elliptica.constants`),
 a truncated-series map type (:mod:`elliptica.seriescore`), extremal families
 (:mod:`elliptica.extremals`), sampling-based certification oracles
-(:mod:`elliptica.oracles`), and campaign drivers (:mod:`elliptica.harness`).
+(:mod:`elliptica.oracles`), the certified review of the theorems' hypotheses
+(:mod:`elliptica.hypotheses`), and campaign drivers (:mod:`elliptica.harness`).
 Everything numeric is deterministic for fixed inputs.
 """
 

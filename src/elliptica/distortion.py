@@ -19,7 +19,12 @@ op_norm_sq = jacobian hold exactly in floating point, not merely to rounding.
 
 A map is (K, K')-elliptic at a sample when op_norm_sq <= K*jacobian + K'.
 Grid scans here produce *evidence* (a sampled minimum margin with its worst
-point); only a pointwise negative margin is a certificate of failure.
+point); only a pointwise negative margin is a certificate of failure.  The
+campaigns do not rely on them: their hypothesis review is the certificate
+of :mod:`elliptica.hypotheses`, which encloses |f_z| and |f_zbar| on squares
+or arcs covering the disk and so bounds the margin, lambda and J between
+the samples too.  :func:`ellipticity_check` remains the sampled scan of the
+Jacobian-normalized route and of the acceptance criteria.
 """
 
 from __future__ import annotations

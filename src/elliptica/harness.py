@@ -308,12 +308,20 @@ def random_elliptic(params: EllipticityParams, lam: float, seed: int = 0) -> Har
     )
 
 
-def _hypothesis_review(f, params: EllipticityParams, bound: DistortionBound) -> tuple[bool, dict]:
-    """Check the theorem hypotheses on samples; failures exclude the map.
+def _hypothesis_review(f, params: EllipticityParams, bound: DistortionBound) -> tuple[str, dict]:
+    """Review the theorem's hypotheses; a map that does not pass is outside the theorem.
 
-    A failed hypothesis falsifies the input, not the theorem, so campaign
-    verdicts never count excluded maps as violations.
+    f(0) = 0 and lambda(0) = 1 are checked at the origin, and sup lambda <=
+    Lambda, (K, K')-ellipticity and sense preservation on |z| <= 0.999 by
+    :func:`~elliptica.hypotheses.certify_hypotheses`, which proves them or
+    refutes one at a point.  Returns the status, ``certified``, ``refuted``
+    or ``inconclusive``, and the detail a row records.  A map refuted here
+    falsifies the input, not the theorem, so campaigns count it as excluded,
+    never as a violation; an inconclusive review is neither.
     """
+    # imported here: `import elliptica` need not compile the certificate
+    from .hypotheses import certify_hypotheses
+
     reasons = []
     origin_value = complex(f.eval(0.0))
     if abs(origin_value) > _HYP_TOL:
@@ -321,22 +329,39 @@ def _hypothesis_review(f, params: EllipticityParams, bound: DistortionBound) -> 
     p0 = profile(f, 0.0)
     if abs(p0.lambda_min - 1.0) > _HYP_TOL:
         reasons.append(f"lambda(0) = {p0.lambda_min!r} is not 1")
-    report = ellipticity_check(f, params)
-    sup_lam = report.sup_lambda_min
-    if sup_lam > float(bound.lam) + _HYP_TOL:
-        reasons.append(f"sup lambda = {sup_lam!r} exceeds {float(bound.lam)!r}")
-    if report.min_margin < -_HYP_TOL:
-        reasons.append(f"ellipticity margin {report.min_margin!r} at {report.worst_point!r}")
-    if not report.sense_preserving_everywhere_sampled:
-        reasons.append("negative Jacobian sample")
+    review = certify_hypotheses(f, params, bound.lam, _HYP_TOL)
+    status = REFUTED if reasons else review.status
+    witness = review.witness
     detail = {
+        "status": status,
         "origin": [origin_value.real, origin_value.imag],
         "lambda_origin": p0.lambda_min,
-        "sup_lambda": sup_lam,
-        "ellipticity_margin": report.min_margin,
-        "reasons": reasons,
+        **review.pieces,
+        # an overflowing map may leave no finite value, and JSON has no spelling for inf
+        "sup_lambda": review.sup_lambda if math.isfinite(review.sup_lambda) else None,
+        "ellipticity_margin": review.ellipticity_margin if math.isfinite(review.ellipticity_margin) else None,
+        "witness": None if witness is None else [witness.real, witness.imag],
+        "reasons": reasons + list(review.reasons),
     }
-    return not reasons, detail
+    return status, detail
+
+
+def _reviewed(check: Callable, params: EllipticityParams, bound: DistortionBound) -> Callable:
+    """check(f) -> (verdict, verdicts, slacks), run only on maps whose review certifies.
+
+    Any other map is an ``excluded`` row (refuted review) or an
+    ``inconclusive`` one, with the review as ``verdicts.hypotheses``;
+    a reviewed map's verdicts carry it first.
+    """
+
+    def reviewed(f) -> tuple[str, dict, dict]:
+        status, detail = _hypothesis_review(f, params, bound)
+        if status != CERTIFIED:
+            return ("excluded" if status == REFUTED else "inconclusive"), {"hypotheses": detail}, {}
+        verdict, verdicts, slacks = check(f)
+        return verdict, {"hypotheses": detail, **verdicts}, slacks
+
+    return reviewed
 
 
 def build_report(theorem: str, params: dict, maps: list, worst_case: dict) -> dict:
@@ -390,15 +415,13 @@ def verify_coefficient_bounds(entries: Sequence[MapEntry], params: EllipticityPa
                               bound: DistortionBound) -> dict:
     """Check |a_n| + |b_n| <= T/n for every map against its series.
 
-    Maps failing the hypotheses are reported as excluded.  The worst case
-    tracks the smallest slack among included maps; a slack below -1e-10 is
-    a violation and flips the report's refuted flag.
+    Only maps whose hypothesis review certifies are checked (see
+    :func:`_hypothesis_review`).  The worst case tracks the smallest slack
+    among them; a slack below -1e-10 is a violation and flips the report's
+    refuted flag.
     """
 
     def check(f) -> tuple[str, dict, dict]:
-        ok, detail = _hypothesis_review(f, params, bound)
-        if not ok:
-            return "excluded", {"hypotheses": detail}, {}
         slacks = {}
         worst_n = None
         worst = math.inf
@@ -409,9 +432,9 @@ def verify_coefficient_bounds(entries: Sequence[MapEntry], params: EllipticityPa
                 worst = slack
                 worst_n = n
         verdict = "pass" if worst >= -_COEFF_TOL else "violation"
-        return verdict, {"hypotheses": detail, "worst_degree": worst_n}, slacks
+        return verdict, {"worst_degree": worst_n}, slacks
 
-    rows, worst_case = _campaign(entries, check, lambda row, slack: {
+    rows, worst_case = _campaign(entries, _reviewed(check, params, bound), lambda row, slack: {
         "map": row["id"], "degree": row["verdicts"]["worst_degree"], "slack": slack})
     return build_report(
         "coefficient-bounds",
@@ -426,18 +449,15 @@ def verify_landau_probes(entries: Sequence[MapEntry], params: EllipticityParams,
     """Probe univalence at r1 and coverage at sigma1 for each map.
 
     Probes run just inside the stated radii (relative slacks are part of
-    the contract: the statement is open-disk).  Hypothesis failures
-    exclude a map from the verdict; a refutation from either oracle flips
-    the refuted flag.
+    the contract: the statement is open-disk).  Only maps whose hypothesis
+    review certifies are probed; a refutation from either oracle flips the
+    refuted flag.
     """
     result = landau(params, bound)
     probe_radius = result.r1 * (1.0 - 1e-6)
     probe_rho = result.sigma1 * (1.0 - 1e-3)
 
     def check(f) -> tuple[str, dict, dict]:
-        ok, detail = _hypothesis_review(f, params, bound)
-        if not ok:
-            return "excluded", {"hypotheses": detail}, {}
         uni = univalence_probe(f, probe_radius)
         cov = coverage_probe(f, probe_radius, probe_rho)
         if uni.status == REFUTED or cov.status == REFUTED:
@@ -450,7 +470,8 @@ def verify_landau_probes(entries: Sequence[MapEntry], params: EllipticityParams,
                 {"univalence": uni.to_json_dict(), "coverage": cov.to_json_dict()},
                 {"univalence_margin": uni.margin, "coverage_margin": cov.margin})
 
-    rows, worst_case = _campaign(entries, check, lambda row, margin: {"map": row["id"], "margin": margin},
+    rows, worst_case = _campaign(entries, _reviewed(check, params, bound),
+                                 lambda row, margin: {"map": row["id"], "margin": margin},
                                  probe_radius=probe_radius, probe_rho=probe_rho)
     return build_report(
         "landau-radius",
@@ -470,8 +491,11 @@ def verify_bloch_pipeline(entries: Sequence[MapEntry], params: EllipticityParams
     """Renormalize each map with :func:`bloch_pipeline` and check the rescaled map.
 
     It passes when lambda <= 2/(2 - |w|^2) and the quadrupled ellipticity
-    margin >= 0 hold within 1e-9, and lambda(0) = 1 within 1e-12.  A map the
-    pipeline rejects (sense reversal) is an excluded row; ``bound`` labels the report.
+    margin >= 0 hold within 1e-9, and lambda(0) = 1 within 1e-12.  As in the
+    other campaigns, only maps whose hypothesis review certifies are
+    renormalized, so a map outside the theorem cannot become a violation; a
+    map the pipeline still rejects (sense reversal on its grid) is an
+    excluded row.
     """
 
     def check(f) -> tuple[str, dict, dict]:
@@ -482,7 +506,7 @@ def verify_bloch_pipeline(entries: Sequence[MapEntry], params: EllipticityParams
               and slacks["normalization"] >= 0.0)
         return "pass" if ok else "violation", trace.to_json_dict(), slacks
 
-    rows, worst_case = _campaign(entries, check)
+    rows, worst_case = _campaign(entries, _reviewed(check, params, bound))
     return build_report("bloch-pipeline",
                         {"K": params.K, "Kp": params.Kp, "lam": float(bound.lam)},
                         rows, worst_case)

@@ -189,8 +189,10 @@ def _polish_collisions(f, z1: np.ndarray, z2: np.ndarray, radius: float):
     residual and projecting back into the closed disk of the given radius.
     Every pair keeps its own stopping rules (80 steps, 12 halvings, the
     residual and diagonal tolerances); the batch only shares the evaluations.
-    A pair converges when its residual is below 1e-12 while it stays
-    separated by more than 1e-6.
+    A pair converges when its residual, plus the rounding error bound of
+    both evaluations for a map that has one (``horner_bound``), is below
+    1e-12 while it stays separated by more than 1e-6; so a pair that only
+    rounding makes collide is no witness.
 
     Returns arrays (z1, z2, ok, resid, sep) for the pairs up to and including
     the first, in input order, that converges, or for all pairs if none
@@ -201,11 +203,15 @@ def _polish_collisions(f, z1: np.ndarray, z2: np.ndarray, radius: float):
     cap = radius * (1.0 - 1e-12)
     resid = _pair_residuals(f, z1, z2)
     live = np.ones(len(z1), dtype=bool)
+    bound = getattr(f, "horner_bound", None)
     # the 81st pass only settles the pairs that took all 80 steps
     for steps in range(81):
         live &= (_cabs(resid) >= 0.1 * _RESID_TOL) & (steps < 80)
         ok = ((_cabs(resid) < _RESID_TOL) & (_cabs(z1 - z2) > _DIAG_TOL)
               & (_cabs(z1) <= radius + 1e-15) & (_cabs(z2) <= radius + 1e-15))
+        if bound is not None:
+            near = np.flatnonzero(~live & ok)
+            ok[near] = _cabs(resid[near]) + bound(z1[near]) + bound(z2[near]) < _RESID_TOL
         won = np.flatnonzero(~live & ok)
         if not live.any() or (len(won) and not live[: won[0]].any()):
             break
@@ -561,10 +567,19 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
                 witness, margin = complex(net[pick]), -float(dist[pick])
                 break
             if valid.all():
+                # every net winding is that of the true curve, and refining
+                # keeps these samples, so the gap stays <= 0: nothing to gain
                 reason = "boundary curve meets the target disk within sampling slack; cannot certify the remainder"
-            else:
-                reason = "winding preconditions unmet near the curve at this resolution"
-            need = 2.0
+                break
+            reason = "winding preconditions unmet near the curve at this resolution"
+            # as in _jacobian_certificate, the longest chord shrinks no faster
+            # than 1/n; a target's distance to the samples can shrink by half
+            # a chord, to 0 for a target on the curve, so a need beyond the
+            # cap cannot be met within it
+            near = float(dist[~valid].min()) - 0.5 * chord_max
+            if not near > 0.0 or n_curve * chord_max / (0.1 * near) > _CURVE_CAP:
+                break
+            need = chord_max / (0.1 * near)
         else:
             # jump straight to the resolution the precondition demands
             need = chord_max / (0.1 * gap)
@@ -575,7 +590,11 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
         n_curve = _refined(n_curve, need)
 
     if witness is not None:
-        reason = _jacobian_certificate(f, radius, max(1024, 4 * spec.n_theta), spec.refinement_rounds)[0]
+        # an analytic map counts every preimage with positive multiplicity
+        if getattr(f, "is_analytic", False):
+            reason = ""
+        else:
+            reason = _jacobian_certificate(f, radius, max(1024, 4 * spec.n_theta), spec.refinement_rounds)[0]
         if not reason:
             return OracleVerdict(REFUTED, margin=margin, witness=witness, resolution=info)
         reason = "a winding <= 0 shows an uncovered point only where J > 0 on the closed disk: " + reason

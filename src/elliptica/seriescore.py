@@ -74,8 +74,9 @@ def _horner(coeffs: np.ndarray, z):
     # the module docstring).  The fixed order keeps each point's value
     # bit-reproducible and within the Horner bound of the module docstring,
     # so do not swap in a scheme with another reduction order, such as np.polyval.
+    # A 2-D coeffs holds one series per column, summed at every z[..., None].
     acc = np.zeros_like(z, dtype=complex) + coeffs[-1]
-    for k in range(coeffs.size - 2, -1, -1):
+    for k in range(len(coeffs) - 2, -1, -1):
         acc = acc * z + coeffs[k]
     return acc
 
@@ -242,6 +243,26 @@ class HarmonicMap:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
+
+    @property
+    def is_analytic(self) -> bool:
+        """True when g = 0, so that f = h."""
+        return not self.antianalytic_coeffs.any()
+
+    def horner_bound(self, z) -> np.ndarray:
+        """Bound on the rounding error of ``eval`` at each z (module docstring).
+
+        That error is at most gamma_{2N} sum_k (|a_k| + |b_k|) |z|^k; the
+        factor gamma_{4N+8} also covers the rounding of the sum itself, of
+        |z|, and of h + conj(g), and a power that underflows counts as the
+        smallest normal number.
+        """
+        n = self.truncation_degree
+        nu = (4 * n + 8) * _UNIT_ROUNDOFF
+        moduli = np.abs(self.analytic_coeffs) + np.abs(self._b_full)
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = np.power(np.abs(np.asarray(z))[..., None], np.arange(n + 1))
+            return nu / (1.0 - nu) * (np.maximum(powers, np.finfo(float).tiny) @ moduli)
 
     def _check_domain(self, z) -> None:
         if np.any(np.abs(z) >= 1.0):

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import elliptica
 from elliptica import (
@@ -32,8 +34,10 @@ from elliptica import (
     verify_jacobian_normalized,
     verify_landau_probes,
 )
-from elliptica import seriescore
+from elliptica import distortion, harness, hypotheses, sampling, seriescore
+from elliptica.distortion import stretches
 from elliptica.harness import _hypothesis_review
+from elliptica.sampling import sample_grid
 
 P = EllipticityParams
 SMALL_GRID = SamplingSpec(n_r=24, n_theta=96, refinement_rounds=2)
@@ -240,37 +244,100 @@ def test_grid_scans_make_no_horner_pass_beyond_a_cloud(monkeypatch):
 BENCHMARK_REGIMES = ((2.0, 0.5, 1.5), (1.0, 0.0, 2.0), (4.0, 1.0, 3.0), (1.5, 0.25, 1.2))
 
 
+def _random_harmonic(degree, seed):
+    """A normalized map of the given degree; some are analytic, some leave the hypotheses."""
+    rng = np.random.default_rng(seed)
+    a, b = ((rng.standard_normal(degree) + 1j * rng.standard_normal(degree))
+            * rng.uniform(0.0, 0.6) / np.arange(1, degree + 1) ** 1.5 for _ in range(2))
+    a[0], b[0] = 1.0, 0.0
+    if seed % 4 == 0:
+        b[:] = 0.0
+    return HarmonicMap([0.0, *a], b)
+
+
 class TestHypothesisReview:
-    def test_one_partials_call_on_the_grid(self, monkeypatch):
-        # the 64 x 256 grid is read once, its rings (and a radius-0 ring for
-        # the centre) summed by on_rings; point partials serve only the
-        # origin and the refinement clouds
-        f = random_elliptic(P(2, 0.5), 1.5, seed=0)
-        rings, sizes = [], []
-        on_rings, partials = HarmonicMap.on_rings, HarmonicMap.partials
+    def test_the_review_samples_no_grid(self, monkeypatch):
+        # the review proves its bounds from cells or arcs: no polar grid, no
+        # refinement cloud, and no sampled ellipticity scan
+        def refuse(*args, **kwargs):
+            raise AssertionError("the review sampled a grid")
 
-        def ring_recording(self, radii, n, partials=False):
-            rings.append((np.size(radii), n, partials))
-            return on_rings(self, radii, n, partials)
-
-        def recording(self, z):
-            sizes.append(np.size(z))
-            return partials(self, z)
-
-        monkeypatch.setattr(HarmonicMap, "on_rings", ring_recording)
-        monkeypatch.setattr(HarmonicMap, "partials", recording)
-        ok, _ = _hypothesis_review(f, P(2, 0.5), DistortionBound(1.5))
-        assert ok
-        assert rings == [(65, 256, True)]
-        assert sizes and max(sizes) <= 128
+        maps = [(random_elliptic(params, 1.5, seed=seed), params) for seed, params in ((0, P(2, 0.5)), (1, P(1, 0)))]
+        for module in (harness, distortion, sampling):
+            for name in ("polar_grid", "sample_grid", "halton_disk", "ellipticity_check"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        for f, params in maps:
+            status, detail = _hypothesis_review(f, params, DistortionBound(1.5))
+            assert status == "certified" and detail["status"] == "certified"
+            assert ("arcs" in detail) == f.is_analytic and ("cells" in detail) != f.is_analytic
 
     @pytest.mark.parametrize("k,kp,lam", BENCHMARK_REGIMES)
-    def test_sup_lambda_is_the_grid_supremum(self, k, kp, lam):
+    def test_certified_bounds_enclose_the_grid_samples(self, k, kp, lam):
         grid = SamplingSpec(n_r=64, n_theta=256, refinement_rounds=3)
         for seed in range(4):
             f = random_elliptic(P(k, kp), lam, seed=seed)
-            _, detail = _hypothesis_review(f, P(k, kp), DistortionBound(lam))
-            assert detail["sup_lambda"] == sup_lambda_min(f, 0.999, grid)
+            status, detail = _hypothesis_review(f, P(k, kp), DistortionBound(lam))
+            assert status == "certified" and detail["reasons"] == [] and detail["witness"] is None
+            assert sup_lambda_min(f, 0.999, grid) <= detail["sup_lambda"] <= lam + 1e-9
+            assert -1e-9 <= detail["ellipticity_margin"] <= ellipticity_check(f, P(k, kp), grid).min_margin
+
+    def test_planted_map_between_the_grid_angles_is_excluded(self):
+        # h' = 1 - 0.6 z^256 is 1 - 0.6 r^256 at every angle of a 256-angle
+        # grid, but reaches 1 + 0.6 * 0.999^256 = 1.464 between them
+        a = np.zeros(258)
+        a[1], a[257] = 1.0, -0.6 / 257
+        f = HarmonicMap(a)
+        params, bound = P(1, 0), DistortionBound(1.3)
+        assert sup_lambda_min(f, 0.999) < 1.3
+        rep = verify_coefficient_bounds([("planted", "a_257 = -0.6/257", f)], params, bound)
+        row = rep["maps"][0]
+        assert row["verdict"] == "excluded" and row["slacks"] == {}
+        review = row["verdicts"]["hypotheses"]
+        assert review["status"] == "refuted"
+        assert review["sup_lambda"] > 1.46
+        w = complex(*review["witness"])
+        assert abs(w) <= 0.999 and abs(f.partials(w)[0]) > 1.46
+        assert rep["worst_case"]["refuted"] is False
+
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from([(1.0, 0.0), (1.5, 0.25), (4.0, 1.0)]),
+           st.floats(0.98, 1.02))
+    def test_never_certifies_a_map_a_denser_scan_refutes(self, degree, seed, kp_pair, ratio):
+        # Lambda near the map's sampled sup, so that the review has to decide
+        # close calls; the check samples 4x the points of ellipticity_check's grid
+        f = _random_harmonic(degree, seed)
+        params = P(*kp_pair)
+        lam_max, lam_min, jac = stretches(*sample_grid(f, 0.999, 64, 256, partials=True))
+        lam = max(1.0, ratio * float(lam_min.max()))
+        status, detail = _hypothesis_review(f, params, DistortionBound(lam))
+        if status != "certified":
+            return
+        lam_max, lam_min, jac = stretches(*sample_grid(f, 0.999, 128, 512, partials=True))
+        assert lam_min.max() <= min(lam + 1e-9, detail["sup_lambda"])
+        margin = params.K * jac + params.Kp - lam_max**2
+        assert margin.min() >= max(-1e-9, detail["ellipticity_margin"])
+        assert f.is_analytic or jac.min() > 0.0
+
+    def test_review_keys_do_not_depend_on_the_thread_count(self, monkeypatch):
+        params, bound = P(2, 0.5), DistortionBound(1.5)
+        entries = [(f"seed{s}", "random", random_elliptic(params, 1.5, seed=s)) for s in range(4)]
+        entries += [("Fn2", "series extremal", build_Fn(2, 1.5)), ("wild", "crafted", HarmonicMap([0.0, 1.0, 1.0]))]
+        reviews = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ELLIPTICA_THREADS", threads)
+            reviews[threads] = [row["verdicts"]["hypotheses"]
+                                for row in verify_coefficient_bounds(entries, params, bound)["maps"]]
+        assert reviews["1"] == reviews["2"]
+        assert [r["status"] for r in reviews["1"]] == ["certified"] * 5 + ["refuted"]
+
+    def test_an_inconclusive_review_is_its_own_row_verdict(self, monkeypatch):
+        monkeypatch.setattr(hypotheses, "_CELL_CAP", 100)
+        params, bound = P(2, 0.5), DistortionBound(1.5)
+        rep = verify_landau_probes([("seed0", "random", random_elliptic(params, 1.5, seed=0))], params, bound)
+        row = rep["maps"][0]
+        assert row["verdict"] == "inconclusive" and row["slacks"] == {}
+        assert row["verdicts"]["hypotheses"]["status"] == "inconclusive"
+        assert "cell budget" in row["verdicts"]["hypotheses"]["reasons"][0]
+        assert rep["worst_case"]["refuted"] is False
 
 
 class TestCampaigns:
@@ -324,8 +391,12 @@ class TestCampaigns:
         rep = verify_bloch_pipeline([good[0], ("bad", "crafted", reversing), good[1]],
                                     params, bound)
         assert rep["theorem"] == "bloch-pipeline"
+        # the review refutes the sense reversal before the pipeline runs
+        status, detail = _hypothesis_review(reversing, params, bound)
+        assert status == "refuted" and any("Jacobian" in r for r in detail["reasons"])
+        assert "sense-reversal" in str(exc.value)
         assert rep["maps"][1] == {"id": "bad", "source": "crafted", "verdict": "excluded",
-                                  "verdicts": {"error": str(exc.value)}, "slacks": {}}
+                                  "verdicts": {"hypotheses": detail}, "slacks": {}}
         for entry, row in zip(good, (rep["maps"][0], rep["maps"][2])):
             assert row == verify_bloch_pipeline([entry], params, bound)["maps"][0]
             assert row["verdict"] == "pass"

@@ -1,6 +1,7 @@
 """Probe oracles: verdict semantics, witnesses, winding numbers."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -217,11 +218,15 @@ class TestNonFiniteMaps:
         assert (simple, margin, info) == (False, 0.0, {"curve_points": 4096})
         assert "non-finite map values" in reason
 
-    def test_huge_finite_map_still_refuted(self):
-        # values and stretches stay finite (only the Jacobian product
-        # overflows), so the collision witness still stands
-        v = univalence_probe(HarmonicMap([0.0, 1.0, 1e307]), 0.5)
-        assert v.status == REFUTED
+    def test_huge_finite_map_is_not_refuted(self):
+        # values and stretches stay finite, and the polish drives a pair to
+        # z2 = -z1, where 1e307 z^2 agrees and only rounding hides the exact
+        # gap |z1 - z2|; the Horner bound at the pair exceeds the tolerance
+        f = HarmonicMap([0.0, 1.0, 1e307])
+        v = univalence_probe(f, 0.5)
+        assert v.status == INCONCLUSIVE and v.resolution["seeds"] > 0
+        z = np.array([0.125, -0.125])
+        assert f.eval(z[0]) == f.eval(z[1]) and f.horner_bound(z).min() > 1e290
 
 
 def _gap_certified_cases():
@@ -783,10 +788,16 @@ def test_sense_reversing_fails_the_certificate_on_the_circle():
 
 
 def _assert_confirmed(f, v, radius):
-    """A refuted verdict's witness confirms at 50 digits: one image, two points apart, both inside."""
+    """A refuted verdict's witness confirms: one image, two points apart, both inside.
+
+    The images are taken to 50 digits beyond the map's scale, so that a gap
+    of 1e-10 is resolved whatever the size of the coefficients.
+    """
     assert v.status == REFUTED
     w1, w2 = v.witness
-    assert float(abs(f.eval_hp(w1, dps=50) - f.eval_hp(w2, dps=50))) <= 1e-10
+    scale = max(np.abs(f.analytic_coeffs).max(), np.abs(f.antianalytic_coeffs).max(initial=0.0))
+    dps = 50 + max(0, math.ceil(math.log10(scale)))
+    assert float(abs(f.eval_hp(w1, dps=dps) - f.eval_hp(w2, dps=dps))) <= 1e-10
     assert abs(w1 - w2) >= 1e-6
     assert max(abs(w1), abs(w2)) <= radius
 
@@ -873,3 +884,27 @@ def test_coverage_refutes_only_with_a_positive_jacobian(rho):
     assert v.witness is None and v.margin == 0.0
     assert v.resolution["reason"].startswith("a winding <= 0 shows an uncovered point only where J > 0")
     assert "nonpositive Jacobian on the boundary circle" in v.resolution["reason"]
+
+
+def test_coverage_refutes_an_analytic_map_without_the_jacobian_certificate():
+    # z^2 covers only |w| < 0.25 from |z| < 0.5, and its winding counts the
+    # preimages of w with positive multiplicity although h' vanishes at 0
+    f = HarmonicMap([0.0, 0.0, 1.0])
+    assert oracles._jacobian_certificate(f, 0.5, 1024, 3)[0]
+    v = coverage_probe(f, 0.5, 0.3)
+    assert v.status == REFUTED
+    assert 0.25 < abs(v.witness) <= 0.3
+    assert winding_number(f, 0.5, v.witness) == v.resolution["winding_at_witness"] <= 0
+
+
+@pytest.mark.parametrize("f,radius,rho", [
+    pytest.param(IDENTITY, 0.5, 0.5, id="identity-on-the-target-circle"),
+    pytest.param(HarmonicMap([0.0, 1.0, 0.0, 0.6]), 0.95, 0.5, id="folded-curve"),
+])
+def test_coverage_stops_when_refinement_cannot_help(f, radius, rho):
+    # a net point lies within half a chord of the samples, so it may lie on
+    # the curve itself: no resolution within the cap meets its precondition
+    v = coverage_probe(f, radius, rho)
+    assert v.status == INCONCLUSIVE
+    assert v.resolution["rounds_used"] == 0 and v.resolution["curve_points"] == 2048
+    assert v.resolution["reason"] == "winding preconditions unmet near the curve at this resolution"

@@ -85,19 +85,13 @@ class DistortionProfile:
 
 @dataclass(frozen=True)
 class EllipticityReport:
-    """Sampled ellipticity evidence; min_margin < 0 certifies a violation.
-
-    sup_lambda_min is the maximum of lambda_min over the polar grid alone
-    (not the refinement clouds), equal to :func:`sup_lambda_min` on that
-    grid; it is not part of the JSON record.
-    """
+    """Sampled ellipticity evidence; min_margin < 0 certifies a violation."""
 
     params: EllipticityParams
     min_margin: float
     worst_point: complex
     sample_count: int
     sense_preserving_everywhere_sampled: bool
-    sup_lambda_min: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -157,7 +151,7 @@ def ellipticity_check(
     spec = grid if grid is not None else _DEFAULT_GRID
 
     pts = polar_grid(region_radius, spec.n_r, spec.n_theta)
-    lam_max, lam_min, jac = stretches(*sample_grid(f, region_radius, spec.n_r, spec.n_theta, partials=True))
+    lam_max, _, jac = stretches(*sample_grid(f, region_radius, spec.n_r, spec.n_theta, partials=True))
     margin = _margin(params, lam_max, jac)
 
     k = int(np.argmin(margin))
@@ -188,7 +182,6 @@ def ellipticity_check(
         worst_point=worst,
         sample_count=count,
         sense_preserving_everywhere_sampled=sense,
-        sup_lambda_min=float(np.max(lam_min)),
     )
 
 

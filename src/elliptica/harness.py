@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -78,6 +77,9 @@ def parallel_map(fn: Callable, items: Iterable) -> list:
     n = thread_count()
     if n <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: a single-threaded process need not load concurrent.futures and logging
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))
 
@@ -183,6 +185,75 @@ def _weighted_lambda(f, z: complex) -> float:
 # the pipeline's scan: radius, rings and angles of one polar grid
 _PIPELINE_GRID = (0.999, 64, 256)
 
+# the polish's stopping rule: simplex and value spreads, iterations, evaluations
+_NM_XATOL, _NM_FATOL, _NM_MAXITER, _NM_MAXFEV = 1e-11, 1e-16, 600, 1200
+
+
+class _BudgetSpent(Exception):
+    """The polish asked for an evaluation beyond _NM_MAXFEV."""
+
+
+def _nelder_mead(fn: Callable, x0) -> tuple[np.ndarray, float, int]:
+    """Minimize fn over the plane from x0 by the simplex method of Nelder and Mead (1965).
+
+    Returns the best vertex, its value and the number of fn calls.  The
+    steps, reorderings and stops are those of scipy's (1.17) Nelder-Mead
+    with the standard coefficients and the _NM_* options, expression for
+    expression, so the iterates agree bit for bit: fn gets a copy of each
+    vertex, and the evaluation budget abandons an iteration part-way, as
+    scipy's does.  Any other polish would move the argmax bits, and with
+    them every slack the pipeline reports.
+    """
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= _NM_MAXFEV:
+            raise _BudgetSpent
+        calls += 1
+        return fn(np.copy(x))
+
+    x0 = np.asarray(x0, dtype=float)
+    sim = np.array([x0, x0, x0])
+    for k in range(2):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(x) for x in sim])
+    for _ in range(2):  # scipy sorts twice before the first step
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while calls < _NM_MAXFEV and iterations < _NM_MAXITER:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _NM_XATOL
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= _NM_FATOL):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / 2
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                # contract outside when the reflection beats the worst vertex, else inside
+                outside = fxr < fsim[-1]
+                xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr if outside else fxc < fsim[-1]:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in (1, 2):  # shrink towards the best vertex
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], float(np.min(fsim)), calls
+
 
 def bloch_pipeline(f, params: EllipticityParams) -> PipelineTrace:
     """Renormalize f at its weighted-distortion argmax and check the bounds.
@@ -191,9 +262,6 @@ def bloch_pipeline(f, params: EllipticityParams) -> PipelineTrace:
     any sample aborts: the pipeline only makes sense for sense-preserving
     maps.
     """
-    # imported here: scipy.optimize is most of the import time of elliptica
-    from scipy.optimize import minimize
-
     p0 = profile(f, 0.0)
     if abs(p0.lambda_min - 1.0) > _HYP_TOL:
         raise ValueError(
@@ -216,17 +284,12 @@ def bloch_pipeline(f, params: EllipticityParams) -> PipelineTrace:
             return 0.0
         return -_weighted_lambda(f, complex(v[0], v[1]))
 
-    polish = minimize(
-        neg_weighted,
-        [z0.real, z0.imag],
-        method="Nelder-Mead",
-        options={"xatol": 1e-11, "fatol": 1e-16, "maxiter": 600, "maxfev": 1200},
-    )
+    x, fun, _ = _nelder_mead(neg_weighted, [z0.real, z0.imag])
     # adopt the polished point on any strict improvement, also when the
     # polish stops at its evaluation budget; ties keep the grid point so
     # exactly-normalized inputs stay exact
-    if -float(polish.fun) > m_grid:
-        z0 = complex(polish.x[0], polish.x[1])
+    if -fun > m_grid:
+        z0 = complex(x[0], x[1])
     m_sup = _weighted_lambda(f, z0)
 
     if not (m_sup > 0.0):
@@ -326,7 +389,10 @@ def _hypothesis_review(f, params: EllipticityParams, bound: DistortionBound) -> 
     origin_value = complex(f.eval(0.0))
     if abs(origin_value) > _HYP_TOL:
         reasons.append(f"f(0) = {origin_value!r} is not 0")
-    p0 = profile(f, 0.0)
+    # a derivative series that overflowed gives inf * 0 = nan at the origin; the
+    # certificate below then finds non-finite derivatives and is inconclusive
+    with np.errstate(invalid="ignore"):
+        p0 = profile(f, 0.0)
     if abs(p0.lambda_min - 1.0) > _HYP_TOL:
         reasons.append(f"lambda(0) = {p0.lambda_min!r} is not 1")
     review = certify_hypotheses(f, params, bound.lam, _HYP_TOL)
@@ -335,9 +401,9 @@ def _hypothesis_review(f, params: EllipticityParams, bound: DistortionBound) -> 
     detail = {
         "status": status,
         "origin": [origin_value.real, origin_value.imag],
-        "lambda_origin": p0.lambda_min,
-        **review.pieces,
         # an overflowing map may leave no finite value, and JSON has no spelling for inf
+        "lambda_origin": p0.lambda_min if math.isfinite(p0.lambda_min) else None,
+        **review.pieces,
         "sup_lambda": review.sup_lambda if math.isfinite(review.sup_lambda) else None,
         "ellipticity_margin": review.ellipticity_margin if math.isfinite(review.ellipticity_margin) else None,
         "witness": None if witness is None else [witness.real, witness.imag],

@@ -50,7 +50,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import mpmath
 import numpy as np
 
 from .constants import DistortionBound, growth_rate
@@ -339,6 +338,9 @@ class HarmonicMap:
 
     def eval_hp(self, z: complex, dps: int = 50):
         """High-precision f(z) (mpmath, `dps` decimal digits), scalar only."""
+        # imported here: no other path needs mpmath, and loading it costs every process
+        import mpmath
+
         if abs(z) >= 1.0:
             raise ValueError("evaluation requires |z| < 1")
         with mpmath.workdps(dps):

@@ -37,7 +37,7 @@ from elliptica import (
 from elliptica import distortion, harness, hypotheses, sampling, seriescore
 from elliptica.distortion import stretches
 from elliptica.harness import _hypothesis_review
-from elliptica.sampling import sample_grid
+from elliptica.sampling import polar_grid, sample_grid
 
 P = EllipticityParams
 SMALL_GRID = SamplingSpec(n_r=24, n_theta=96, refinement_rounds=2)
@@ -131,13 +131,29 @@ class TestBlochRescaledMap:
             BlochRescaledMap(build_Fn(2, 2.0), 0.0, 0.0)
 
 
-def test_import_does_not_load_scipy():
-    # scipy.optimize serves only bloch_pipeline and is most of the import time
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports elliptica from this tree."""
     src = os.path.dirname(os.path.dirname(elliptica.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, elliptica; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_scipy_mpmath_or_thread_pool():
+    # each would cost every cold CLI call: mpmath loads on the first eval_hp,
+    # concurrent.futures only for a threaded campaign, and scipy never
+    code = ("import sys, elliptica.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'concurrent'}))")
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_bloch_campaign_runs_without_scipy():
+    code = ("import sys; sys.modules['scipy'] = None; from elliptica.cli import main; "
+            "sys.exit(main(['verify-theorem', '--which', '3']))")
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["theorem"] == "bloch-pipeline"
 
 
 class TestBlochPipeline:
@@ -176,6 +192,32 @@ class TestBlochPipeline:
     def test_requires_normalized_input(self):
         with pytest.raises(ValueError):
             bloch_pipeline(HarmonicMap([0.0, 2.0]), P(1, 0))
+
+    @pytest.mark.parametrize("f,x0,nfev", [
+        (build_Fn(3, 5.0), None, 1200),  # stops at the evaluation budget, part-way through a step
+        (HarmonicMap.identity(), (0.0, 0.0), None),  # zero coordinates, and the grid point keeps its tie
+        (random_elliptic(P(2, 0.5), 1.5, seed=11), None, None),
+    ], ids=["F3-lam5", "identity", "random"])
+    def test_polish_repeats_scipy_nelder_mead_bit_for_bit(self, f, x0, nfev):
+        from scipy.optimize import minimize
+
+        z_pts = polar_grid(*harness._PIPELINE_GRID)
+        _, lam_min, _ = stretches(*sample_grid(f, *harness._PIPELINE_GRID, partials=True))
+        start = complex(z_pts[int(np.argmax((1.0 - np.abs(z_pts) ** 2) * lam_min))])
+
+        def neg_weighted(v):  # the pipeline's objective
+            if v[0] * v[0] + v[1] * v[1] >= 0.9999998:
+                return 0.0
+            return -harness._weighted_lambda(f, complex(v[0], v[1]))
+
+        x, fun, calls = harness._nelder_mead(neg_weighted, [start.real, start.imag])
+        ref = minimize(neg_weighted, [start.real, start.imag], method="Nelder-Mead",
+                       options={"xatol": 1e-11, "fatol": 1e-16, "maxiter": 600, "maxfev": 1200})
+        assert x.tobytes() == ref.x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(ref.fun).tobytes()
+        assert calls == ref.nfev
+        assert x0 is None or (start.real, start.imag) == x0
+        assert nfev is None or calls == nfev
 
     def test_trace_serializes(self):
         tr = bloch_pipeline(HarmonicMap.identity(), P(1, 0))
@@ -328,6 +370,19 @@ class TestHypothesisReview:
                                 for row in verify_coefficient_bounds(entries, params, bound)["maps"]]
         assert reviews["1"] == reviews["2"]
         assert [r["status"] for r in reviews["1"]] == ["certified"] * 5 + ["refuted"]
+
+    def test_overflowing_derivatives_make_an_inconclusive_row(self):
+        # k a_k overflows to inf in h', so lambda(0) is inf * 0 = nan; that
+        # must leave the row to the certificate, not raise a RuntimeWarning
+        f = HarmonicMap([0.0, 1.0, 1.5e308, 1.5e308])
+        rep = verify_coefficient_bounds([("overflow", "1.5e308 (z^2 + z^3)", f)], P(1, 0), DistortionBound(2.0))
+        row = rep["maps"][0]
+        assert row["verdict"] == "inconclusive" and row["slacks"] == {}
+        review = row["verdicts"]["hypotheses"]
+        assert review["status"] == "inconclusive" and review["lambda_origin"] is None
+        assert "non-finite" in review["reasons"][0]
+        assert rep["worst_case"]["refuted"] is False
+        json.dumps(rep, allow_nan=False)
 
     def test_an_inconclusive_review_is_its_own_row_verdict(self, monkeypatch):
         monkeypatch.setattr(hypotheses, "_CELL_CAP", 100)

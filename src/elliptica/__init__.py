@@ -27,7 +27,6 @@ from .distortion import (
     DistortionProfile,
     EllipticityParams,
     EllipticityReport,
-    PlanarMap,
     distortion_arrays,
     ellipticity_check,
     profile,
@@ -36,8 +35,6 @@ from .distortion import (
 from .extremals import build_classical, build_fn, build_Fn
 from .harness import (
     PACKAGE_VERSION,
-    BlochRescaledMap,
-    DiskAutomorphism,
     PipelineTrace,
     bloch_pipeline,
     build_report,
@@ -67,10 +64,8 @@ __version__ = PACKAGE_VERSION
 
 __all__ = [
     "BlochBound",
-    "BlochRescaledMap",
     "CERTIFIED",
     "ClassicalLandau",
-    "DiskAutomorphism",
     "DistortionBound",
     "DistortionProfile",
     "EllipticityParams",
@@ -82,7 +77,6 @@ __all__ = [
     "OracleVerdict",
     "PACKAGE_VERSION",
     "PipelineTrace",
-    "PlanarMap",
     "REFUTED",
     "RemarkChecks",
     "SamplingSpec",

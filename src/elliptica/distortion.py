@@ -1,10 +1,8 @@
 """Pointwise distortion data and sampled ellipticity checks.
 
-A planar map enters through a small duck-typed contract: ``eval(z)`` and
-``partials(z)`` for scalar or ndarray ``z``, with ``partials`` returning the
-pair (d/dz, d/dzbar).  Truncated series maps satisfy it, and so do composed
-maps built by the verification harness; nothing here assumes a series
-representation.
+A map is a truncated series (:class:`~elliptica.seriescore.HarmonicMap`):
+points are read through ``partials(z)``, the pair (d/dz, d/dzbar) at scalar
+or ndarray ``z``, and polar grids through :func:`~elliptica.sampling.sample_grid`.
 
 The derived quantities at a point z are
 
@@ -31,14 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
 from .sampling import SamplingSpec, halton_disk, polar_grid, sample_grid
 
 __all__ = [
-    "PlanarMap",
     "EllipticityParams",
     "DistortionProfile",
     "EllipticityReport",
@@ -51,14 +47,6 @@ __all__ = [
 
 _DEFAULT_GRID = SamplingSpec(n_r=64, n_theta=256, refinement_rounds=3)
 _REFINE_CLOUD = 128
-
-
-class PlanarMap(Protocol):
-    """Minimal evaluable-map contract shared by series and composed maps."""
-
-    def eval(self, z): ...
-
-    def partials(self, z): ...
 
 
 @dataclass(frozen=True)
@@ -103,7 +91,7 @@ class EllipticityReport:
         }
 
 
-def profile(f: PlanarMap, z: complex) -> DistortionProfile:
+def profile(f, z: complex) -> DistortionProfile:
     """Distortion data of f at one point of the unit disk."""
     fz, fzb = f.partials(z)
     m1 = abs(fz)
@@ -123,7 +111,7 @@ def stretches(fz, fzb):
     return m1 + m2, np.abs(m1 - m2), (m1 - m2) * (m1 + m2)
 
 
-def distortion_arrays(f: PlanarMap, z: np.ndarray):
+def distortion_arrays(f, z: np.ndarray):
     """Vectorized (lambda_max, lambda_min, jacobian) over an array of points."""
     return stretches(*f.partials(z))
 
@@ -133,7 +121,7 @@ def _margin(params: EllipticityParams, lam_max, jac):
 
 
 def ellipticity_check(
-    f: PlanarMap,
+    f,
     params: EllipticityParams,
     grid: SamplingSpec | None = None,
     region_radius: float = 0.999,
@@ -185,7 +173,7 @@ def ellipticity_check(
     )
 
 
-def sup_lambda_min(f: PlanarMap, region_radius: float, grid: SamplingSpec | None = None) -> float:
+def sup_lambda_min(f, region_radius: float, grid: SamplingSpec | None = None) -> float:
     """Sampled supremum of lambda_min over the closed disk of the given radius."""
     if not (0.0 < region_radius < 1.0):
         raise ValueError("region_radius must lie in (0, 1)")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -37,8 +37,6 @@ from .seriescore import HarmonicMap
 
 __all__ = [
     "PACKAGE_VERSION",
-    "BlochRescaledMap",
-    "DiskAutomorphism",
     "PipelineTrace",
     "bloch_pipeline",
     "build_report",
@@ -84,64 +82,23 @@ def parallel_map(fn: Callable, items: Iterable) -> list:
         return list(pool.map(fn, items))
 
 
-@dataclass(frozen=True)
-class DiskAutomorphism:
-    """z -> (z + z0) / (1 + conj(z0) z), the disk move taking 0 to z0."""
-
-    z0: complex
-
-    def __post_init__(self) -> None:
-        z0 = complex(self.z0)
-        if not (abs(z0) < 1.0):
-            raise ValueError(f"z0 must lie in the open unit disk, got {z0!r}")
-        object.__setattr__(self, "z0", z0)
-
-    def __call__(self, z):
-        return (z + self.z0) / (1.0 + np.conj(self.z0) * z)
-
-    def deriv(self, z):
-        denom = 1.0 + np.conj(self.z0) * z
-        return (1.0 - _abs2(self.z0)) / (denom * denom)
-
-
 def _abs2(z) -> float:
     # written out so the same float expression appears in every place the
     # pipeline relies on cancellation
     return z.real * z.real + z.imag * z.imag
 
 
-class BlochRescaledMap:
-    """G(w) = sqrt(2)/M * (f(phi(w/sqrt 2)) - f(z0)) for phi moving 0 to z0.
+def _rescaled_partials(f, z0: complex, m_sup: float, w):
+    """Wirtinger partials of G(w) = sqrt(2)/m_sup * (f(phi(w/sqrt 2)) - f(z0)), phi(0) = z0.
 
-    Defined for |w| < 1 (in fact up to sqrt 2); partials come from the
-    chain rule, with the antianalytic factor picking up the conjugated
-    automorphism derivative.
+    phi(z) = (z + z0) / (1 + conj(z0) z) keeps the disk; by the chain rule
+    G_w = f_z(u) phi'/m_sup and G_wbar = f_zbar(u) conj(phi')/m_sup at u = phi(w/sqrt 2).
     """
-
-    def __init__(self, base, z0: complex, m_sup: float):
-        self.base = base
-        self.phi = DiskAutomorphism(z0)
-        self.m_sup = float(m_sup)
-        if not (self.m_sup > 0.0):
-            raise ValueError(f"normalizing constant must be positive, got {m_sup}")
-        self._f0 = complex(base.eval(self.phi.z0))
-        self._sqrt2 = math.sqrt(2.0)
-
-    def _pullback(self, w):
-        if np.ndim(w) == 0:
-            return complex(w) / self._sqrt2
-        return np.asarray(w, dtype=complex) / self._sqrt2
-
-    def eval(self, w):
-        zeta = self._pullback(w)
-        return (self.base.eval(self.phi(zeta)) - self._f0) * (self._sqrt2 / self.m_sup)
-
-    def partials(self, w):
-        zeta = self._pullback(w)
-        u = self.phi(zeta)
-        dphi = self.phi.deriv(zeta)
-        fz, fzb = self.base.partials(u)
-        return fz * dphi / self.m_sup, fzb * np.conj(dphi) / self.m_sup
+    zeta = complex(w) / math.sqrt(2.0) if np.ndim(w) == 0 else np.asarray(w, dtype=complex) / math.sqrt(2.0)
+    denom = 1.0 + np.conj(z0) * zeta
+    fz, fzb = f.partials((zeta + z0) / denom)
+    dphi = (1.0 - _abs2(z0)) / (denom * denom)
+    return fz * dphi / m_sup, fzb * np.conj(dphi) / m_sup
 
 
 @dataclass(frozen=True)
@@ -163,7 +120,6 @@ class PipelineTrace:
     distortion_bound_excess: float
     ellipticity_margin: float
     sample_count: int
-    rescaled_map: BlochRescaledMap = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -260,10 +216,11 @@ def bloch_pipeline(f, params: EllipticityParams) -> PipelineTrace:
 
     Requires lambda(0) = 1 (within 1e-9).  A strictly negative Jacobian at
     any sample aborts: the pipeline only makes sense for sense-preserving
-    maps.
+    maps.  The rescaled map is read only through its partials at w = 0 and
+    at the grid points, so it is never built.
     """
     p0 = profile(f, 0.0)
-    if abs(p0.lambda_min - 1.0) > _HYP_TOL:
+    if not abs(p0.lambda_min - 1.0) <= _HYP_TOL:
         raise ValueError(
             f"pipeline requires lambda(0) = 1, got {p0.lambda_min!r}; rescale the map first"
         )
@@ -295,11 +252,9 @@ def bloch_pipeline(f, params: EllipticityParams) -> PipelineTrace:
     if not (m_sup > 0.0):
         raise RuntimeError("weighted distortion vanished at the argmax; degenerate map")
 
-    g_map = BlochRescaledMap(f, z0, m_sup)
-    gp0 = profile(g_map, 0.0)
-
+    gz, gzb = _rescaled_partials(f, z0, m_sup, 0.0)
     # bound checks on the rescaled map, over the same grid read as w points
-    lam_max_g, lam_min_g, jac_g = stretches(*sample_grid(g_map, *_PIPELINE_GRID, partials=True))
+    lam_max_g, lam_min_g, jac_g = stretches(*_rescaled_partials(f, z0, m_sup, z_pts))
     if jac_g.min() < 0.0:
         bad = z_pts[int(np.argmin(jac_g))]
         raise RuntimeError(f"sense-reversal after rescaling at w = {complex(bad)!r}")
@@ -310,11 +265,10 @@ def bloch_pipeline(f, params: EllipticityParams) -> PipelineTrace:
         sup_weighted_distortion=m_sup,
         argmax_point=z0,
         center_estimate=complex(f.eval(z0)),
-        lambda_origin=float(gp0.lambda_min),
+        lambda_origin=float(abs(abs(gz) - abs(gzb))),
         distortion_bound_excess=excess,
         ellipticity_margin=margin,
         sample_count=2 * len(z_pts),
-        rescaled_map=g_map,
     )
 
 
@@ -590,7 +544,7 @@ def verify_jacobian_normalized(f, params: EllipticityParams,
     shape of every other campaign's.
     """
     p0 = profile(f, 0.0)
-    if abs(p0.jacobian - 1.0) > _HYP_TOL:
+    if not abs(p0.jacobian - 1.0) <= _HYP_TOL:
         raise ValueError(f"route requires J(0) = 1, got {p0.jacobian!r}")
     if not isinstance(f, HarmonicMap):
         raise TypeError("this route rescales coefficients and needs a series map")

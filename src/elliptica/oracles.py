@@ -190,9 +190,9 @@ def _polish_collisions(f, z1: np.ndarray, z2: np.ndarray, radius: float):
     Every pair keeps its own stopping rules (80 steps, 12 halvings, the
     residual and diagonal tolerances); the batch only shares the evaluations.
     A pair converges when its residual, plus the rounding error bound of
-    both evaluations for a map that has one (``horner_bound``), is below
-    1e-12 while it stays separated by more than 1e-6; so a pair that only
-    rounding makes collide is no witness.
+    both evaluations (``horner_bound``), is below 1e-12 while it stays
+    separated by more than 1e-6; so a pair that only rounding makes collide
+    is no witness.
 
     Returns arrays (z1, z2, ok, resid, sep) for the pairs up to and including
     the first, in input order, that converges, or for all pairs if none
@@ -203,15 +203,13 @@ def _polish_collisions(f, z1: np.ndarray, z2: np.ndarray, radius: float):
     cap = radius * (1.0 - 1e-12)
     resid = _pair_residuals(f, z1, z2)
     live = np.ones(len(z1), dtype=bool)
-    bound = getattr(f, "horner_bound", None)
     # the 81st pass only settles the pairs that took all 80 steps
     for steps in range(81):
         live &= (_cabs(resid) >= 0.1 * _RESID_TOL) & (steps < 80)
         ok = ((_cabs(resid) < _RESID_TOL) & (_cabs(z1 - z2) > _DIAG_TOL)
               & (_cabs(z1) <= radius + 1e-15) & (_cabs(z2) <= radius + 1e-15))
-        if bound is not None:
-            near = np.flatnonzero(~live & ok)
-            ok[near] = _cabs(resid[near]) + bound(z1[near]) + bound(z2[near]) < _RESID_TOL
+        near = np.flatnonzero(~live & ok)
+        ok[near] = _cabs(resid[near]) + f.horner_bound(z1[near]) + f.horner_bound(z2[near]) < _RESID_TOL
         won = np.flatnonzero(~live & ok)
         if not live.any() or (len(won) and not live[: won[0]].any()):
             break
@@ -591,7 +589,7 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
 
     if witness is not None:
         # an analytic map counts every preimage with positive multiplicity
-        if getattr(f, "is_analytic", False):
+        if f.is_analytic:
             reason = ""
         else:
             reason = _jacobian_certificate(f, radius, max(1024, 4 * spec.n_theta), spec.refinement_rounds)[0]

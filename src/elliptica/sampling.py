@@ -61,26 +61,18 @@ def polar_grid(radius: float, n_r: int, n_theta: int) -> np.ndarray:
 def sample_circle(f, radius, n: int, partials: bool = False):
     """theta_k = 2 pi k / n for k < n, and f (or its partials) at radius e^{i theta_k}.
 
-    radius may be an array of radii, one row of values each.  A series map
-    sums each circle with one inverse DFT (``on_rings``); any other map is
-    evaluated at the points.  The pair of partials comes back as two arrays.
+    radius may be an array of radii, one row of values each.  Each circle is
+    summed by one inverse DFT (``on_rings``); the pair of partials comes back
+    as two arrays.
     """
-    theta = 2.0 * np.pi * np.arange(n) / n
-    if hasattr(f, "on_rings"):
-        return theta, f.on_rings(radius, n, partials)
-    values = (f.partials if partials else f.eval)(np.multiply.outer(radius, np.exp(1j * theta)))
-    return theta, np.asarray(values, dtype=complex)
+    return 2.0 * np.pi * np.arange(n) / n, f.on_rings(radius, n, partials)
 
 
 def sample_grid(f, radius: float, n_r: int, n_theta: int, partials: bool = False):
     """f, or the pair (f_z, f_zbar), at the points of polar_grid(radius, n_r, n_theta), in its order.
 
-    A series map reads the rings from one on_rings call after one of radius 0, whose first value is
-    the centre's; any other map is evaluated once at the grid's points, so the centre only once.
+    The rings come from one on_rings call after one of radius 0, whose first value is the centre's.
     """
-    if not hasattr(f, "on_rings"):
-        values = np.asarray((f.partials if partials else f.eval)(polar_grid(radius, n_r, n_theta)), dtype=complex)
-        return tuple(values) if partials else values
     rings = f.on_rings(radius * (np.arange(n_r + 1) / n_r), n_theta, partials)
     grid = [np.concatenate([rows[0, :1], rows[1:].ravel()]) for rows in (rings if partials else [rings])]
     return tuple(grid) if partials else grid[0]

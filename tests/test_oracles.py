@@ -12,7 +12,6 @@ from elliptica import (
     CERTIFIED,
     INCONCLUSIVE,
     REFUTED,
-    BlochRescaledMap,
     DistortionBound,
     EllipticityParams,
     HarmonicMap,
@@ -33,7 +32,6 @@ from elliptica import (
 )
 from elliptica import oracles, sampling, seriescore
 from elliptica.oracles import _MOVE_SAFETY, _collision_seeds, _curve_scan, _polish_collisions, _zeros_inside
-from elliptica.sampling import sample_grid
 
 IDENTITY = HarmonicMap.identity()
 SQUARE = HarmonicMap([0.0, 0.0, 1.0])  # z^2, the canonical non-injective map
@@ -152,6 +150,8 @@ class TestCoverageProbe:
         assert v.status == REFUTED
         assert abs(v.witness) > 0.5  # the witness is genuinely uncovered
         assert v.margin < 0
+        # z + 0.5 conj(z) maps |z| = 0.9 onto an ellipse with minor semi-axis 0.45
+        assert coverage_probe(HarmonicMap([0.0, 1.0], [0.5]), 0.9, 0.5).status == REFUTED
 
     def test_hairline_gap_is_inconclusive(self):
         # gap of 1e-9 would need ~1e10 curve points; the budget refuses
@@ -232,6 +232,8 @@ class TestNonFiniteMaps:
 def _gap_certified_cases():
     yield pytest.param(IDENTITY, 0.5, 0.45, id="identity")
     yield pytest.param(SQUARE, 0.5, 0.2, id="square")
+    # the image of |z| = 0.9 under z + 0.5 conj(z) is an ellipse with semi-axes 1.35 and 0.45
+    yield pytest.param(HarmonicMap([0.0, 1.0], [0.5]), 0.9, 0.4, id="affine")
     res = landau(EllipticityParams(1.0, 0.0), DistortionBound(2.0))
     yield pytest.param(build_Fn(2, 2.0, n_terms=128), res.r1 * (1 - 1e-6),
                        res.sigma1 * (1 - 1e-3), id="F_2")
@@ -470,77 +472,6 @@ def test_refutation_polish_runs_horner_to_the_effective_degree(monkeypatch):
     assert lengths and max(lengths) <= 32
 
 
-class Affine:
-    """z + 0.5 conj(z) as a plain planar map: point evaluation only, no on_rings."""
-
-    def eval(self, z):
-        return z + 0.5 * np.conj(z)
-
-    def partials(self, z):
-        one = np.ones_like(z)
-        return one, 0.5 * one
-
-
-def test_sample_circle_dispatches_on_the_map():
-    series = HarmonicMap([0.0, 1.0], [0.5])
-    radii = np.array([0.0, 0.3, 0.6])
-    theta, plain = oracles.sample_circle(Affine(), radii, 16)
-    points = np.multiply.outer(radii, np.exp(1j * theta))
-    assert np.array_equal(plain, Affine().eval(points))
-    _, pair = oracles.sample_circle(Affine(), 0.6, 16, partials=True)
-    assert np.array_equal(pair, np.stack(Affine().partials(points[2])))
-    _, ring = oracles.sample_circle(series, radii, 16)
-    assert np.abs(ring - plain).max() < 1e-15
-
-
-@pytest.mark.parametrize("f", [Affine(), BlochRescaledMap(build_Fn(2, 2.0), 0.3 - 0.2j, 1.5)],
-                         ids=["affine", "bloch-rescaled"])
-def test_sample_grid_evaluates_other_maps_at_the_grid_points(f):
-    points = polar_grid(0.9, 6, 40)
-    assert np.array_equal(sample_grid(f, 0.9, 6, 40), f.eval(points))
-    for got, want in zip(sample_grid(f, 0.9, 6, 40, partials=True), f.partials(points)):
-        assert np.array_equal(got, want)
-
-
-def test_sample_grid_evaluates_the_centre_of_other_maps_once():
-    sizes = []
-
-    class Recording(Affine):
-        def eval(self, z):
-            sizes.append(np.size(z))
-            return super().eval(z)
-
-        def partials(self, z):
-            sizes.append(np.size(z))
-            return super().partials(z)
-
-    sample_grid(Recording(), 0.9, 6, 40)
-    sample_grid(Recording(), 0.9, 6, 40, partials=True)
-    assert sizes == [6 * 40 + 1] * 2
-
-
-def test_point_evaluated_map_runs_both_probes():
-    for f in (Affine(), HarmonicMap([0.0, 1.0], [0.5])):
-        uni = univalence_probe(f, 0.9)
-        assert uni.status == CERTIFIED and uni.resolution["hprime_zeros"] == 0
-        # the image of |z| = 0.9 is an ellipse with semi-axes 1.35 and 0.45
-        assert coverage_probe(f, 0.9, 0.4).status == CERTIFIED
-        assert coverage_probe(f, 0.9, 0.5).status == REFUTED
-
-    class PlainSquare:
-        def eval(self, z):
-            return z * z
-
-        def partials(self, z):
-            return 2 * z, np.zeros_like(z)
-
-    # the seeds come from the circle samples of a point-evaluated map too
-    v = univalence_probe(PlainSquare(), 0.5)
-    assert v.status == REFUTED
-    w1, w2 = v.witness
-    assert abs(w1 * w1 - w2 * w2) < 1e-12 and abs(w1 - w2) > 1e-6
-
-
 def test_hprime_zero_on_the_circle_stops_without_refining_to_the_cap():
     # h' = 1 - 2 e^{-i} z vanishes at 0.5 e^{i}, on the circle and between
     # samples: no resolution within the cap meets the chord precondition,
@@ -737,6 +668,7 @@ def test_jacobian_certificate_agrees_with_a_2d_reference(name, f, radius, critic
 
 @pytest.mark.parametrize("f,radius,status", [
     pytest.param(IDENTITY, 0.9, CERTIFIED, id="identity"),
+    pytest.param(HarmonicMap([0.0, 1.0], [0.5]), 0.9, CERTIFIED, id="affine"),
     pytest.param(build_classical(2.0, 400), 0.99 * classical_landau(2.0).r0, CERTIFIED, id="classical"),
     pytest.param(build_Fn(3, 2.0, 128), landau(EllipticityParams(1.0, 0.0), DistortionBound(2.0)).r1,
                  CERTIFIED, id="F_3"),
@@ -744,6 +676,7 @@ def test_jacobian_certificate_agrees_with_a_2d_reference(name, f, radius, critic
                  landau(EllipticityParams(2.0, 0.5), DistortionBound(1.5)).r1, CERTIFIED, id="random"),
     pytest.param(build_classical(2.0, 400), 1.05 * classical_landau(2.0).r0, REFUTED, id="classical-beyond-r0"),
     pytest.param(SQUARE, 0.9, REFUTED, id="square"),
+    pytest.param(SQUARE, 0.5, REFUTED, id="square-0.5"),
     pytest.param(HarmonicMap([0.0, 1.0], [0.0, 0.75]), 0.9, REFUTED, id="fold"),
     pytest.param(HarmonicMap([0.0, 1.0, 1.0, 1.0 / 3.0]), 0.95, REFUTED, id="curve-pair"),
     pytest.param(HarmonicMap([0.0], [1.0]), 0.9, INCONCLUSIVE, id="conj"),
@@ -764,6 +697,9 @@ def test_certified_probe_does_no_2d_work(monkeypatch, f, radius, status):
     assert v.status == status
     if status == CERTIFIED:
         assert v.resolution["hprime_zeros"] == 0
+    if status == REFUTED:
+        w1, w2 = v.witness
+        assert abs(f.eval(w1) - f.eval(w2)) < 1e-12 and abs(w1 - w2) > 1e-6
 
 
 def test_winding_refinement_jumps_within_one_round():

@@ -6,112 +6,51 @@ a truncated-series map type (:mod:`elliptica.seriescore`), extremal families
 (:mod:`elliptica.oracles`), the certified review of the theorems' hypotheses
 (:mod:`elliptica.hypotheses`), and campaign drivers (:mod:`elliptica.harness`).
 Everything numeric is deterministic for fixed inputs.
+
+The exported names load lazily: ``import elliptica`` imports only the
+standard-library :mod:`elliptica.constants`, and a name's home module (with
+numpy, where it needs arrays) is imported on the first access to the name.
 """
 
-from .constants import (
-    BlochBound,
-    ClassicalLandau,
-    DistortionBound,
-    LandauResult,
-    RemarkChecks,
-    bloch_jacobian_normalized,
-    bloch_lambda_normalized,
-    classical_landau,
-    coeff_bound,
-    growth_rate,
-    landau,
-    psi,
-    remark_inequalities,
-)
-from .distortion import (
-    DistortionProfile,
-    EllipticityParams,
-    EllipticityReport,
-    distortion_arrays,
-    ellipticity_check,
-    profile,
-    sup_lambda_min,
-)
-from .extremals import build_classical, build_fn, build_Fn
-from .harness import (
-    PACKAGE_VERSION,
-    PipelineTrace,
-    bloch_pipeline,
-    build_report,
-    parallel_map,
-    random_elliptic,
-    remark_campaign,
-    thread_count,
-    verify_bloch_pipeline,
-    verify_coefficient_bounds,
-    verify_jacobian_normalized,
-    verify_landau_probes,
-)
-from .oracles import (
-    CERTIFIED,
-    INCONCLUSIVE,
-    REFUTED,
-    MeshPrecisionError,
-    OracleVerdict,
-    coverage_probe,
-    univalence_probe,
-    winding_number,
-)
-from .sampling import SamplingSpec, disk_net, halton, halton_disk, polar_grid
-from .seriescore import HarmonicMap, truncate_with_tail
+from importlib import import_module
 
-__version__ = PACKAGE_VERSION
+from .constants import PACKAGE_VERSION as __version__
 
-__all__ = [
-    "BlochBound",
-    "CERTIFIED",
-    "ClassicalLandau",
-    "DistortionBound",
-    "DistortionProfile",
-    "EllipticityParams",
-    "EllipticityReport",
-    "HarmonicMap",
-    "INCONCLUSIVE",
-    "LandauResult",
-    "MeshPrecisionError",
-    "OracleVerdict",
-    "PACKAGE_VERSION",
-    "PipelineTrace",
-    "REFUTED",
-    "RemarkChecks",
-    "SamplingSpec",
-    "bloch_jacobian_normalized",
-    "bloch_lambda_normalized",
-    "bloch_pipeline",
-    "build_classical",
-    "build_fn",
-    "build_Fn",
-    "build_report",
-    "classical_landau",
-    "coeff_bound",
-    "coverage_probe",
-    "disk_net",
-    "distortion_arrays",
-    "ellipticity_check",
-    "growth_rate",
-    "halton",
-    "halton_disk",
-    "landau",
-    "parallel_map",
-    "polar_grid",
-    "profile",
-    "psi",
-    "random_elliptic",
-    "remark_campaign",
-    "remark_inequalities",
-    "sup_lambda_min",
-    "thread_count",
-    "truncate_with_tail",
-    "univalence_probe",
-    "verify_bloch_pipeline",
-    "verify_coefficient_bounds",
-    "verify_jacobian_normalized",
-    "verify_landau_probes",
-    "winding_number",
-    "__version__",
-]
+# each exported name, listed under the module that defines it
+_EXPORTS = {
+    "constants": (
+        "BlochBound", "ClassicalLandau", "DistortionBound", "EllipticityParams", "LandauResult",
+        "PACKAGE_VERSION", "RemarkChecks", "bloch_jacobian_normalized", "bloch_lambda_normalized",
+        "build_report", "classical_landau", "coeff_bound", "growth_rate", "landau", "psi",
+        "remark_campaign", "remark_inequalities",
+    ),
+    "distortion": (
+        "DistortionProfile", "EllipticityReport", "distortion_arrays", "ellipticity_check", "profile",
+        "sup_lambda_min",
+    ),
+    "extremals": ("build_classical", "build_fn", "build_Fn"),
+    "harness": (
+        "PipelineTrace", "bloch_pipeline", "parallel_map", "random_elliptic", "thread_count",
+        "verify_bloch_pipeline", "verify_coefficient_bounds", "verify_jacobian_normalized",
+        "verify_landau_probes",
+    ),
+    "oracles": (
+        "CERTIFIED", "INCONCLUSIVE", "REFUTED", "MeshPrecisionError", "OracleVerdict", "coverage_probe",
+        "univalence_probe", "winding_number",
+    ),
+    "sampling": ("SamplingSpec", "disk_net", "halton", "halton_disk", "polar_grid"),
+    "seriescore": ("HarmonicMap", "truncate_with_tail"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import an exported name from its home module, and keep it as a module global."""
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value

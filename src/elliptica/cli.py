@@ -5,6 +5,10 @@ not an error), 1 when a verification run produced a refutation or an
 output path could not be written, 2 on bad usage or a violated argument
 precondition.  Output bytes are deterministic for fixed arguments;
 --timestamp deliberately breaks that by stamping wall-clock fields.
+
+Only the standard library and :mod:`elliptica.constants` load with this
+module; each command imports the array modules it uses, so ``constants``
+and ``verify-theorem --which remarks`` never load numpy.
 """
 
 from __future__ import annotations
@@ -18,27 +22,16 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .constants import (
+    PACKAGE_VERSION,
     DistortionBound,
+    EllipticityParams,
     bloch_jacobian_normalized,
     bloch_lambda_normalized,
     classical_landau,
     growth_rate,
     landau,
-)
-from .distortion import EllipticityParams
-from .extremals import build_classical, build_Fn
-from .harness import (
-    PACKAGE_VERSION,
-    random_elliptic,
     remark_campaign,
-    verify_bloch_pipeline,
-    verify_coefficient_bounds,
-    verify_jacobian_normalized,
-    verify_landau_probes,
 )
-from .oracles import REFUTED, coverage_probe, univalence_probe
-from .sampling import SamplingSpec, sample_circle
-from .seriescore import HarmonicMap
 
 # No array a command builds may exceed this many points; the arguments that
 # size arrays or loops are capped accordingly, so an oversized value is a
@@ -150,6 +143,8 @@ def _cmd_extremal(args, parser: argparse.ArgumentParser) -> int:
     needs = ("M",) if args.family == "classical" else ("n", "lam")
     if any(getattr(args, name) is None for name in needs):
         parser.error(f"family {args.family} requires " + " and ".join(f"--{name}" for name in needs))
+    from .extremals import build_classical, build_Fn
+
     if args.family == "classical":
         f = build_classical(args.M, args.N)
     else:
@@ -158,6 +153,10 @@ def _cmd_extremal(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_check_map(args, parser: argparse.ArgumentParser) -> int:
+    from .oracles import REFUTED, coverage_probe, univalence_probe
+    from .sampling import SamplingSpec
+    from .seriescore import HarmonicMap
+
     f = HarmonicMap.load(args.map)
     spec = SamplingSpec(n_theta=args.n_theta, refinement_rounds=args.rounds)
     if args.mode == "univalence":
@@ -171,6 +170,9 @@ def _cmd_check_map(args, parser: argparse.ArgumentParser) -> int:
 
 def _standard_entries(params: EllipticityParams, bound: DistortionBound, n_random: int,
                       seed: int, families: int = 5) -> list:
+    from .extremals import build_Fn
+    from .harness import random_elliptic
+
     entries = []
     for n in range(2, 2 + families):
         entries.append((f"Fn{n}", f"series extremal n={n}, lam={float(bound.lam):g}",
@@ -184,6 +186,17 @@ def _standard_entries(params: EllipticityParams, bound: DistortionBound, n_rando
 def _cmd_verify(args) -> tuple[dict, bool]:
     params = EllipticityParams(args.K, args.Kp)
     bound = DistortionBound(args.lam)
+    if args.which == "remarks":
+        rep = remark_campaign(samples=args.samples)
+        return rep, rep["worst_case"].get("refuted")
+    from .harness import (
+        verify_bloch_pipeline,
+        verify_coefficient_bounds,
+        verify_jacobian_normalized,
+        verify_landau_probes,
+    )
+    from .seriescore import HarmonicMap
+
     if args.which == "c1":
         if args.map is not None:
             f = HarmonicMap.load(args.map)
@@ -193,8 +206,6 @@ def _cmd_verify(args) -> tuple[dict, bool]:
             f = HarmonicMap([0.0, 1.25], [0.75])
             source = "affine fixture a1=1.25, b1=0.75"
         rep = verify_jacobian_normalized(f, params, map_id="c1", source=source)
-    elif args.which == "remarks":
-        rep = remark_campaign(samples=args.samples)
     elif args.which == "1":
         entries = _standard_entries(params, bound, args.n_random, args.seed)
         rep = verify_coefficient_bounds(entries, params, bound)
@@ -207,6 +218,8 @@ def _cmd_verify(args) -> tuple[dict, bool]:
 
 
 def _cmd_report(args) -> tuple[dict, bool]:
+    from .harness import verify_coefficient_bounds
+
     params = EllipticityParams(args.K, args.Kp)
     bound = DistortionBound(args.lam)
     entries = _standard_entries(params, bound, args.n_random, args.seed)
@@ -223,6 +236,9 @@ def _cmd_report(args) -> tuple[dict, bool]:
 
 
 def _cmd_boundary(args) -> int:
+    from .sampling import sample_circle
+    from .seriescore import HarmonicMap
+
     f = HarmonicMap.load(args.map)
     theta, curve = sample_circle(f, args.r, args.n)
     lines = ["theta,re,im"]

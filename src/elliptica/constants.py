@@ -18,10 +18,16 @@ lambda_f(0) = 1, one for Jacobian normalization J_f(0) = 1.  The classical
 bounded-analytic constants (univalence radius r0, covered radius R0 for
 |f| <= M, f'(0) = 1) are included for comparison fixtures.
 
-Every function accepts a ``ctx`` module (``math`` by default) so the same
+Every formula accepts a ``ctx`` module (``math`` by default) so the same
 formulas run on floats or, with ``ctx=mpmath`` and mpf arguments, at any
 working precision; the high-precision route is what the 1e-12 identity tests
 use.
+
+The module also holds the rest of the code that needs no arrays: the report
+shape and package version, the remark sweep over a Halton parameter box, and
+the radical inverse behind every Halton sequence.  It imports only the
+standard library, so the command line's ``constants`` and ``verify-theorem
+--which remarks`` never load numpy.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distortion import EllipticityParams
-
 __all__ = [
+    "PACKAGE_VERSION",
+    "EllipticityParams",
     "DistortionBound",
     "LandauResult",
     "BlochBound",
@@ -45,7 +51,26 @@ __all__ = [
     "bloch_jacobian_normalized",
     "classical_landau",
     "remark_inequalities",
+    "radical_inverse",
+    "build_report",
+    "remark_campaign",
 ]
+
+PACKAGE_VERSION = "0.1.0"
+
+
+@dataclass(frozen=True)
+class EllipticityParams:
+    """Ellipticity constants (K, Kp); invalid instances are unrepresentable."""
+
+    K: float
+    Kp: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(float(self.K)) and self.K >= 1):
+            raise ValueError("K must be finite and >= 1")
+        if not (math.isfinite(float(self.Kp)) and self.Kp >= 0):
+            raise ValueError("Kp must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -236,4 +261,133 @@ def remark_inequalities(params: EllipticityParams, bound: DistortionBound, ctx=m
         radius_slack=radius_slack,
         sigma_holds=bool(sigma_slack > 0),
         sigma_slack=sigma_slack,
+    )
+
+
+def radical_inverse(count: int, base: int, start: int = 1) -> list[float]:
+    """Halton radical inverses of the indices start..start+count-1, as floats.
+
+    Each index's digits are summed least significant first, with weights
+    base**-k formed by repeated division, so every value is bit-identical
+    to the digit-by-digit loop, and ``sampling.halton`` is this list as an
+    array.  Starting at index 1 keeps 0.0 out of the sequence, which
+    matters when a coordinate is later mapped onto a half-open interval.
+    """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    stop = start + count
+    # low[r] sums the digits of each r < scale, and f is the weight of the
+    # last of them; the indices q*scale + r of one q share their higher
+    # digits, which are added onto a slice of low a digit at a time
+    low, scale, f = [0.0], 1, 1.0
+    while scale * base <= count:
+        f /= base
+        low = [x + f * d for d in range(base) for x in low]
+        scale *= base
+    out = []
+    for q in range(start // scale, (stop - 1) // scale + 1):
+        block = low[max(start - q * scale, 0):stop - q * scale]
+        g = f
+        while q > 0:
+            g /= base
+            block = [x + g * (q % base) for x in block]
+            q //= base
+        out += block
+    return out
+
+
+def build_report(theorem: str, params: dict, maps: list, worst_case: dict) -> dict:
+    """Common report shape of every campaign; runtime_ms stays null for reproducible bytes."""
+    return {
+        "theorem": theorem,
+        "params": params,
+        "maps": maps,
+        "worst_case": worst_case,
+        "runtime_ms": None,
+        "version": PACKAGE_VERSION,
+    }
+
+
+# the parameter box of the remark sweep, and the pair count of the psi sweep
+_K_RANGE = (1.0, 8.0)
+_KP_RANGE = (0.0, 8.0)
+_LAM_RANGE = (1.0, 8.0)
+_PSI_PAIRS = 10_000
+# indices per radical_inverse call, which bounds the sweep's memory at any sample count
+_HALTON_CHUNK = 1 << 12
+
+
+def _halton_points(count: int, bases: tuple):
+    """The points 1..count of the Halton sequence in the given bases, one tuple per index."""
+    for start in range(1, count + 1, _HALTON_CHUNK):
+        size = min(_HALTON_CHUNK, count + 1 - start)
+        yield from zip(*(radical_inverse(size, base, start) for base in bases))
+
+
+def remark_campaign(samples: int = 1000) -> dict:
+    """Sweep the growth-rate comparisons over a low-discrepancy parameter box.
+
+    Asserted relations: the correction term improves on the baseline rate,
+    the radius dominates 1/(1 + baseline), and the coverage value dominates
+    the baseline's.  The literal variant 1/baseline is tracked separately
+    because it genuinely fails on part of the box; the report records how
+    often, without counting it as a refutation.  A strict monotonicity
+    sweep of the coverage kernel over ordered pairs rides along.
+    """
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    failures = 0
+    literal_violations = 0
+    min_slacks = {"correction": math.inf, "radius": math.inf, "sigma": math.inf,
+                  "radius_literal": math.inf}
+    argmin: dict = {}
+    for u_k, u_kp, u_lam in _halton_points(samples, (2, 3, 5)):
+        k_val = _K_RANGE[0] + (_K_RANGE[1] - _K_RANGE[0]) * u_k
+        kp_val = _KP_RANGE[0] + (_KP_RANGE[1] - _KP_RANGE[0]) * u_kp
+        lam_val = _LAM_RANGE[0] + (_LAM_RANGE[1] - _LAM_RANGE[0]) * u_lam
+        if lam_val <= 1.0:
+            lam_val = 1.0 + 1e-9
+        checks = remark_inequalities(EllipticityParams(k_val, kp_val), DistortionBound(lam_val))
+        holds = checks.correction_holds and checks.radius_holds and checks.sigma_holds
+        if not holds:
+            failures += 1
+        if not checks.radius_literal_holds:
+            literal_violations += 1
+        for key, slack in (
+            ("correction", checks.correction_slack),
+            ("radius", checks.radius_slack),
+            ("sigma", checks.sigma_slack),
+            ("radius_literal", checks.radius_literal_slack),
+        ):
+            if slack < min_slacks[key]:
+                min_slacks[key] = slack
+                if key != "radius_literal":
+                    argmin[key] = {"K": k_val, "Kp": kp_val, "lam": lam_val}
+
+    lo, hi = math.log(1e-3), math.log(1e3)
+    psi_failures = 0
+    for u1, u2 in _halton_points(_PSI_PAIRS, (7, 11)):
+        t_a = math.exp(lo + (hi - lo) * u1)
+        t_b = math.exp(lo + (hi - lo) * u2)
+        if t_a == t_b:
+            continue
+        t_lo, t_hi = (t_a, t_b) if t_a < t_b else (t_b, t_a)
+        if not (psi(t_lo) > psi(t_hi)):
+            psi_failures += 1
+
+    worst_case = {
+        "refuted": failures > 0 or psi_failures > 0,
+        "failures": failures,
+        "min_slacks": min_slacks,
+        "argmin": argmin,
+        "literal_radius_violations": literal_violations,
+        "psi_pairs": _PSI_PAIRS,
+        "psi_failures": psi_failures,
+    }
+    return build_report(
+        "growth-remarks",
+        {"samples": samples, "K_range": list(_K_RANGE), "Kp_range": list(_KP_RANGE),
+         "lam_range": list(_LAM_RANGE)},
+        [],
+        worst_case,
     )

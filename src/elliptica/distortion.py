@@ -27,15 +27,14 @@ Jacobian-normalized route and of the acceptance criteria.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import EllipticityParams
 from .sampling import SamplingSpec, halton_disk, polar_grid, sample_grid
 
 __all__ = [
-    "EllipticityParams",
     "DistortionProfile",
     "EllipticityReport",
     "profile",
@@ -47,20 +46,6 @@ __all__ = [
 
 _DEFAULT_GRID = SamplingSpec(n_r=64, n_theta=256, refinement_rounds=3)
 _REFINE_CLOUD = 128
-
-
-@dataclass(frozen=True)
-class EllipticityParams:
-    """Ellipticity constants (K, Kp); invalid instances are unrepresentable."""
-
-    K: float
-    Kp: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(float(self.K)) and self.K >= 1):
-            raise ValueError("K must be finite and >= 1")
-        if not (math.isfinite(float(self.Kp)) and self.Kp >= 0):
-            raise ValueError("Kp must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ The argmax is located by a polar scan followed by a Nelder-Mead polish;
 when the polish cannot beat the grid, the grid point wins, which keeps
 the identity map's trace exact.
 
-Campaign functions return a common report dictionary (theorem, params,
-maps, worst_case, runtime_ms, version) that the command line serializes
-verbatim.  runtime_ms stays null unless the caller stamps it, so repeated
+Campaign functions return the common report dictionary of
+:func:`~elliptica.constants.build_report` (theorem, params, maps,
+worst_case, runtime_ms, version), which the command line serializes
+verbatim; the remark sweep, which needs no arrays, lives in
+:mod:`elliptica.constants` too.  runtime_ms stays null unless the caller stamps it, so repeated
 runs produce byte-identical output.
 """
 
@@ -24,33 +26,28 @@ import numpy as np
 
 from .constants import (
     DistortionBound,
+    EllipticityParams,
     bloch_jacobian_normalized,
+    build_report,
     coeff_bound,
     landau,
-    psi,
-    remark_inequalities,
 )
-from .distortion import EllipticityParams, ellipticity_check, profile, stretches
-from .oracles import CERTIFIED, REFUTED, OracleVerdict, coverage_probe, univalence_probe
-from .sampling import halton, polar_grid, sample_grid
+from .distortion import ellipticity_check, profile, stretches
+from .oracles import CERTIFIED, REFUTED, coverage_probe, univalence_probe
+from .sampling import polar_grid, sample_grid
 from .seriescore import HarmonicMap
 
 __all__ = [
-    "PACKAGE_VERSION",
     "PipelineTrace",
     "bloch_pipeline",
-    "build_report",
     "parallel_map",
     "random_elliptic",
-    "remark_campaign",
     "thread_count",
     "verify_bloch_pipeline",
     "verify_coefficient_bounds",
     "verify_jacobian_normalized",
     "verify_landau_probes",
 ]
-
-PACKAGE_VERSION = "0.1.0"
 
 _HYP_TOL = 1e-9
 
@@ -384,18 +381,6 @@ def _reviewed(check: Callable, params: EllipticityParams, bound: DistortionBound
     return reviewed
 
 
-def build_report(theorem: str, params: dict, maps: list, worst_case: dict) -> dict:
-    """Common report shape; runtime_ms stays null for reproducible bytes."""
-    return {
-        "theorem": theorem,
-        "params": params,
-        "maps": maps,
-        "worst_case": worst_case,
-        "runtime_ms": None,
-        "version": PACKAGE_VERSION,
-    }
-
-
 MapEntry = tuple[str, str, Any]  # (id, source description, map object)
 
 
@@ -546,8 +531,6 @@ def verify_jacobian_normalized(f, params: EllipticityParams,
     p0 = profile(f, 0.0)
     if not abs(p0.jacobian - 1.0) <= _HYP_TOL:
         raise ValueError(f"route requires J(0) = 1, got {p0.jacobian!r}")
-    if not isinstance(f, HarmonicMap):
-        raise TypeError("this route rescales coefficients and needs a series map")
 
     eff = EllipticityParams(params.K, params.Kp * (params.K + params.Kp))
 
@@ -574,84 +557,3 @@ def verify_jacobian_normalized(f, params: EllipticityParams,
         worst_case,
     )
 
-
-# the parameter box of the remark sweep, and the pair count of the psi sweep
-_K_RANGE = (1.0, 8.0)
-_KP_RANGE = (0.0, 8.0)
-_LAM_RANGE = (1.0, 8.0)
-_PSI_PAIRS = 10_000
-
-
-def remark_campaign(samples: int = 1000) -> dict:
-    """Sweep the growth-rate comparisons over a low-discrepancy parameter box.
-
-    Asserted relations: the correction term improves on the baseline rate,
-    the radius dominates 1/(1 + baseline), and the coverage value dominates
-    the baseline's.  The literal variant 1/baseline is tracked separately
-    because it genuinely fails on part of the box; the report records how
-    often, without counting it as a refutation.  A strict monotonicity
-    sweep of the coverage kernel over ordered pairs rides along.
-    """
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    u_k = halton(samples, 2)
-    u_kp = halton(samples, 3)
-    u_lam = halton(samples, 5)
-
-    failures = 0
-    literal_violations = 0
-    min_slacks = {"correction": math.inf, "radius": math.inf, "sigma": math.inf,
-                  "radius_literal": math.inf}
-    argmin: dict = {}
-    for i in range(samples):
-        k_val = _K_RANGE[0] + (_K_RANGE[1] - _K_RANGE[0]) * float(u_k[i])
-        kp_val = _KP_RANGE[0] + (_KP_RANGE[1] - _KP_RANGE[0]) * float(u_kp[i])
-        lam_val = _LAM_RANGE[0] + (_LAM_RANGE[1] - _LAM_RANGE[0]) * float(u_lam[i])
-        if lam_val <= 1.0:
-            lam_val = 1.0 + 1e-9
-        checks = remark_inequalities(EllipticityParams(k_val, kp_val), DistortionBound(lam_val))
-        holds = checks.correction_holds and checks.radius_holds and checks.sigma_holds
-        if not holds:
-            failures += 1
-        if not checks.radius_literal_holds:
-            literal_violations += 1
-        for key, slack in (
-            ("correction", checks.correction_slack),
-            ("radius", checks.radius_slack),
-            ("sigma", checks.sigma_slack),
-            ("radius_literal", checks.radius_literal_slack),
-        ):
-            if slack < min_slacks[key]:
-                min_slacks[key] = slack
-                if key != "radius_literal":
-                    argmin[key] = {"K": k_val, "Kp": kp_val, "lam": lam_val}
-
-    lo, hi = math.log(1e-3), math.log(1e3)
-    u1 = halton(_PSI_PAIRS, 7)
-    u2 = halton(_PSI_PAIRS, 11)
-    psi_failures = 0
-    for i in range(_PSI_PAIRS):
-        t_a = math.exp(lo + (hi - lo) * float(u1[i]))
-        t_b = math.exp(lo + (hi - lo) * float(u2[i]))
-        if t_a == t_b:
-            continue
-        t_lo, t_hi = (t_a, t_b) if t_a < t_b else (t_b, t_a)
-        if not (psi(t_lo) > psi(t_hi)):
-            psi_failures += 1
-
-    worst_case = {
-        "refuted": failures > 0 or psi_failures > 0,
-        "failures": failures,
-        "min_slacks": min_slacks,
-        "argmin": argmin,
-        "literal_radius_violations": literal_violations,
-        "psi_pairs": _PSI_PAIRS,
-        "psi_failures": psi_failures,
-    }
-    return build_report(
-        "growth-remarks",
-        {"samples": samples, "K_range": list(_K_RANGE), "Kp_range": list(_KP_RANGE),
-         "lam_range": list(_LAM_RANGE)},
-        [],
-        worst_case,
-    )

@@ -54,7 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distortion import EllipticityParams, stretches
+from .constants import EllipticityParams
+from .distortion import stretches
 from .oracles import CERTIFIED, INCONCLUSIVE, REFUTED
 from .seriescore import _UNIT_ROUNDOFF, HarmonicMap, _horner, _ring_spectrum
 

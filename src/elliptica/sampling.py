@@ -1,11 +1,12 @@
 """Deterministic sampling grids for the unit disk, and maps sampled on them.
 
 Everything here is reproducible from its arguments alone: polar grids are
-index-generated, quasi-random refinement uses a Halton radical inverse with a
-fixed index origin, and disk nets are laid out ring by ring from the rim
-inward.  No global RNG state is touched.  Polar grids and the unit Halton
-clouds behind halton_disk are cached, a few at a time, as read-only arrays.
-Maps are sampled on circles and polar grids here, and nowhere else.
+index-generated, quasi-random refinement uses a Halton radical inverse
+(:func:`~elliptica.constants.radical_inverse`) with a fixed index origin,
+and disk nets are laid out ring by ring from the rim inward.  No global
+RNG state is touched.  Polar grids and the unit Halton clouds behind
+halton_disk are cached, a few at a time, as read-only arrays.  Maps are
+sampled on circles and polar grids here, and nowhere else.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .constants import radical_inverse
 
 __all__ = ["SamplingSpec", "polar_grid", "sample_circle", "sample_grid", "halton", "halton_disk", "disk_net"]
 
@@ -79,23 +82,8 @@ def sample_grid(f, radius: float, n_r: int, n_theta: int, partials: bool = False
 
 
 def halton(count: int, base: int, start: int = 1) -> np.ndarray:
-    """Radical-inverse (Halton) sequence in (0,1), indices start..start+count-1.
-
-    Starting at index 1 keeps 0.0 out of the sequence, which matters when a
-    coordinate is later mapped onto a half-open interval.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    i = np.arange(start, start + count, dtype=np.int64)
-    out = np.zeros(count)
-    f = 1.0
-    # an index whose digits are used up adds f*0 = 0.0, so every entry is
-    # bit-identical to its own scalar radical inverse
-    while i.any():
-        f /= base
-        out += f * (i % base)
-        i //= base
-    return out
+    """Radical-inverse (Halton) sequence in (0,1), indices start..start+count-1, as an array."""
+    return np.array(radical_inverse(count, base, start), dtype=float)
 
 
 @lru_cache(maxsize=8)

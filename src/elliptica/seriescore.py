@@ -52,8 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import DistortionBound, growth_rate
-from .distortion import EllipticityParams
+from .constants import DistortionBound, EllipticityParams, growth_rate
 
 __all__ = ["HarmonicMap", "truncate_with_tail"]
 

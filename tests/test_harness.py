@@ -1,6 +1,7 @@
 """Renormalization pipeline, random map generator, campaign reports."""
 
 import importlib
+import inspect
 import json
 import math
 import os
@@ -100,12 +101,41 @@ def _python(code: str) -> subprocess.CompletedProcess:
 
 def test_cli_import_loads_no_scipy_mpmath_or_thread_pool():
     # each would cost every cold CLI call: mpmath loads on the first eval_hp,
-    # concurrent.futures only for a threaded campaign, and scipy never
-    code = ("import sys, elliptica.cli; "
-            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'concurrent'}))")
+    # concurrent.futures only for a threaded campaign, scipy never, and numpy
+    # only in a command that builds arrays
+    code = ("import sys\n"
+            "def heavy():\n"
+            "    return sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy', 'mpmath', 'concurrent'})\n"
+            "import elliptica\n"
+            "loaded = [heavy()]\n"
+            "import elliptica.cli\n"
+            "print(loaded + [heavy()])")
     out = _python(code)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[[], []]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--K", "2.5", "--Kp", "0.75", "--lam", "3"],
+    ["constants", "--K", "1.5", "--lam", "2", "--M", "3", "--csv"],
+    ["verify-theorem", "--which", "remarks", "--samples", "700"],
+    ["--version"],
+])
+def test_array_free_commands_run_without_numpy(argv):
+    # the same bytes with numpy unimportable, and no numpy loaded when it is importable
+    def run(block: bool) -> subprocess.CompletedProcess:
+        code = ("import sys\n"
+                + ("sys.modules['numpy'] = None\n" if block else "")
+                + "from elliptica.cli import main\n"
+                f"try:\n    code = main({argv!r})\nexcept SystemExit as exc:\n    code = exc.code\n"
+                "sys.stderr.write(f'numpy loaded: {sys.modules.get(\"numpy\") is not None}')\n"
+                "sys.exit(code)")
+        return _python(code)
+
+    blocked, plain = run(True), run(False)
+    assert blocked.returncode == plain.returncode == 0, blocked.stderr
+    assert blocked.stdout and blocked.stdout == plain.stdout
+    assert plain.stderr.endswith("numpy loaded: False")
 
 
 def test_every_exported_name_resolves_once():
@@ -117,6 +147,31 @@ def test_every_exported_name_resolves_once():
         assert len(mod.__all__) == len(set(mod.__all__)), mod.__name__
         for name in mod.__all__:
             assert hasattr(mod, name), f"{mod.__name__}.{name}"
+
+
+class TestLazyExports:
+    def test_each_name_is_its_home_modules_object(self):
+        for name in elliptica.__all__:
+            if name == "__version__":
+                continue
+            home = importlib.import_module(f"elliptica.{elliptica._HOME[name]}")
+            value = getattr(elliptica, name)
+            assert value is getattr(home, name), name
+            # the table names the module that defines the name, not one that imports it
+            if inspect.isfunction(value) or inspect.isclass(value):
+                assert value.__module__ == home.__name__, name
+
+    def test_resolved_names_are_module_globals(self):
+        value = elliptica.verify_landau_probes
+        assert vars(elliptica)["verify_landau_probes"] is value
+
+    def test_version(self):
+        assert elliptica.__version__ == elliptica.PACKAGE_VERSION == "0.1.0"
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            elliptica.no_such_name
+        assert not hasattr(elliptica, "remark_campaign_")
 
 
 def test_bloch_campaign_runs_without_scipy():
@@ -452,17 +507,6 @@ class TestCampaigns:
     def test_jacobian_normalized_validation(self):
         with pytest.raises(ValueError):
             verify_jacobian_normalized(HarmonicMap([0.0, 2.0]), P(1, 0))
-
-        class Affine:
-            def eval(self, z):
-                return 1.25 * z + 0.75 * np.conj(z)
-
-            def partials(self, z):
-                one = np.ones_like(z)
-                return 1.25 * one, 0.75 * one
-
-        with pytest.raises(TypeError):
-            verify_jacobian_normalized(Affine(), P(4, 0))
 
     def test_remark_campaign_small(self):
         rep = remark_campaign(samples=60)

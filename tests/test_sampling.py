@@ -15,6 +15,7 @@ from elliptica import (
     polar_grid,
     random_elliptic,
 )
+from elliptica.constants import radical_inverse
 from elliptica.sampling import sample_grid
 
 
@@ -93,6 +94,14 @@ class TestHalton:
         for start in (1, 129, 257, 1000):
             for count in (0, 1, 128, 2000):
                 assert np.array_equal(halton(count, base, start), _scalar_halton(count, base, start))
+
+    @pytest.mark.parametrize("base", [2, 3, 5, 7, 11])
+    def test_pure_python_inverse_is_the_reference_bit_for_bit(self, base):
+        # the one radical inverse behind halton and the remark sweep
+        for start, count in ((1, 100_000), (2, 3000), (1000, 2000), (99_991, 500)):
+            ref = _scalar_halton(count, base, start).tobytes()
+            assert np.array(radical_inverse(count, base, start)).tobytes() == ref
+            assert halton(count, base, start).tobytes() == ref
 
     def test_base2_prefix(self):
         # radical inverse of 1,2,3,4 in base 2

@@ -25,21 +25,19 @@ _EXPORTS = {
         "remark_campaign", "remark_inequalities",
     ),
     "distortion": (
-        "DistortionProfile", "EllipticityReport", "distortion_arrays", "ellipticity_check", "profile",
-        "sup_lambda_min",
+        "DistortionProfile", "EllipticityReport", "ellipticity_check", "profile", "sup_lambda_min",
     ),
-    "extremals": ("build_classical", "build_fn", "build_Fn"),
+    "extremals": ("build_classical", "build_Fn"),
     "harness": (
         "PipelineTrace", "bloch_pipeline", "parallel_map", "random_elliptic", "thread_count",
         "verify_bloch_pipeline", "verify_coefficient_bounds", "verify_jacobian_normalized",
         "verify_landau_probes",
     ),
     "oracles": (
-        "CERTIFIED", "INCONCLUSIVE", "REFUTED", "MeshPrecisionError", "OracleVerdict", "coverage_probe",
-        "univalence_probe", "winding_number",
+        "CERTIFIED", "INCONCLUSIVE", "REFUTED", "OracleVerdict", "coverage_probe", "univalence_probe",
     ),
     "sampling": ("SamplingSpec", "disk_net", "halton", "halton_disk", "polar_grid"),
-    "seriescore": ("HarmonicMap", "truncate_with_tail"),
+    "seriescore": ("HarmonicMap",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

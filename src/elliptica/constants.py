@@ -157,9 +157,12 @@ def landau(params: EllipticityParams, bound: DistortionBound, ctx=math) -> Landa
     """Univalence radius and covered radius under a minimum-distortion cap.
 
     The degenerate rate T = 0 (identity-like normalization, K*lam = 1, Kp = 0)
-    gets sigma1 = 1 by continuity of psi.
+    gets sigma1 = 1 by continuity of psi.  A rate that overflows (K*lam or
+    Kp near the largest float) is a ValueError.
     """
     T = growth_rate(params, bound, ctx)
+    if not T < math.inf:
+        raise ValueError(f"growth rate overflows for K = {params.K!r}, Kp = {params.Kp!r}, lam = {bound.lam!r}")
     r1 = 1 / (1 + T)
     sigma1 = psi(T, ctx) if T > 0 else T + 1
     return LandauResult(T=T, r1=r1, sigma1=sigma1)
@@ -215,19 +218,6 @@ class RemarkChecks:
     radius_slack: float
     sigma_holds: bool
     sigma_slack: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "growth_rate": float(self.growth_rate),
-            "baseline_rate": float(self.baseline_rate),
-            "correction": {"holds": self.correction_holds, "slack": float(self.correction_slack)},
-            "radius_literal": {
-                "holds": self.radius_literal_holds,
-                "slack": float(self.radius_literal_slack),
-            },
-            "radius": {"holds": self.radius_holds, "slack": float(self.radius_slack)},
-            "sigma": {"holds": self.sigma_holds, "slack": float(self.sigma_slack)},
-        }
 
 
 def remark_inequalities(params: EllipticityParams, bound: DistortionBound, ctx=math) -> RemarkChecks:

@@ -6,16 +6,16 @@ or ndarray ``z``, and polar grids through :func:`~elliptica.sampling.sample_grid
 
 The derived quantities at a point z are
 
-    lambda_max = |f_z| + |f_zbar|          (largest directional stretch)
+    lambda_max = |f_z| + |f_zbar|          (largest directional stretch, |Df|)
     lambda_min = ||f_z| - |f_zbar||        (smallest directional stretch)
     jacobian   = (|f_z| - |f_zbar|) * (|f_z| + |f_zbar|)
-    op_norm_sq = lambda_max**2             (squared operator norm of Df)
 
 jacobian is formed from the same two magnitudes as the stretches, so the
 identities jacobian = +-(lambda_max*lambda_min) and, for analytic maps,
-op_norm_sq = jacobian hold exactly in floating point, not merely to rounding.
+lambda_max*lambda_max = jacobian hold exactly in floating point, not merely
+to rounding.
 
-A map is (K, K')-elliptic at a sample when op_norm_sq <= K*jacobian + K'.
+A map is (K, K')-elliptic at a sample when lambda_max**2 <= K*jacobian + K'.
 Grid scans here produce *evidence* (a sampled minimum margin with its worst
 point); only a pointwise negative margin is a certificate of failure.  The
 campaigns do not rely on them: their hypothesis review is the certificate
@@ -38,7 +38,6 @@ __all__ = [
     "DistortionProfile",
     "EllipticityReport",
     "profile",
-    "distortion_arrays",
     "stretches",
     "ellipticity_check",
     "sup_lambda_min",
@@ -53,7 +52,6 @@ class DistortionProfile:
     lambda_max: float
     lambda_min: float
     jacobian: float
-    op_norm_sq: float
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,6 @@ def profile(f, z: complex) -> DistortionProfile:
         lambda_max=m1 + m2,
         lambda_min=abs(m1 - m2),
         jacobian=(m1 - m2) * (m1 + m2),
-        op_norm_sq=(m1 + m2) ** 2,
     )
 
 
@@ -94,11 +91,6 @@ def stretches(fz, fzb):
     m1 = np.abs(fz)
     m2 = np.abs(fzb)
     return m1 + m2, np.abs(m1 - m2), (m1 - m2) * (m1 + m2)
-
-
-def distortion_arrays(f, z: np.ndarray):
-    """Vectorized (lambda_max, lambda_min, jacobian) over an array of points."""
-    return stretches(*f.partials(z))
 
 
 def _margin(params: EllipticityParams, lam_max, jac):
@@ -139,7 +131,7 @@ def ellipticity_check(
         cloud = halton_disk(worst, radius, _REFINE_CLOUD, start=1 + round_index * _REFINE_CLOUD)
         cloud = cloud[np.abs(cloud) <= region_radius]
         if cloud.size:
-            lam_max, _, jac = distortion_arrays(f, cloud)
+            lam_max, _, jac = stretches(*f.partials(cloud))
             m = _margin(params, lam_max, jac)
             j = int(np.argmin(m))
             if m[j] < best:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .seriescore import HarmonicMap
 
-__all__ = ["build_classical", "build_fn", "build_Fn"]
+__all__ = ["build_classical", "build_Fn"]
 
 
 def _check_common(n_terms: int, r_ref: float) -> None:
@@ -48,17 +48,17 @@ def build_Fn(n: int, lam: float, n_terms: int = 64, r_ref: float = 0.9) -> Harmo
     while k * (n - 1) + 1 <= n_terms:
         d = k * (n - 1) + 1
         sign = 1.0 if k % 2 == 1 else -1.0
-        coeffs[d] = sign * amp / (d * lam**k)
+        try:
+            coeffs[d] = sign * amp / (d * lam**k)
+        except OverflowError:
+            # lam**k is past the float range, but the term is tiny: in
+            # logarithms it keeps its value, or underflows to 0
+            coeffs[d] = sign * math.exp(math.log(amp / d) - k * math.log(lam))
         k += 1
     # first dropped index pair: degree k*(n-1)+1 with ratio r^(n-1)/lam < 1
     q = r_ref ** (n - 1) / lam
     tail = amp * r_ref * q**k / ((k * (n - 1) + 1) * (1.0 - q))
     return HarmonicMap(coeffs, (), tail_bound=tail, reference_radius=r_ref)
-
-
-def build_fn(n: int, big_lam: float, n_terms: int = 64, r_ref: float = 0.9) -> HarmonicMap:
-    """Same series as :func:`build_Fn` with the maximum distortion pinned."""
-    return build_Fn(n, big_lam, n_terms, r_ref)
 
 
 def build_classical(m_sup: float, n_terms: int = 64, r_ref: float = 0.9) -> HarmonicMap:

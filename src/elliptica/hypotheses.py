@@ -57,7 +57,7 @@ import numpy as np
 from .constants import EllipticityParams
 from .distortion import stretches
 from .oracles import CERTIFIED, INCONCLUSIVE, REFUTED
-from .seriescore import _UNIT_ROUNDOFF, HarmonicMap, _horner, _ring_spectrum
+from .seriescore import _UNIT_ROUNDOFF, HarmonicMap, _gamma, _horner, _ring_spectrum
 
 __all__ = ["HypothesisReview", "certify_hypotheses"]
 
@@ -102,11 +102,6 @@ class HypothesisReview:
     pieces: dict
     witness: complex | None = None
     reasons: tuple = ()
-
-
-def _gamma(n: int) -> float:
-    nu = n * _UNIT_ROUNDOFF
-    return nu / (1.0 - nu)
 
 
 def _derivatives(c: np.ndarray, count: int) -> list:

@@ -36,13 +36,10 @@ from .sampling import SamplingSpec, disk_net, sample_circle
 __all__ = [
     "CERTIFIED",
     "INCONCLUSIVE",
-    "MeshPrecisionError",
     "OracleVerdict",
     "REFUTED",
-    "SamplingSpec",
     "coverage_probe",
     "univalence_probe",
-    "winding_number",
 ]
 
 CERTIFIED = "certified"
@@ -69,19 +66,12 @@ _CURVE_CAP = 1 << 18
 _MAX_ZEROS = 64
 
 
-class MeshPrecisionError(RuntimeError):
-    """The boundary mesh is too coarse for a trustworthy winding sum."""
-
-
 @dataclass(frozen=True)
 class OracleVerdict:
     status: str
     margin: float
     witness: Any = None
     resolution: dict = field(default_factory=dict)
-
-    def __bool__(self) -> bool:  # truthiness == certified, for quick gating
-        return self.status == CERTIFIED
 
     def to_json_dict(self) -> dict:
         wit = self.witness
@@ -471,31 +461,6 @@ def _winding_block(curve: np.ndarray, abs_chords: np.ndarray, targets: np.ndarra
         angles = np.angle(np.roll(rel, -1, axis=1) * np.conj(rel))
         wind[sel] = np.rint(angles.sum(axis=1) / (2.0 * np.pi)).astype(np.int64)
     return wind, valid, dist
-
-
-def winding_number(f, radius: float, w: complex, n_theta: int = 2048) -> int:
-    """Winding of the image of |z| = radius around w.
-
-    Raises :class:`MeshPrecisionError` when any segment chord exceeds a
-    tenth of its distance to w; the caller should refine n_theta.
-    """
-    radius = float(radius)
-    if not (0.0 < radius < 1.0):
-        raise ValueError(f"radius must lie in (0, 1), got {radius}")
-    if n_theta < 8:
-        raise ValueError("n_theta must be at least 8")
-    w = complex(w)
-    if not np.isfinite(w):
-        raise ValueError(f"w must be finite, got {w!r}")
-    _, curve = sample_circle(f, radius, n_theta)
-    abs_chords = np.abs(_chords(curve))
-    wind, valid, dist = _winding_block(curve, abs_chords, np.asarray([w]))
-    if not valid[0]:
-        raise MeshPrecisionError(
-            f"chord length exceeds a tenth of the distance to w = {w!r} "
-            f"(nearest sample at {dist[0]:.3e}); refine n_theta beyond {n_theta}"
-        )
-    return int(wind[0])
 
 
 def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = None) -> OracleVerdict:

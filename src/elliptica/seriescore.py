@@ -52,9 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import DistortionBound, EllipticityParams, growth_rate
-
-__all__ = ["HarmonicMap", "truncate_with_tail"]
+__all__ = ["HarmonicMap"]
 
 
 def _coeff_array(values, name: str) -> np.ndarray:
@@ -84,6 +82,12 @@ _LADDER_LEVELS = 64
 _UNIT_ROUNDOFF = 2.0**-53
 
 
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u)."""
+    nu = n * _UNIT_ROUNDOFF
+    return nu / (1.0 - nu)
+
+
 def _ladder(coeffs: np.ndarray, powers: np.ndarray, upper: np.ndarray):
     """The degree ladder of one series (see the module docstring).
 
@@ -97,8 +101,7 @@ def _ladder(coeffs: np.ndarray, powers: np.ndarray, upper: np.ndarray):
     if top == 0:
         return 0
     moduli = np.abs(coeffs[: top + 1])[:, None]
-    nu = (4 * top + 8) * _UNIT_ROUNDOFF
-    gamma = nu / (1.0 - nu)
+    gamma = _gamma(4 * top + 8)
     with np.errstate(over="ignore", invalid="ignore"):
         # the full degree is always sound; keep it at once when the top term
         # is not negligible even on the smallest radius
@@ -256,11 +259,10 @@ class HarmonicMap:
         smallest normal number.
         """
         n = self.truncation_degree
-        nu = (4 * n + 8) * _UNIT_ROUNDOFF
         moduli = np.abs(self.analytic_coeffs) + np.abs(self._b_full)
         with np.errstate(over="ignore", invalid="ignore"):
             powers = np.power(np.abs(np.asarray(z))[..., None], np.arange(n + 1))
-            return nu / (1.0 - nu) * (np.maximum(powers, np.finfo(float).tiny) @ moduli)
+            return _gamma(4 * n + 8) * (np.maximum(powers, np.finfo(float).tiny) @ moduli)
 
     def _check_domain(self, z) -> None:
         if np.any(np.abs(z) >= 1.0):
@@ -357,38 +359,6 @@ class HarmonicMap:
     # derived maps
     # ------------------------------------------------------------------
 
-    def remainder_map(self) -> "HarmonicMap":
-        """The map with its affine data removed: a_0 = a_1 = b_1 = 0.
-
-        Applying it twice is exactly idempotent (same coefficients, same tail).
-        """
-        a = self.analytic_coeffs.copy()
-        b = self.antianalytic_coeffs.copy()
-        a[0] = 0
-        a[1] = 0
-        if b.size:
-            b[0] = 0
-        return HarmonicMap(a, b, tail_bound=self.tail_bound, reference_radius=self.reference_radius)
-
-    def __add__(self, other: "HarmonicMap") -> "HarmonicMap":
-        if not isinstance(other, HarmonicMap):
-            return NotImplemented
-        if other.reference_radius != self.reference_radius:
-            raise ValueError("coefficient-wise sum requires matching reference_radius")
-        n = max(self.truncation_degree, other.truncation_degree)
-        a = np.zeros(n + 1, dtype=complex)
-        b = np.zeros(n, dtype=complex)
-        a[: self.truncation_degree + 1] += self.analytic_coeffs
-        a[: other.truncation_degree + 1] += other.analytic_coeffs
-        b[: self.truncation_degree] += self.antianalytic_coeffs
-        b[: other.truncation_degree] += other.antianalytic_coeffs
-        return HarmonicMap(
-            a,
-            b,
-            tail_bound=self.tail_bound + other.tail_bound,
-            reference_radius=self.reference_radius,
-        )
-
     def scale_output(self, c: complex) -> "HarmonicMap":
         """The map c*f (post-composition with a linear scaling).
 
@@ -401,57 +371,3 @@ class HarmonicMap:
             tail_bound=abs(c) * self.tail_bound,
             reference_radius=self.reference_radius,
         )
-
-    def precompose_rotation(self, theta: float) -> "HarmonicMap":
-        """The map z -> f(e^{i*theta} z); coefficient moduli are unchanged."""
-        n = self.truncation_degree
-        twist = np.exp(1j * theta * np.arange(n + 1))
-        return HarmonicMap(
-            self.analytic_coeffs * twist,
-            self.antianalytic_coeffs * twist[1:],
-            tail_bound=self.tail_bound,
-            reference_radius=self.reference_radius,
-        )
-
-    def precompose_scale(self, rho: float) -> "HarmonicMap":
-        """The map z -> f(rho*z) for 0 < rho <= 1; tail bound stays valid."""
-        if not (0.0 < rho <= 1.0):
-            raise ValueError("rho must lie in (0, 1]")
-        n = self.truncation_degree
-        shrink = rho ** np.arange(n + 1)
-        return HarmonicMap(
-            self.analytic_coeffs * shrink,
-            self.antianalytic_coeffs * shrink[1:],
-            tail_bound=self.tail_bound,
-            reference_radius=self.reference_radius,
-        )
-
-
-def truncate_with_tail(
-    f: HarmonicMap,
-    N: int,
-    params: EllipticityParams,
-    bound: DistortionBound,
-    r_ref: float,
-) -> HarmonicMap:
-    """Truncate to degree N, certifying the dropped tail by the growth bound.
-
-    For a normalized map satisfying the (K, Kp) hypotheses with lambda_f <=
-    lam, every discarded degree obeys |a_n| + |b_n| <= T/n, so the geometric
-    sum past N is at most T * r_ref**(N+1) / ((N+1) * (1 - r_ref)).  That value
-    becomes the new tail_bound at reference radius r_ref; the caller asserts
-    the hypotheses.
-    """
-    if not (isinstance(N, int) and N >= 1):
-        raise ValueError("N must be an integer >= 1")
-    if not (0.0 < r_ref < 1.0):
-        raise ValueError("r_ref must lie in (0, 1)")
-    T = growth_rate(params, bound)
-    tail = T * r_ref ** (N + 1) / ((N + 1) * (1.0 - r_ref))
-    keep = min(N, f.truncation_degree)
-    return HarmonicMap(
-        f.analytic_coeffs[: keep + 1],
-        f.antianalytic_coeffs[:keep],
-        tail_bound=tail,
-        reference_radius=r_ref,
-    )

@@ -96,6 +96,12 @@ class TestConstantsCommand:
             main(["constants", "--K", "0.5", "--lam", "2"])
         assert exc.value.code == 2
 
+    def test_overflowing_growth_rate_is_usage_error(self, capsys):
+        # T = inf would print Infinity and NaN, which JSON cannot hold
+        code, out, err = run(capsys, "constants", "--K", "1e200", "--lam", "1e200")
+        assert code == 2 and out == ""
+        assert "growth rate overflows" in err
+
 
 class TestExtremalAndCheckMap:
     def test_round_trip_probe(self, capsys, tmp_path):
@@ -111,6 +117,12 @@ class TestExtremalAndCheckMap:
         assert code == 0
         verdict = json.loads(out)
         assert verdict["status"] == "certified"
+
+    def test_fn_with_overflowing_lam_powers(self, capsys):
+        # lam**63 exceeds the float range at lam = 8e4; the term, about 1e-300, stays
+        code, out, err = run(capsys, "extremal", "--family", "Fn", "--n", "2", "--lam", "80000")
+        assert code == 0 and err == ""
+        assert 0.0 < HarmonicMap.from_json_dict(json.loads(out)).a_n(64).real < 1e-299
 
     def test_refutation_exit_code(self, capsys, tmp_path):
         # the verdict still goes to stdout; the exit status carries the answer

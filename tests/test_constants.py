@@ -155,6 +155,12 @@ class TestLandau:
         res = landau(P(1, 0), B(1))
         assert (res.T, res.r1, res.sigma1) == (0.0, 1.0, 1.0)
 
+    def test_overflowing_rate_is_rejected(self):
+        # K*lam = inf gives T = inf and sigma1 = nan; 2*(Kp - 1) = inf gives T = nan
+        for params, bound in ((P(1e200, 0), B(1e200)), (P(2, 1e308), B(2))):
+            with pytest.raises(ValueError, match="growth rate overflows"):
+                landau(params, bound)
+
     def test_sigma_is_psi_of_T(self):
         for K in (1, 1.5, 2, 4, 8):
             for Kp in (0, 0.25, 1, 4, 10):
@@ -304,12 +310,6 @@ class TestRemarkInequalities:
     def test_lam_one_rejected(self):
         with pytest.raises(ValueError):
             remark_inequalities(P(1, 1), B(1.0))
-
-    def test_json_shape(self):
-        d = remark_inequalities(P(2, 3), B(1.5)).to_json_dict()
-        assert set(d) == {"growth_rate", "baseline_rate", "correction",
-                          "radius_literal", "radius", "sigma"}
-        assert d["radius"]["holds"] is True
 
 
 class TestValidation:

@@ -8,11 +8,11 @@ from elliptica import (
     EllipticityParams,
     HarmonicMap,
     SamplingSpec,
-    distortion_arrays,
     ellipticity_check,
     profile,
     sup_lambda_min,
 )
+from elliptica.distortion import stretches
 
 AFFINE = HarmonicMap([0.0, 1.0], [0.5])  # z + 0.5*conj(z)
 
@@ -31,7 +31,6 @@ class TestProfile:
         assert p.lambda_max == 1.5
         assert p.lambda_min == 0.5
         assert p.jacobian == 0.75
-        assert p.op_norm_sq == 2.25
 
     def test_affine_margin_is_exactly_zero_at_k3(self):
         # 3 * 0.75 + 0 - 2.25 = 0 in floats, not just approximately
@@ -43,7 +42,7 @@ class TestProfile:
     def test_stretch_product_equals_abs_jacobian(self, seed):
         f = random_map(seed)
         pts = np.linspace(-0.7, 0.7, 11) + 0.2j
-        lam_max, lam_min, jac = distortion_arrays(f, pts)
+        lam_max, lam_min, jac = stretches(*f.partials(pts))
         assert np.array_equal(lam_max * lam_min, np.abs(jac))
 
     def test_analytic_identities(self):
@@ -51,7 +50,7 @@ class TestProfile:
         for z in (0.1, 0.5 - 0.3j, -0.6j):
             p = profile(f, z)
             assert p.lambda_max == p.lambda_min
-            assert p.op_norm_sq == p.jacobian
+            assert p.lambda_max * p.lambda_max == p.jacobian
 
     def test_sense_reversing_point(self):
         g = HarmonicMap([0.0, 0.25], [1.0])  # |f_zbar| > |f_z|
@@ -64,14 +63,15 @@ class TestProfile:
         f = random_map(17)
         p = profile(f, z)
         assert p.lambda_max >= p.lambda_min >= 0
-        assert p.op_norm_sq == p.lambda_max**2
 
 
 class TestEllipticityCheck:
     def test_rotation_invariance(self):
         f = random_map(5)
         for theta in np.linspace(0.0, 2 * np.pi, 20, endpoint=False):
-            g = f.precompose_rotation(theta)
+            # z -> f(e^{i theta} z) multiplies both degree-k coefficients by e^{i k theta}
+            twist = np.exp(1j * theta * np.arange(f.truncation_degree + 1))
+            g = HarmonicMap(f.analytic_coeffs * twist, f.antianalytic_coeffs * twist[1:])
             z = 0.4 - 0.25j
             pf = profile(f, np.exp(1j * theta) * z)
             pg = profile(g, z)

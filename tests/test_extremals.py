@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,6 @@ from elliptica import (
     DistortionBound,
     EllipticityParams,
     build_classical,
-    build_fn,
     build_Fn,
     coeff_bound,
 )
@@ -77,11 +77,6 @@ class TestPinnedFamily:
         fz, fzb = f.partials(0.0)
         assert fz == 1.0 and fzb == 0.0
 
-    def test_fn_variant_is_the_same_series(self):
-        a = build_Fn(3, 2.5, n_terms=30)
-        b = build_fn(3, 2.5, n_terms=30)
-        assert np.array_equal(a.analytic_coeffs, b.analytic_coeffs)
-
     def test_tail_sound_at_reference_radius(self):
         small = build_Fn(2, 2.0, n_terms=8, r_ref=0.9)
         big = build_Fn(2, 2.0, n_terms=96, r_ref=0.9)
@@ -103,6 +98,17 @@ class TestPinnedFamily:
             build_Fn(2, 2.0, r_ref=1.0)
         with pytest.raises(ValueError):
             build_Fn(2, math.inf)
+
+    def test_terms_past_the_float_range_of_lam_powers(self):
+        # at lam = 1e5, lam**k overflows from k = 62 on; those terms are
+        # about 1e-302 and keep their value instead of raising
+        lam = 1e5
+        f = build_Fn(2, lam)
+        with mpmath.workdps(40):
+            big = mpmath.mpf(lam)
+            for k in range(1, 64):
+                exact = (-1) ** (k + 1) * (big * big - 1) / ((k + 1) * big**k)
+                assert f.a_n(k + 1).real == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
 
 class TestClassicalFamily:

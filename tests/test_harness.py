@@ -1,10 +1,12 @@
 """Renormalization pipeline, random map generator, campaign reports."""
 
+import ast
 import importlib
 import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -160,6 +162,26 @@ class TestLazyExports:
             # the table names the module that defines the name, not one that imports it
             if inspect.isfunction(value) or inspect.isclass(value):
                 assert value.__module__ == home.__name__, name
+
+    def test_module_lists_name_only_what_the_module_defines(self):
+        # the benchmark's tracer wraps the functions each module's __all__
+        # names, so a package export missing there goes untraced, and an
+        # imported name listed there belongs to another module
+        modules = {info.name for info in pkgutil.iter_modules(elliptica.__path__)}
+        assert set(elliptica._EXPORTS) <= modules
+        for short in sorted(modules):
+            mod = importlib.import_module(f"elliptica.{short}")
+            listed = set(getattr(mod, "__all__", ()))
+            defined = set()
+            for node in ast.parse(inspect.getsource(mod)).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.add(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined.update(t.id for t in targets if isinstance(t, ast.Name))
+            assert listed <= defined, (short, listed - defined)
+            exported = set(elliptica._EXPORTS.get(short, ()))
+            assert exported <= listed, (short, exported - listed)
 
     def test_resolved_names_are_module_globals(self):
         value = elliptica.verify_landau_probes

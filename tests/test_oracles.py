@@ -15,7 +15,6 @@ from elliptica import (
     DistortionBound,
     EllipticityParams,
     HarmonicMap,
-    MeshPrecisionError,
     OracleVerdict,
     SamplingSpec,
     build_classical,
@@ -23,14 +22,13 @@ from elliptica import (
     classical_landau,
     coverage_probe,
     disk_net,
-    distortion_arrays,
     landau,
     polar_grid,
     random_elliptic,
     univalence_probe,
-    winding_number,
 )
 from elliptica import oracles, sampling, seriescore
+from elliptica.distortion import stretches
 from elliptica.oracles import _MOVE_SAFETY, _collision_seeds, _curve_scan, _polish_collisions, _zeros_inside
 
 IDENTITY = HarmonicMap.identity()
@@ -41,7 +39,6 @@ class TestUnivalenceProbe:
     def test_identity_certified(self):
         v = univalence_probe(IDENTITY, 0.9)
         assert v.status == CERTIFIED
-        assert bool(v)
         assert v.margin > 0
         assert v.resolution["hprime_zeros"] == 0
         assert 0 <= v.resolution["dilatation_max"] < 1
@@ -49,7 +46,6 @@ class TestUnivalenceProbe:
     def test_square_refuted_with_antipodal_witness(self):
         v = univalence_probe(SQUARE, 0.9)
         assert v.status == REFUTED
-        assert not bool(v)
         z1, z2 = v.witness
         # the polisher lands on an exact antipodal collision pair
         assert abs(z1 + z2) < 1e-9
@@ -99,38 +95,36 @@ class TestUnivalenceProbe:
             assert key in v.resolution
 
 
+def _winding(f, radius: float, w: complex, n: int = 2048) -> tuple[int, bool]:
+    """Winding of the image of |z| = radius about w, and whether its chord precondition holds."""
+    _, curve = sampling.sample_circle(f, radius, n)
+    wind, valid, _ = oracles._winding_block(curve, np.abs(oracles._chords(curve)), np.array([w], dtype=complex))
+    return int(wind[0]), bool(valid[0])
+
+
 class TestWindingNumber:
     def test_identity(self):
-        assert winding_number(IDENTITY, 0.5, 0.0) == 1
-        assert winding_number(IDENTITY, 0.5, 0.3 + 0.2j) == 1
-        assert winding_number(IDENTITY, 0.5, 0.7) == 0
+        assert _winding(IDENTITY, 0.5, 0.0) == (1, True)
+        assert _winding(IDENTITY, 0.5, 0.3 + 0.2j) == (1, True)
+        assert _winding(IDENTITY, 0.5, 0.7) == (0, True)
 
     def test_square_counts_preimages(self):
-        assert winding_number(SQUARE, 0.5, 0.0) == 2
-        assert winding_number(SQUARE, 0.5, 0.1) == 2
-        assert winding_number(SQUARE, 0.5, 0.5) == 0  # outside the image disk
+        assert _winding(SQUARE, 0.5, 0.0) == (2, True)
+        assert _winding(SQUARE, 0.5, 0.1) == (2, True)
+        assert _winding(SQUARE, 0.5, 0.5) == (0, True)  # outside the image disk
 
     def test_mesh_precision_guard(self):
-        # at the default 2048 points the chords (~1.5e-3) dwarf a tenth of
-        # the 3e-3 standoff; 16384 points bring them under it
-        with pytest.raises(MeshPrecisionError):
-            winding_number(IDENTITY, 0.5, 0.503)
-        assert winding_number(IDENTITY, 0.5, 0.503, n_theta=1 << 14) == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            winding_number(IDENTITY, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            winding_number(IDENTITY, 0.5, 0.0, n_theta=4)
+        # at 2048 points the chords (~1.5e-3) dwarf a tenth of the 3e-3
+        # standoff; 16384 points bring them under it
+        assert not _winding(IDENTITY, 0.5, 0.503)[1]
+        assert _winding(IDENTITY, 0.5, 0.503, n=1 << 14) == (0, True)
 
 
 def test_nonfinite_targets_are_usage_errors():
-    # no refinement can place a curve around inf or nan, so neither oracle
-    # may ask for one, and no winding sum may run on them
+    # no refinement can place a curve around inf or nan, so the coverage
+    # oracle may not ask for one
     fn2 = build_Fn(2, 2.0)
-    calls = [lambda: winding_number(IDENTITY, 0.5, np.inf),
-             lambda: winding_number(IDENTITY, 0.5, np.nan),
-             lambda: coverage_probe(fn2, 0.3, np.nan),
+    calls = [lambda: coverage_probe(fn2, 0.3, np.nan),
              lambda: coverage_probe(fn2, 0.3, np.inf)]
     for call in calls:
         with pytest.raises(ValueError):
@@ -251,7 +245,7 @@ def test_gap_certificate_winding_is_constant_on_disk(f, radius, rho):
     assert v.status == CERTIFIED
     n_curve = v.resolution["curve_points"]
     for w in disk_net(rho, rho / 8.0):
-        assert winding_number(f, radius, w, n_theta=n_curve) == v.resolution["winding_min"]
+        assert _winding(f, radius, w, n_curve) == (v.resolution["winding_min"], True)
 
 
 @pytest.mark.parametrize("f,radius", [
@@ -652,7 +646,7 @@ def _certificate_cases():
 @pytest.mark.parametrize("name,f,radius,critical", list(_certificate_cases()))
 def test_jacobian_certificate_agrees_with_a_2d_reference(name, f, radius, critical):
     spec = SamplingSpec()
-    reference = distortion_arrays(f, polar_grid(radius, spec.n_r, spec.n_theta))[2].min() > 0
+    reference = stretches(*f.partials(polar_grid(radius, spec.n_r, spec.n_theta)))[2].min() > 0
     _, keys, _ = oracles._jacobian_certificate(f, radius, max(1024, 4 * spec.n_theta), spec.refinement_rounds)
     certified = keys.get("hprime_zeros") == 0 and keys.get("dilatation_max", 1.0) < 1.0
     if critical is not None and critical < radius:
@@ -830,7 +824,8 @@ def test_coverage_refutes_an_analytic_map_without_the_jacobian_certificate():
     v = coverage_probe(f, 0.5, 0.3)
     assert v.status == REFUTED
     assert 0.25 < abs(v.witness) <= 0.3
-    assert winding_number(f, 0.5, v.witness) == v.resolution["winding_at_witness"] <= 0
+    wind, valid = _winding(f, 0.5, v.witness)
+    assert valid and wind == v.resolution["winding_at_witness"] <= 0
 
 
 @pytest.mark.parametrize("f,radius,rho", [

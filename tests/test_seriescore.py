@@ -16,7 +16,6 @@ from elliptica import (
     build_Fn,
     growth_rate,
     random_elliptic,
-    truncate_with_tail,
 )
 from elliptica import seriescore
 
@@ -65,7 +64,10 @@ class TestEval:
     @given(small_complex, small_complex)
     def test_linearity(self, z, w):
         f, g = random_map(1), random_map(2, degree=4)
-        lhs = (f + g).eval(z)
+        # the coefficient-wise sum, with g zero-padded from degree 4 to 6
+        total = HarmonicMap(f.analytic_coeffs + np.pad(g.analytic_coeffs, (0, 2)),
+                            f.antianalytic_coeffs + np.pad(g.antianalytic_coeffs, (0, 2)))
+        lhs = total.eval(z)
         rhs = f.eval(z) + g.eval(z)
         assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
         del w  # second draw keeps the strategy shared with other properties
@@ -347,27 +349,14 @@ class TestSerialization:
 
 
 class TestDerivedMaps:
-    def test_remainder_strips_affine_data(self):
-        f = random_map(7)
-        r = f.remainder_map()
-        assert r.a_n(0) == 0 and r.a_n(1) == 0 and r.b_n(1) == 0
-        assert r.a_n(2) == f.a_n(2) and r.b_n(2) == f.b_n(2)
-
-    def test_remainder_idempotent(self):
-        f = random_map(8)
-        once = f.remainder_map()
-        twice = once.remainder_map()
-        assert np.array_equal(once.analytic_coeffs, twice.analytic_coeffs)
-        assert np.array_equal(once.antianalytic_coeffs, twice.antianalytic_coeffs)
-        assert once.tail_bound == twice.tail_bound
-
     def test_remainder_lipschitz_under_growth_bound(self):
         # a map obeying the degreewise bound T/n has remainder derivative
         # at most sum_{n>=2} T r^{n-1} = T r/(1-r) on |z| <= r
         params, bound = EllipticityParams(1, 0), DistortionBound(2)
         T = growth_rate(params, bound)
         f = build_Fn(2, 2.0, n_terms=64)
-        rem = f.remainder_map()
+        # the map with its affine data removed
+        rem = HarmonicMap([0.0, 0.0, *f.analytic_coeffs[2:]])
         rng = np.random.default_rng(9)
         r = 0.7
         z1 = r * np.sqrt(rng.random(10_000)) * np.exp(2j * np.pi * rng.random(10_000))
@@ -376,23 +365,6 @@ class TestDerivedMaps:
         gap = np.abs(rem.eval(z1) - rem.eval(z2))
         assert np.all(gap <= np.abs(z1 - z2) * lip * (1 + 1e-12) + 1e-15)
 
-    def test_rotation_preserves_moduli_and_values(self):
-        f = random_map(10)
-        for theta in np.linspace(0.1, 6.2, 20):
-            g = f.precompose_rotation(theta)
-            assert np.allclose(np.abs(g.analytic_coeffs), np.abs(f.analytic_coeffs),
-                               rtol=0, atol=1e-15)
-            z = 0.37 - 0.21j
-            assert abs(g.eval(z) - f.eval(np.exp(1j * theta) * z)) < 1e-12
-
-    def test_precompose_scale(self):
-        f = random_map(11)
-        g = f.precompose_scale(0.5)
-        for z in (0.9, 0.5 + 0.4j):
-            assert abs(g.eval(z) - f.eval(0.5 * z)) < 1e-14
-        with pytest.raises(ValueError):
-            f.precompose_scale(1.5)
-
     def test_scale_output(self):
         f = random_map(12)
         g = f.scale_output(2j)
@@ -400,35 +372,8 @@ class TestDerivedMaps:
         assert abs(g.eval(z) - 2j * f.eval(z)) < 1e-14
         assert g.tail_bound == 2 * f.tail_bound
 
-    def test_add_requires_matching_reference(self):
-        f = HarmonicMap([0, 1], reference_radius=0.9)
-        g = HarmonicMap([0, 1], reference_radius=0.8)
-        with pytest.raises(ValueError):
-            f + g
-
 
 class TestTails:
-    def test_truncation_formula(self):
-        # N = 41 at r_ref = 0.5 with rate T: tail = T * 0.5^42 / (42 * 0.5)
-        params, bound = EllipticityParams(1, 0), DistortionBound(2)
-        f = build_Fn(2, 2.0, n_terms=80)
-        cut = truncate_with_tail(f, 41, params, bound, r_ref=0.5)
-        T = growth_rate(params, bound)
-        assert cut.tail_bound == pytest.approx(T * 0.5**42 / (42 * 0.5), rel=1e-15)
-        assert cut.truncation_degree == 41
-        assert cut.a_n(3) == f.a_n(3)
-        assert cut.reference_radius == 0.5
-
-    def test_truncation_tail_is_sound(self):
-        # the certified bound dominates the actually dropped mass
-        params, bound = EllipticityParams(1, 0), DistortionBound(2)
-        full = build_Fn(2, 2.0, n_terms=120)
-        cut = truncate_with_tail(full, 5, params, bound, r_ref=0.5)
-        theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-        z = 0.5 * np.exp(1j * theta) * (1 - 1e-12)
-        gap = np.abs(full.eval(z) - cut.eval(z))
-        assert float(gap.max()) <= cut.tail_bound
-
     def test_builder_tail_is_sound(self):
         # N-term build vs 2N-term build differ by less than the N-term tail
         small = build_Fn(2, 2.0, n_terms=12, r_ref=0.9)
@@ -437,11 +382,3 @@ class TestTails:
         z = 0.9 * np.exp(1j * theta)
         gap = np.abs(small.eval(z) - big.eval(z))
         assert float(gap.max()) <= small.tail_bound
-
-    def test_validation(self):
-        f = HarmonicMap.identity()
-        params, bound = EllipticityParams(1, 0), DistortionBound(2)
-        with pytest.raises(ValueError):
-            truncate_with_tail(f, 0, params, bound, r_ref=0.5)
-        with pytest.raises(ValueError):
-            truncate_with_tail(f, 4, params, bound, r_ref=1.0)

@@ -16,11 +16,14 @@ drives to two distinct preimages agreeing to 1e-12; the first is the witness.
 
 Coverage uses winding numbers of the sampled boundary curve, with a
 per-segment resolution precondition: a segment chord must not exceed a
-tenth of its distance to the probed point, else the angle sum is not
-trusted and the curve is refined.  A curve whose gap to the target disk
-dominates its chords winds equally around every point of the disk, so one
-winding number at the centre decides; only a curve that reaches into the
-disk needs a net of target points.
+tenth of its distance to the probed point, else the winding is not
+trusted and the curve is refined.  A winding is the signed count of
+segments crossing a ray from the point; where the precondition holds it is
+the exact winding of the sampled polygon, and nothing reads it elsewhere.
+A curve whose gap to the target disk dominates its chords winds equally
+around every point of the disk, so one winding number at the centre
+decides; only a curve that reaches into the disk needs a net of target
+points.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from .sampling import SamplingSpec, disk_net, sample_circle
+from .sampling import SamplingSpec, _circle_rows, disk_net, sample_circle
 
 __all__ = [
     "CERTIFIED",
@@ -101,7 +104,10 @@ _TABLE_SPAN = 32
 
 def _chords(curve: np.ndarray) -> np.ndarray:
     """Cyclic chords curve[k+1] - curve[k] of a sampled closed curve."""
-    return np.roll(curve, -1) - curve
+    chords = np.empty_like(curve)
+    np.subtract(curve[1:], curve[:-1], out=chords[:-1])
+    np.subtract(curve[:1], curve[-1:], out=chords[-1:])
+    return chords
 
 
 def _refined(n: int, need: float) -> int:
@@ -135,31 +141,47 @@ def _cell_pairs(values: np.ndarray, cell: float):
     # rows run 1..width-2, so rows dy = -1, 0, +1 of one column dx stay inside
     # that column and are the consecutive keys key + dx*width - 1 .. + 1; the
     # stable sort orders that key range by dy, then by j
-    key = (kx - kx.min() + 1) * width + (ky - ky.min() + 1)
+    key = kx * width
+    key += ky
+    key += (1 - int(kx.min())) * width + 1 - int(ky.min())
     members = np.argsort(key, kind="stable")
-    column = key[:, None] + np.array([-width, 0, width])
-    # keys run from width + 1, so every range column - 1 .. column + 1 lies in 0 .. span - 1
+    # the first key of each neighbouring column's range
+    start = key[:, None] + np.array([-width - 1, -1, width - 1])
+    # keys run from width + 1, so every range start .. start + 2 lies in 0 .. span - 1
     span = int(key.max()) + width + 2
     if span <= _TABLE_SPAN * len(values):
         # below[q] is the number of keys below q
-        below = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=span))])
-        first = below[column - 1]
-        count = below[column + 2] - first
+        below = np.zeros(span + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=span), out=below[1:])
+        first = below[start]
+        start += 3
+        count = below[start]
     else:
         sorted_key = key[members]
-        first = np.searchsorted(sorted_key, column - 1, side="left")
-        count = np.searchsorted(sorted_key, column + 1, side="right") - first
+        first = np.searchsorted(sorted_key, start, side="left")
+        start += 2
+        count = np.searchsorted(sorted_key, start, side="right")
+    count -= first
 
-    per_point = count.sum(axis=1)
+    per_point = count[:, 0] + count[:, 1]
+    per_point += count[:, 2]
     done = np.cumsum(per_point)
     lo = 0
     while lo < len(values):
         base = done[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(done, base + _PAIR_CHUNK, side="right")))
+        if done[-1] - base <= _PAIR_CHUNK:
+            hi = len(values)
+        else:
+            hi = max(lo + 1, int(np.searchsorted(done, base + _PAIR_CHUNK, side="right")))
         runs = count[lo:hi].ravel()
         i = np.repeat(np.arange(lo, hi), per_point[lo:hi])
-        j = members[np.repeat(first[lo:hi].ravel() - (np.cumsum(runs) - runs), runs)
-                    + np.arange(done[hi - 1] - base)]
+        # a run's pairs start where the runs before it end, at its first member
+        shift = np.cumsum(runs)
+        shift -= runs
+        np.subtract(first[lo:hi].ravel(), shift, out=shift)
+        at = np.repeat(shift, runs)
+        at += np.arange(done[hi - 1] - base)
+        j = members[at]
         keep = j > i
         yield i[keep], j[keep]
         lo = hi
@@ -238,7 +260,7 @@ def _polish_collisions(f, z1: np.ndarray, z2: np.ndarray, radius: float):
     return z1[:keep], z2[:keep], ok[:keep], _cabs(resid[:keep]), _cabs(z1[:keep] - z2[:keep])
 
 
-def _curve_scan(f, radius: float, n_curve: int):
+def _curve_scan(f, radius: float, n_curve: int, samples=None):
     """Simplicity scan of the image of |z| = radius at n_curve samples.
 
     Returns (simple, margin, reason, info).  The curve is declared simple
@@ -246,9 +268,10 @@ def _curve_scan(f, radius: float, n_curve: int):
     by more than the sum of their movement radii, and consecutive chord
     directions never turn by a right angle or more.  The margin is a lower
     bound for the separation slack over all such pairs, binned pairs
-    explicitly and the rest by the bin-size guarantee.
+    explicitly and the rest by the bin-size guarantee.  samples, when
+    given, is (theta, curve) as sample_circle returns them.
     """
-    theta, curve = sample_circle(f, radius, n_curve)
+    theta, curve = samples or sample_circle(f, radius, n_curve)
     chords = _chords(curve)
     abs_chords = np.abs(chords)
     info = {"curve_points": n_curve}
@@ -257,12 +280,17 @@ def _curve_scan(f, radius: float, n_curve: int):
     info["max_chord"] = float(abs_chords.max())
     if abs_chords.min() == 0.0:
         return False, 0.0, "stationary boundary samples", info
-    turn = np.angle(np.roll(chords, -1) * np.conj(chords))
-    info["max_turn"] = float(np.abs(turn).max())
+    turn = np.angle(chords[1:] * np.conj(chords[:-1]))
+    last = np.angle(chords[:1] * np.conj(chords[-1:]))
+    info["max_turn"] = float(max(np.abs(turn).max(), abs(last[0])))
     if info["max_turn"] >= 0.5 * np.pi:
         return False, 0.0, "chord direction turns by a right angle between samples", info
 
-    move = _MOVE_SAFETY * np.maximum(np.roll(abs_chords, 1), abs_chords)
+    # the larger of the chords before and after each sample
+    move = np.empty_like(abs_chords)
+    np.maximum(abs_chords[:-1], abs_chords[1:], out=move[1:])
+    move[0] = max(abs_chords[-1], abs_chords[0])
+    move *= _MOVE_SAFETY
     move_max = float(move.max())
     # pairs not visited by the cell scan are > cell apart in image, hence
     # their slack exceeds cell - 2*move_max = move_max
@@ -270,12 +298,20 @@ def _curve_scan(f, radius: float, n_curve: int):
     worst = None
     pairs = 0
     for i, j in _cell_pairs(curve, 3.0 * move_max):
-        gap_idx = j - i
-        near = np.minimum(gap_idx, n_curve - gap_idx) >= 2
+        # cyclic index distance >= 2 means 2 <= j - i <= n - 2; one test,
+        # since j - i - 2 < 0 wraps to a huge unsigned value
+        gap = j - i
+        gap -= 2
+        near = gap.view(np.uint64) <= n_curve - 4
         i, j = i[near], j[near]
         pairs += len(i)
         if len(i):
-            slack = _cabs(curve[i] - curve[j]) - (move[i] + move[j])
+            apart = curve[i]
+            apart -= curve[j]
+            slack = _cabs(apart)
+            both = move[i]
+            both += move[j]
+            slack -= both
             k = int(np.argmin(slack))
             if slack[k] < margin:
                 margin = slack[k]
@@ -287,7 +323,7 @@ def _curve_scan(f, radius: float, n_curve: int):
     return True, float(margin), "", info
 
 
-def _jacobian_certificate(f, radius: float, n: int, rounds: int):
+def _jacobian_certificate(f, radius: float, n: int, rounds: int, first=None):
     """Boundary certificate of J > 0 on |z| <= radius: (reason it fails, or "", keys, circle).
 
     Write f = h + conj(g), so f_z = h' and |f_zbar| = |g'|.  J > 0 on the
@@ -296,11 +332,14 @@ def _jacobian_certificate(f, radius: float, n: int, rounds: int):
     the maximum principle, of modulus below 1 inside.  The zeros of h' are
     its winding about 0 under the chord precondition of _winding_block; at
     most ``rounds`` refinements each jump to the resolution it demands.
-    circle is (theta, f_z, f_zbar) at the last samples, None if not finite.
+    first, when given, is the first round's samples as
+    sample_circle(f, radius, n, partials=True) returns them.  circle is
+    (theta, f_z, f_zbar) at the last samples, None if not finite.
     """
     for round_idx in range(rounds + 1):
         info = {"hprime_points": n}
-        theta, (fz, fzb) = sample_circle(f, radius, n, partials=True)
+        theta, (fz, fzb) = first or sample_circle(f, radius, n, partials=True)
+        first = None
         abs_fz, abs_fzb = np.abs(fz), np.abs(fzb)
         if not (np.isfinite(abs_fz).all() and np.isfinite(abs_fzb).all()):
             return _NONFINITE + " or derivatives on the boundary circle", info, None
@@ -417,10 +456,13 @@ def univalence_probe(f, radius: float, spec: SamplingSpec | None = None) -> Orac
         raise ValueError(f"radius must lie in (0, 1), got {radius}")
 
     n_curve = max(1024, 4 * spec.n_theta)
-    reason, cert, circle = _jacobian_certificate(f, radius, n_curve, spec.refinement_rounds)
+    # round 0 of both checks reads one stacked inverse DFT of f, f_z and f_zbar
+    theta, (curve, fz, fzb) = _circle_rows(f, radius, n_curve)
+    reason, cert, circle = _jacobian_certificate(f, radius, n_curve, spec.refinement_rounds, (theta, (fz, fzb)))
     if not reason:
         for round_idx in range(spec.refinement_rounds + 1):
-            simple, margin, reason, info = _curve_scan(f, radius, n_curve << round_idx)
+            samples = (theta, curve) if round_idx == 0 else None
+            simple, margin, reason, info = _curve_scan(f, radius, n_curve << round_idx, samples)
             if simple:
                 res = {**cert, **info, "rounds_used": round_idx}
                 return OracleVerdict(CERTIFIED, margin=margin, resolution=res)
@@ -443,7 +485,13 @@ def _winding_block(curve: np.ndarray, abs_chords: np.ndarray, targets: np.ndarra
     Chunked so memory stays bounded for long curves.  Returns integer
     windings, a per-target validity flag (every segment chord at most a
     tenth of its distance to the target), and the distance from each
-    target to the nearest curve sample.
+    target to the nearest curve sample.  A winding is the signed count of
+    segments crossing the ray from the target along the positive real
+    axis, upwards less downwards, with a vertex on the ray's line counted
+    below it.  It means something only where the target is valid: a
+    segment there crosses the line at least 9 chords from the target, so
+    both its ends lie on the side of the crossing, and the count is the
+    exact winding of the sampled polygon.  Elsewhere it may be anything.
     """
     n_curve = len(curve)
     n_targets = len(targets)
@@ -453,13 +501,20 @@ def _winding_block(curve: np.ndarray, abs_chords: np.ndarray, targets: np.ndarra
     chunk = max(1, int(2_000_000 // max(n_curve, 1)))
     for start in range(0, n_targets, chunk):
         sel = slice(start, min(start + chunk, n_targets))
-        rel = curve[None, :] - targets[sel, None]
+        # the curve relative to each target, closed by its first sample
+        rel = np.empty((sel.stop - start, n_curve + 1), dtype=complex)
+        np.subtract(curve, targets[sel, None], out=rel[:, :-1])
+        rel[:, -1] = rel[:, 0]
         abs_rel = np.abs(rel)
-        abs_next = np.roll(abs_rel, -1, axis=1)
-        valid[sel] = (abs_chords[None, :] <= 0.1 * np.minimum(abs_rel, abs_next)).all(axis=1)
+        near = np.minimum(abs_rel[:, :-1], abs_rel[:, 1:])
+        near *= 0.1
+        valid[sel] = (abs_chords <= near).all(axis=1)
         dist[sel] = abs_rel.min(axis=1)
-        angles = np.angle(np.roll(rel, -1, axis=1) * np.conj(rel))
-        wind[sel] = np.rint(angles.sum(axis=1) / (2.0 * np.pi)).astype(np.int64)
+        # +1 where a segment goes from below the line to above it, -1 the other way
+        below = (rel.imag <= 0.0).view(np.int8)
+        step = below[:, :-1] - below[:, 1:]
+        step *= rel.real[:, :-1] > 0.0
+        wind[sel] = step.sum(axis=1)
     return wind, valid, dist
 
 

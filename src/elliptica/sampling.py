@@ -71,6 +71,11 @@ def sample_circle(f, radius, n: int, partials: bool = False):
     return 2.0 * np.pi * np.arange(n) / n, f.on_rings(radius, n, partials)
 
 
+def _circle_rows(f, radius: float, n: int):
+    """sample_circle's angles, and the rows f, f_z, f_zbar there from one stacked inverse DFT."""
+    return 2.0 * np.pi * np.arange(n) / n, f._rings(radius, n, True, True)
+
+
 def sample_grid(f, radius: float, n_r: int, n_theta: int, partials: bool = False):
     """f, or the pair (f_z, f_zbar), at the points of polar_grid(radius, n_r, n_theta), in its order.
 

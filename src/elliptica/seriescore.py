@@ -131,17 +131,27 @@ def _levels(z) -> np.ndarray:
     return (np.sqrt(z.real * z.real + z.imag * z.imag) * _LADDER_LEVELS).astype(np.int64) + 1
 
 
-def _ring_spectrum(coeffs: np.ndarray, powers: np.ndarray, n: int) -> np.ndarray:
-    """c_k = coeffs[k] r^k for each row of powers r^k, folded onto frequencies k mod n.
+def _ring_spectrum(coeffs: np.ndarray, powers: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Add c_k = coeffs[k] r^k, for each row of powers r^k, into out at frequencies k mod n.
 
     Folding is exact aliasing: e^{ik theta} and e^{i(k mod n) theta} agree on
     the n angles 2 pi j / n, so the n-point inverse DFT of the folded row is
-    sum_k c_k e^{ik theta_j}.
+    sum_k c_k e^{ik theta_j}.  out defaults to a new row of zeros, and is
+    returned.  Only a series of more than n terms is folded, by summing its
+    zero-padded rows of n; a shorter one is added into out as it is.  Either
+    way each entry is 0 plus its terms in the same order, so a -0 term comes
+    out +0 and the bits do not depend on the path.
     """
     rows = powers.shape[:-1]
+    if out is None:
+        out = np.zeros(rows + (n,), dtype=complex)
     scaled = coeffs * powers[..., : coeffs.size]
-    pad = np.zeros(rows + (-coeffs.size % n,), dtype=complex)
-    return np.concatenate([scaled, pad], axis=-1).reshape(rows + (-1, n)).sum(axis=-2)
+    if coeffs.size <= n:
+        out[..., : coeffs.size] += scaled
+    else:
+        pad = np.zeros(rows + (-coeffs.size % n,), dtype=complex)
+        out += np.concatenate([scaled, pad], axis=-1).reshape(rows + (-1, n)).sum(axis=-2)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,16 +336,37 @@ class HarmonicMap:
         frequency -k; both fold into one spectrum, and one inverse DFT sums
         it at every angle.  The partials take h' and g' the same way.
         """
+        rows = self._rings(radii, n, not partials, partials)
+        return (rows[0], rows[1]) if partials else rows[0]
+
+    def _rings(self, radii, n: int, values: bool, partials: bool) -> np.ndarray:
+        """The rows of on_rings stacked: f if values, then f_z and f_zbar if partials.
+
+        Every spectrum goes into one zeroed array, and one inverse DFT sums
+        them all in place, so a call allocates one array of n per row; each
+        row has the bits a transform of its own would give.
+        """
         radii = np.asarray(radii, dtype=float)
         self._check_domain(radii)
-        degrees = np.arange(self.truncation_degree + 1)
-        powers = np.power(radii[..., None], degrees)
+        powers = np.power(radii[..., None], np.arange(self.truncation_degree + 1))
+        spectra = np.zeros((values + 2 * partials,) + radii.shape + (n,), dtype=complex)
+        if values:
+            _ring_spectrum(self.analytic_coeffs, powers, n, spectra[0])
+            g = np.conj(self._b_full)
+            if g.size <= n:
+                # frequency -k is frequency k - 1 of the reversed row, and b_0 = 0 adds nothing
+                _ring_spectrum(g[1:], powers[..., 1:], n, spectra[0][..., ::-1])
+            else:
+                # fold, then reverse: a one-sample fold sums pairwise, where
+                # the b_0 term's place in the sum counts
+                spectra[0] += _ring_spectrum(g, powers, n)[..., -np.arange(n) % n]
         if partials:
-            hp, gp = (np.fft.ifft(_ring_spectrum(c, powers, n), norm="forward") for c in self._series[2:])
-            return hp, np.conj(gp)
-        g_spectrum = _ring_spectrum(np.conj(self._b_full), powers, n)
-        spectrum = _ring_spectrum(self.analytic_coeffs, powers, n) + g_spectrum[..., -np.arange(n) % n]
-        return np.fft.ifft(spectrum, norm="forward")
+            for row, c in zip(spectra[values:], self._series[2:]):
+                _ring_spectrum(c, powers, n, row)
+        rows = np.fft.ifft(spectra, norm="forward", out=spectra)
+        if partials:
+            np.conj(rows[-1], out=rows[-1])
+        return rows
 
     def eval_hp(self, z: complex, dps: int = 50):
         """High-precision f(z) (mpmath, `dps` decimal digits), scalar only."""

@@ -120,6 +120,33 @@ class TestWindingNumber:
         assert _winding(IDENTITY, 0.5, 0.503, n=1 << 14) == (0, True)
 
 
+@given(st.integers(64, 2048), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_crossing_windings_match_the_angle_sums(n, modes, seed):
+    # closed polygons sampled from random Fourier sums, one vertex moved onto
+    # the real axis; the reference rounds the summed turning angles
+    rng = np.random.default_rng(seed)
+    theta = 2.0 * np.pi * np.arange(n) / n
+    k = rng.integers(-3, 4, modes)
+    curve = (rng.standard_normal(modes) + 1j * rng.standard_normal(modes)) @ np.exp(1j * np.outer(k, theta))
+    curve -= 1j * curve[rng.integers(n)].imag
+    chords = np.abs(oracles._chords(curve))
+    scale = np.abs(curve).max()
+    vertex = curve[rng.integers(0, n, 8)]
+    targets = np.concatenate([
+        scale * (rng.uniform(-1.2, 1.2, 8) + 1j * rng.uniform(-1.2, 1.2, 8)),
+        scale * rng.uniform(-1.2, 1.2, 8) + 0j,  # on the real axis
+        scale * rng.uniform(-1.2, 1.2, 8) + 1j * vertex.imag,  # level with a vertex
+        vertex + chords.max() * rng.uniform(5.0, 40.0, 8) * np.exp(2j * np.pi * rng.random(8)),  # near the curve
+        [scale + 20.0 * chords.max()],
+    ])
+    wind, valid, _ = oracles._winding_block(curve, chords, targets)
+    rel = curve[None, :] - targets[:, None]
+    angles = np.angle(np.roll(rel, -1, axis=1) * np.conj(rel))
+    reference = np.rint(angles.sum(axis=1) / (2.0 * np.pi)).astype(np.int64)
+    assert valid[-1] and wind[-1] == 0
+    assert np.array_equal(wind[valid], reference[valid])
+
+
 def test_nonfinite_targets_are_usage_errors():
     # no refinement can place a curve around inf or nan, so the coverage
     # oracle may not ask for one

@@ -156,6 +156,37 @@ class TestOnRings:
         with pytest.raises(ValueError):
             HarmonicMap.identity().on_rings([0.5, 1.0], 16)
 
+    def test_spectra_are_bit_identical_to_the_padded_fold(self):
+        def folded(coeffs, powers, n):
+            rows = powers.shape[:-1]
+            scaled = coeffs * powers[..., : coeffs.size]
+            pad = np.zeros(rows + (-coeffs.size % n,), dtype=complex)
+            return np.concatenate([scaled, pad], axis=-1).reshape(rows + (-1, n)).sum(axis=-2)
+
+        def same(got, want):
+            got, want = np.asarray(got), np.asarray(want)
+            return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+        rng = np.random.default_rng(18)
+        for degree in (1, 5, 19, 40):
+            a, b = (rng.standard_normal(size) + 1j * rng.standard_normal(size) for size in (degree + 1, degree))
+            for c in (a, b):
+                # signed zeros, which a sum from 0 turns into +0
+                c[rng.random(c.size) < 0.3] = complex(-0.0, -0.0)
+                c.imag[rng.random(c.size) < 0.3] = -0.0
+            f = HarmonicMap(a, b)
+            for radii in (0.6, np.array([0.0, 0.35, 0.9])):
+                powers = np.power(np.asarray(radii)[..., None], np.arange(degree + 1))
+                # folded (n < N + 1) and unfolded (n >= N + 1) spectra, one sample included
+                for n in sorted({1, max(1, degree // 2), degree, degree + 1, degree + 2, 2 * degree + 3}):
+                    for c in f._series:
+                        assert same(seriescore._ring_spectrum(c, powers, n), folded(c, powers, n))
+                    g = folded(np.conj(f._b_full), powers, n)[..., -np.arange(n) % n]
+                    values = np.fft.ifft(folded(f.analytic_coeffs, powers, n) + g, norm="forward")
+                    hp, gp = (np.fft.ifft(folded(c, powers, n), norm="forward") for c in f._series[2:])
+                    assert same(f.on_rings(radii, n), values)
+                    assert same(f.on_rings(radii, n, partials=True), (hp, np.conj(gp)))
+
 
 def _full_horner(coeffs, z):
     """Reference: Horner over every stored coefficient, highest degree first."""

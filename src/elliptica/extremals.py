@@ -49,10 +49,14 @@ def build_Fn(n: int, lam: float, n_terms: int = 64, r_ref: float = 0.9) -> Harmo
         d = k * (n - 1) + 1
         sign = 1.0 if k % 2 == 1 else -1.0
         try:
-            coeffs[d] = sign * amp / (d * lam**k)
+            denom = d * lam**k
         except OverflowError:
-            # lam**k is past the float range, but the term is tiny: in
-            # logarithms it keeps its value, or underflows to 0
+            denom = math.inf
+        if denom < math.inf:
+            coeffs[d] = sign * amp / denom
+        else:
+            # lam**k, or d times it, is past the float range, but the term is
+            # tiny: in logarithms it keeps its value, or underflows to 0
             coeffs[d] = sign * math.exp(math.log(amp / d) - k * math.log(lam))
         k += 1
     # first dropped index pair: degree k*(n-1)+1 with ratio r^(n-1)/lam < 1

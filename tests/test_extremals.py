@@ -110,6 +110,20 @@ class TestPinnedFamily:
                 exact = (-1) ** (k + 1) * (big * big - 1) / ((k + 1) * big**k)
                 assert f.a_n(k + 1).real == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
+    def test_terms_whose_denominator_alone_overflows(self):
+        # at lam = 7.7e4, lam**63 is finite but 64 lam**63 is not; that
+        # term, about 1e-300, keeps its value, and a finite denominator
+        # keeps the plain quotient's bits
+        lam = 7.7e4
+        f = build_Fn(2, lam)
+        assert math.isinf(64 * lam**63) and math.isfinite(lam**63)
+        with mpmath.workdps(40):
+            big = mpmath.mpf(lam)
+            exact = (big * big - 1) / (64 * big**63)
+        assert f.a_n(64).real == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+        for k in range(1, 63):
+            assert f.a_n(k + 1).real == (-1) ** (k + 1) * (lam * lam - 1.0) / ((k + 1) * lam**k)
+
 
 class TestClassicalFamily:
     def test_recurrence(self):

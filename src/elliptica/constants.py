@@ -128,11 +128,31 @@ class ClassicalLandau:
     R0: float
 
 
+# from this t on, the float psi sums its series in u = 1/t, whose terms
+# from u^14 on are below 2^-53 of the sum
+_PSI_SERIES_FROM = 16.0
+# 1/(m+1) for m = 13 down to 1, the series coefficients in Horner order
+_PSI_SERIES = tuple(1.0 / (m + 1) for m in range(13, 0, -1))
+
+
 def psi(t, ctx=math):
-    """The covered-radius function 1 + t*log(t/(1+t)); requires t > 0."""
+    """The covered-radius function 1 + t*log(t/(1+t)); requires t > 0.
+
+    Computed as 1 - t*log1p(1/t), which leaves no rounding of t/(1+t) for
+    the logarithm to amplify.  The difference still cancels as psi falls
+    like 1/(2t), so from t = 16 on the float path sums
+    psi = u/2 - u^2/3 + u^3/4 - ..., u = 1/t, instead; other contexts carry
+    their own working precision and keep the closed form.
+    """
     if not t > 0:
         raise ValueError("psi requires t > 0")
-    return 1 + t * ctx.log(t / (1 + t))
+    if ctx is math and t >= _PSI_SERIES_FROM:
+        u = 1.0 / t
+        acc = 0.0
+        for c in _PSI_SERIES:
+            acc = c - u * acc
+        return u * acc
+    return 1 - t * ctx.log1p(1 / t)
 
 
 def growth_rate(params: EllipticityParams, bound: DistortionBound, ctx=math):

@@ -53,17 +53,20 @@ class TestPsi:
         assert 1 - 1e-6 < val < 1
 
     def test_large_argument_bracket(self):
-        # asymptotically psi(t) is squeezed between 1/(2t+2) and 1/(2t); at
-        # t = 1e6 the bracket is ~5e-13 wide while the double path loses
-        # ~1e-10 to cancellation, so doubles only get a 1e-3 relative band
-        # and the exact bracket is asserted on the high-precision path
-        t = 1e6
-        val = psi(t)
-        assert (1 - 1e-3) / (2 * t + 2) <= val <= (1 + 1e-3) / (2 * t)
-        assert val == pytest.approx(5e-7, rel=1e-3)
+        # psi(t) lies strictly between 1/(2t+2) and 1/(2t); at t = 1e12 the
+        # bracket is only ~1e-12 of psi wide, and the double path meets it
+        for t in (1e6, 1e8, 1e10, 1e12):
+            assert 1 / (2 * t + 2) < psi(t) < 1 / (2 * t)
         with mpmath.workdps(50):
-            hp = psi(mpmath.mpf(t), ctx=mpmath)
-            assert 1 / (2 * mpmath.mpf(t) + 2) < hp < 1 / (2 * mpmath.mpf(t))
+            t = mpmath.mpf(1e6)
+            assert 1 / (2 * t + 2) < psi(t, ctx=mpmath) < 1 / (2 * t)
+
+    def test_double_path_matches_50_digits(self):
+        # the closed form below t = 16 and the series above it, each within
+        # 2^-46 of psi across fourteen decades
+        for i in range(801):
+            t = 10.0 ** (-8 + i / 40)
+            assert abs(psi(t) / hp_psi(t) - 1) < 2.0**-46, t
 
     def test_domain(self):
         for bad in (0.0, -1.0):

@@ -140,7 +140,8 @@ def _cell_pairs(values: np.ndarray, cell: float):
     width = int(ky.max() - ky.min()) + 3
     # rows run 1..width-2, so rows dy = -1, 0, +1 of one column dx stay inside
     # that column and are the consecutive keys key + dx*width - 1 .. + 1; the
-    # stable sort orders that key range by dy, then by j
+    # stable sort orders that key range by dy, then by j; the key is
+    # (kx - kx.min() + 1) * width + (ky - ky.min() + 1), built in place
     key = kx * width
     key += ky
     key += (1 - int(kx.min())) * width + 1 - int(ky.min())

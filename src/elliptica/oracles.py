@@ -140,49 +140,32 @@ def _cell_pairs(values: np.ndarray, cell: float):
     width = int(ky.max() - ky.min()) + 3
     # rows run 1..width-2, so rows dy = -1, 0, +1 of one column dx stay inside
     # that column and are the consecutive keys key + dx*width - 1 .. + 1; the
-    # stable sort orders that key range by dy, then by j; the key is
-    # (kx - kx.min() + 1) * width + (ky - ky.min() + 1), built in place
-    key = kx * width
-    key += ky
-    key += (1 - int(kx.min())) * width + 1 - int(ky.min())
+    # stable sort orders that key range by dy, then by j
+    key = (kx - kx.min() + 1) * width + (ky - ky.min() + 1)
     members = np.argsort(key, kind="stable")
-    # the first key of each neighbouring column's range
-    start = key[:, None] + np.array([-width - 1, -1, width - 1])
-    # keys run from width + 1, so every range start .. start + 2 lies in 0 .. span - 1
+    column = key[:, None] + np.array([-width, 0, width])
+    # keys run from width + 1, so every range column - 1 .. column + 1 lies in 0 .. span - 1
     span = int(key.max()) + width + 2
     if span <= _TABLE_SPAN * len(values):
         # below[q] is the number of keys below q
-        below = np.zeros(span + 1, dtype=np.int64)
-        np.cumsum(np.bincount(key, minlength=span), out=below[1:])
-        first = below[start]
-        start += 3
-        count = below[start]
+        below = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=span))])
+        first = below[column - 1]
+        count = below[column + 2] - first
     else:
         sorted_key = key[members]
-        first = np.searchsorted(sorted_key, start, side="left")
-        start += 2
-        count = np.searchsorted(sorted_key, start, side="right")
-    count -= first
+        first = np.searchsorted(sorted_key, column - 1, side="left")
+        count = np.searchsorted(sorted_key, column + 1, side="right") - first
 
-    per_point = count[:, 0] + count[:, 1]
-    per_point += count[:, 2]
+    per_point = count.sum(axis=1)
     done = np.cumsum(per_point)
     lo = 0
     while lo < len(values):
         base = done[lo - 1] if lo else 0
-        if done[-1] - base <= _PAIR_CHUNK:
-            hi = len(values)
-        else:
-            hi = max(lo + 1, int(np.searchsorted(done, base + _PAIR_CHUNK, side="right")))
+        hi = max(lo + 1, int(np.searchsorted(done, base + _PAIR_CHUNK, side="right")))
         runs = count[lo:hi].ravel()
         i = np.repeat(np.arange(lo, hi), per_point[lo:hi])
-        # a run's pairs start where the runs before it end, at its first member
-        shift = np.cumsum(runs)
-        shift -= runs
-        np.subtract(first[lo:hi].ravel(), shift, out=shift)
-        at = np.repeat(shift, runs)
-        at += np.arange(done[hi - 1] - base)
-        j = members[at]
+        j = members[np.repeat(first[lo:hi].ravel() - (np.cumsum(runs) - runs), runs)
+                    + np.arange(done[hi - 1] - base)]
         keep = j > i
         yield i[keep], j[keep]
         lo = hi
@@ -299,20 +282,12 @@ def _curve_scan(f, radius: float, n_curve: int, samples=None):
     worst = None
     pairs = 0
     for i, j in _cell_pairs(curve, 3.0 * move_max):
-        # cyclic index distance >= 2 means 2 <= j - i <= n - 2; one test,
-        # since j - i - 2 < 0 wraps to a huge unsigned value
-        gap = j - i
-        gap -= 2
-        near = gap.view(np.uint64) <= n_curve - 4
+        gap_idx = j - i
+        near = np.minimum(gap_idx, n_curve - gap_idx) >= 2
         i, j = i[near], j[near]
         pairs += len(i)
         if len(i):
-            apart = curve[i]
-            apart -= curve[j]
-            slack = _cabs(apart)
-            both = move[i]
-            both += move[j]
-            slack -= both
+            slack = _cabs(curve[i] - curve[j]) - (move[i] + move[j])
             k = int(np.argmin(slack))
             if slack[k] < margin:
                 margin = slack[k]
@@ -349,7 +324,8 @@ def _jacobian_certificate(f, radius: float, n: int, rounds: int, first=None):
             worst = float(theta[np.argmax(abs_fzb - abs_fz)])
             return f"nonpositive Jacobian on the boundary circle at theta = {worst!r}; cannot certify", info, circle
         info["dilatation_max"] = float((abs_fzb / abs_fz).max())
-        # h' / max|h'| winds as h' does, and its angle products cannot overflow
+        # h' / max|h'| winds as h' does, and its chords and moduli stay finite
+        # where |h'| is near overflow
         hprime = fz / abs_fz.max()
         abs_chords = np.abs(_chords(hprime))
         wind, valid, dist = _winding_block(hprime, abs_chords, np.zeros(1, dtype=complex))
@@ -375,7 +351,8 @@ def _zeros_inside(theta: np.ndarray, values: np.ndarray, fn, radius: float) -> n
     scale = np.abs(values).max()
     if not scale > 0.0:
         return np.zeros(0, dtype=complex)
-    # values / scale winds as values do, and its angle products cannot overflow
+    # values / scale winds as values do, and its chords and moduli stay
+    # finite where values are near overflow
     scaled = values / scale
     wind, valid, _ = _winding_block(scaled, np.abs(_chords(scaled)), np.zeros(1, dtype=complex))
     count = int(wind[0])

@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     k_type = _float_arg("K", 1.0)
     kp_type = _float_arg("Kp", 0.0)
     lam_type = _float_arg("lam", 1.0)
-    # a campaign checks each random map on 64 x 256 = 2^14-point grids
+    # a random map takes up to 64 draws of 48 x 192 points and 2^16 squares per review or argmax search
     n_random_type = _int_arg("n-random", 0, _MAX_POINTS >> 14)
     samples_type = _int_arg("samples", 1, _MAX_POINTS)
     seed_type = _int_arg("seed", 0)

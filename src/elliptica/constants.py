@@ -188,11 +188,19 @@ def landau(params: EllipticityParams, bound: DistortionBound, ctx=math) -> Landa
     return LandauResult(T=T, r1=r1, sigma1=sigma1)
 
 
+def _bloch_bound(params: EllipticityParams, t, scale, kind: str, ctx) -> BlochBound:
+    """BlochBound(t, psi(t)/scale); a rate t that overflows or a rho that underflows is a ValueError."""
+    rho = psi(t, ctx) / scale if t < math.inf else math.nan
+    if not rho > 0:
+        raise ValueError(f"Bloch rate overflows or radius underflows for K = {params.K!r}, Kp = {params.Kp!r}")
+    return BlochBound(t=t, rho=rho, kind=kind)
+
+
 def bloch_lambda_normalized(params: EllipticityParams, ctx=math) -> BlochBound:
     """Bloch-type bound psi(t)/sqrt(2) under lambda_f(0) = 1."""
     K, Kp = params.K, params.Kp
     t = 2 * K + (4 * Kp - 1) / (K + ctx.sqrt(K * K + 4 * Kp))
-    return BlochBound(t=t, rho=psi(t, ctx) / ctx.sqrt(2), kind="lambda0")
+    return _bloch_bound(params, t, ctx.sqrt(2), "lambda0", ctx)
 
 
 def bloch_jacobian_normalized(params: EllipticityParams, ctx=math) -> BlochBound:
@@ -204,7 +212,7 @@ def bloch_jacobian_normalized(params: EllipticityParams, ctx=math) -> BlochBound
     K, Kp = params.K, params.Kp
     kp_eff = Kp * (K + Kp)
     t = 2 * K + (4 * kp_eff - 1) / (K + ctx.sqrt(K * K + 4 * kp_eff))
-    return BlochBound(t=t, rho=psi(t, ctx) / ctx.sqrt(2 * (K + Kp)), kind="jacobian0")
+    return _bloch_bound(params, t, ctx.sqrt(2 * (K + Kp)), "jacobian0", ctx)
 
 
 def classical_landau(M, ctx=math) -> ClassicalLandau:

@@ -1,11 +1,15 @@
 """Verification campaigns: scans, pipelines, and report assembly.
 
-The centerpiece is :func:`bloch_pipeline`, which renormalizes a map at the
-argmax of its weighted distortion and checks the renormalized map against
-the invariant distortion bound and the quadrupled ellipticity constant.
-The argmax is located by a polar scan followed by a Nelder-Mead polish;
-when the polish cannot beat the grid, the grid point wins, which keeps
-the identity map's trace exact.
+The centerpiece is :func:`bloch_pipeline`, which renormalizes a map f at
+the argmax z0 of W(z) = (1 - |z|^2) lambda(z), m = W(z0), into G(w) =
+sqrt(2) (f(phi(w/sqrt 2)) - f(z0)) / m, phi(z) = (z + z0)/(1 + conj(z0) z).
+With u = phi(w/sqrt 2) and s = (|phi'|/m)^2 < 4, the chain rule gives
+lambda_G(w) (1 - |w|^2/2) = W(u)/m and K J_G + 4 K' - |DG|^2 = s (K J_f +
+K' - |Df|^2) + K' (4 - s).  So the review's certified margin and the
+review's square search, which bounds sup W, certify G's distortion bound
+and quadrupled ellipticity on |w| <= 0.999 without a grid, while |z0| <
+0.994 keeps u in the reviewed disk.  The origin is evaluated first and
+ties keep it, so the identity map's trace stays exact.
 
 Campaign functions return the common report dictionary of
 :func:`~elliptica.constants.build_report` (theorem, params, maps,
@@ -34,7 +38,7 @@ from .constants import (
 )
 from .distortion import ellipticity_check, profile, stretches
 from .oracles import CERTIFIED, REFUTED, coverage_probe, univalence_probe
-from .sampling import polar_grid, sample_grid
+from .sampling import sample_grid
 from .seriescore import HarmonicMap
 
 __all__ = [
@@ -100,14 +104,14 @@ def _rescaled_partials(f, z0: complex, m_sup: float, w):
 
 @dataclass(frozen=True)
 class PipelineTrace:
-    """What the renormalization pipeline measured.
+    """What the renormalization pipeline certified.
 
-    ``ellipticity_margin`` is the minimum of K J + 4 K' - ||D||^2 over the
-    sample grid of the rescaled map (nonnegative when the quadrupled
-    constant suffices); ``distortion_bound_excess`` is the maximum of
-    lambda - 2/(2 - |w|^2), expected nonpositive up to argmax error.
-    ``center_estimate`` is the image of the argmax point, a heuristic for
-    where the covered disk sits.
+    ``distortion_bound_excess`` bounds lambda_G - 2/(2 - |w|^2) from above
+    over |w| <= 0.999 (it is 2 (M - m)/m for the search's bound M on sup W),
+    and ``ellipticity_margin`` bounds K J_G + 4 K' - |DG|^2 from below (it
+    is 4 min(K', the review's margin)).  ``sample_count`` is the number of
+    squares the argmax search evaluated.  ``center_estimate`` is the image
+    of the argmax point, a heuristic for where the covered disk sits.
     """
 
     sup_weighted_distortion: float
@@ -130,142 +134,47 @@ class PipelineTrace:
         }
 
 
-def _weighted_lambda(f, z: complex) -> float:
-    fz, fzb = f.partials(z)
-    return (1.0 - _abs2(z)) * abs(abs(complex(fz)) - abs(complex(fzb)))
-
-
-# the pipeline's scan: radius, rings and angles of one polar grid
-_PIPELINE_GRID = (0.999, 64, 256)
-
-# the polish's stopping rule: simplex and value spreads, iterations, evaluations
-_NM_XATOL, _NM_FATOL, _NM_MAXITER, _NM_MAXFEV = 1e-11, 1e-16, 600, 1200
-
-
-class _BudgetSpent(Exception):
-    """The polish asked for an evaluation beyond _NM_MAXFEV."""
-
-
-def _nelder_mead(fn: Callable, x0) -> tuple[np.ndarray, float, int]:
-    """Minimize fn over the plane from x0 by the simplex method of Nelder and Mead (1965).
-
-    Returns the best vertex, its value and the number of fn calls.  The
-    steps, reorderings and stops are those of scipy's (1.17) Nelder-Mead
-    with the standard coefficients and the _NM_* options, expression for
-    expression, so the iterates agree bit for bit: fn gets a copy of each
-    vertex, and the evaluation budget abandons an iteration part-way, as
-    scipy's does.  Any other polish would move the argmax bits, and with
-    them every slack the pipeline reports.
-    """
-    calls = 0
-
-    def f(x):
-        nonlocal calls
-        if calls >= _NM_MAXFEV:
-            raise _BudgetSpent
-        calls += 1
-        return fn(np.copy(x))
-
-    x0 = np.asarray(x0, dtype=float)
-    sim = np.array([x0, x0, x0])
-    for k in range(2):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(x) for x in sim])
-    for _ in range(2):  # scipy sorts twice before the first step
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    iterations = 1
-    while calls < _NM_MAXFEV and iterations < _NM_MAXITER:
-        try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _NM_XATOL
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= _NM_FATOL):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / 2
-            xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                # contract outside when the reflection beats the worst vertex, else inside
-                outside = fxr < fsim[-1]
-                xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc)
-                if fxc <= fxr if outside else fxc < fsim[-1]:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in (1, 2):  # shrink towards the best vertex
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-            iterations += 1
-        except _BudgetSpent:
-            pass
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0], float(np.min(fsim)), calls
+# past this radius of the argmax, phi(w/sqrt 2) with |w| <= 0.999 leaves the
+# reviewed disk |z| <= 0.999
+_PIPELINE_REACH = 0.994
 
 
 def bloch_pipeline(f, params: EllipticityParams) -> PipelineTrace:
-    """Renormalize f at its weighted-distortion argmax and check the bounds.
+    """Renormalize f at its weighted-distortion argmax and bound the rescaled map.
 
-    Requires lambda(0) = 1 (within 1e-9).  A strictly negative Jacobian at
-    any sample aborts: the pipeline only makes sense for sense-preserving
-    maps.  The rescaled map is read only through its partials at w = 0 and
-    at the grid points, so it is never built.
+    Requires lambda(0) = 1 (within 1e-9).  Raises RuntimeError when the
+    review with Lambda = inf does not certify (``sense-reversal`` when J > 0
+    fails), when the argmax search runs out of squares, or at |z0| >= 0.994.
     """
     p0 = profile(f, 0.0)
     if not abs(p0.lambda_min - 1.0) <= _HYP_TOL:
         raise ValueError(
             f"pipeline requires lambda(0) = 1, got {p0.lambda_min!r}; rescale the map first"
         )
+    # imported here: `import elliptica` need not compile the certificate
+    from .hypotheses import _sup_weighted, certify_hypotheses
 
-    z_pts = polar_grid(*_PIPELINE_GRID)
-    r_sq = z_pts.real**2 + z_pts.imag**2
-    _, lam_min_arr, jac_arr = stretches(*sample_grid(f, *_PIPELINE_GRID, partials=True))
-    if jac_arr.min() < 0.0:
-        bad = z_pts[int(np.argmin(jac_arr))]
-        raise RuntimeError(f"sense-reversal at sample z = {complex(bad)!r}; Jacobian = {jac_arr.min()!r}")
-    weighted = (1.0 - r_sq) * lam_min_arr
-    best = int(np.argmax(weighted))
-    m_grid = float(weighted[best])
-    z0 = complex(z_pts[best])
-
-    def neg_weighted(v):
-        if v[0] * v[0] + v[1] * v[1] >= 0.9999998:
-            return 0.0
-        return -_weighted_lambda(f, complex(v[0], v[1]))
-
-    x, fun, _ = _nelder_mead(neg_weighted, [z0.real, z0.imag])
-    # adopt the polished point on any strict improvement, also when the
-    # polish stops at its evaluation budget; ties keep the grid point so
-    # exactly-normalized inputs stay exact
-    if -fun > m_grid:
-        z0 = complex(x[0], x[1])
-    m_sup = _weighted_lambda(f, z0)
-
-    if not (m_sup > 0.0):
-        raise RuntimeError("weighted distortion vanished at the argmax; degenerate map")
-
+    review = certify_hypotheses(f, params, math.inf, _HYP_TOL)
+    if review.status != CERTIFIED:
+        kind = "sense-reversal, " if any(r.startswith("Jacobian") for r in review.reasons) else ""
+        raise RuntimeError(f"{kind}hypothesis review {review.status}: " + "; ".join(review.reasons))
+    z0, m_bar, squares = _sup_weighted(f)
+    if abs(z0) >= _PIPELINE_REACH:
+        raise RuntimeError(f"argmax z0 = {z0!r} lies past |z| = {_PIPELINE_REACH}, where phi(w/sqrt 2) "
+                           "leaves the reviewed disk")
+    fz, fzb = f.partials(z0)
+    m_sup = (1.0 - _abs2(z0)) * abs(abs(fz) - abs(fzb))
     gz, gzb = _rescaled_partials(f, z0, m_sup, 0.0)
-    # bound checks on the rescaled map, over the same grid read as w points
-    lam_max_g, lam_min_g, jac_g = stretches(*_rescaled_partials(f, z0, m_sup, z_pts))
-    if jac_g.min() < 0.0:
-        bad = z_pts[int(np.argmin(jac_g))]
-        raise RuntimeError(f"sense-reversal after rescaling at w = {complex(bad)!r}")
-    excess = float(np.max(lam_min_g - 2.0 / (2.0 - r_sq)))
-    margin = float(np.min(params.K * jac_g + 4.0 * params.Kp - lam_max_g**2))
-
     return PipelineTrace(
         sup_weighted_distortion=m_sup,
         argmax_point=z0,
         center_estimate=complex(f.eval(z0)),
         lambda_origin=float(abs(abs(gz) - abs(gzb))),
-        distortion_bound_excess=excess,
-        ellipticity_margin=margin,
-        sample_count=2 * len(z_pts),
+        # lambda_G (1 - |w|^2/2) = W(u)/m <= m_bar/m, and 1 - |w|^2/2 >= 1/2
+        distortion_bound_excess=2.0 * (m_bar - m_sup) / m_sup,
+        # s = (|phi'|/m)^2 < 4: |phi'| = (1 - |u|^2)/(1 - |w|^2/2) < 2 and m >= lambda(0) = 1
+        ellipticity_margin=4.0 * min(float(params.Kp), review.ellipticity_margin),
+        sample_count=squares,
     )
 
 
@@ -495,12 +404,13 @@ def verify_bloch_pipeline(entries: Sequence[MapEntry], params: EllipticityParams
                           bound: DistortionBound) -> dict:
     """Renormalize each map with :func:`bloch_pipeline` and check the rescaled map.
 
-    It passes when lambda <= 2/(2 - |w|^2) and the quadrupled ellipticity
-    margin >= 0 hold within 1e-9, and lambda(0) = 1 within 1e-12.  As in the
-    other campaigns, only maps whose hypothesis review certifies are
-    renormalized, so a map outside the theorem cannot become a violation; a
-    map the pipeline still rejects (sense reversal on its grid) is an
-    excluded row.
+    It passes when the trace's certified bounds give lambda <= 2/(2 - |w|^2)
+    and a quadrupled ellipticity margin >= 0 on |w| <= 0.999 within 1e-9,
+    and lambda(0) = 1 within 1e-12.  As in the other campaigns, only maps
+    whose hypothesis review certifies are renormalized, so a map outside the
+    theorem cannot become a violation; a map the pipeline rejects (its argmax
+    search out of squares, or the argmax past |z| = 0.994) is an excluded
+    row whose error names the reason.
     """
 
     def check(f) -> tuple[str, dict, dict]:

@@ -36,6 +36,16 @@ refutes one at a point of the disk where it fails:
   slope vanishes, so the bound exceeds max |H| by O(phi^2) times the
   curvature of the image curve, not times a majorant.
 
+The Bloch pipeline's search for the argmax of W(z) = (1 - |z|^2) lambda(z),
+for a map with |h'| > |g'| certified, splits the same squares.  With A, B =
+h'(e), h''(e), C, D = g'(e), g''(e) and t = z - e, the centred form |h'(z)|
+<= |A| + Re(conj(A) B t)/|A| + delta^2 (|B|^2/(2|A|) + H3/2), the projection
+|g'(z)| >= |C| + Re(conj(C) D t)/|C| - delta^2 G3/2 and 1 - |z|^2 <= 1 -
+|e|^2 - 2 Re(conj(e) t) bound W by a product of affine functions of t, which
+exceeds W by O(delta^2) where W peaks.  After the origin, a square splits
+until its bound is at most (1 + tau) m for the best centre value m, so the
+largest settled bound M has sup W <= M <= (1 + tau) m, tau = _SEARCH_GAP.
+
 Every enclosure adds the error of the values it starts from: a Horner sum
 at a point, gamma_{2N} sum_k |c_k| rho^k (the ``seriescore`` docstring),
 and a circle from ``on_rings``, its DFT bound from the same docstring with
@@ -76,6 +86,9 @@ _CHUNK = 1 << 12
 # half-diagonal per side: above sqrt(1/2), so a square's disk also covers
 # the rounding of its centre
 _HALF_DIAGONAL = 0.70711
+# the relative gap tau that the weighted-distortion search leaves between
+# its best centre and its bound on sup W
+_SEARCH_GAP = 1e-10
 # circle samples of the first arcs, and their budget
 _ARCS = 256
 _ARC_CAP = 1 << 16
@@ -133,35 +146,39 @@ def certify_hypotheses(f: HarmonicMap, params: EllipticityParams, lam: float, to
     return _cells(f, params, float(lam), tol)
 
 
-def _cells(f: HarmonicMap, params: EllipticityParams, lam: float, tol: float) -> HypothesisReview:
+def _square_series(f: HarmonicMap) -> tuple:
+    """Columns h', g', h'', g'', majorant columns of h''', g''', gamma, and the four's Horner error."""
     n = f.truncation_degree
     hd = _derivatives(f.analytic_coeffs, 3)
     gd = _derivatives(np.concatenate([[0.0], f.antianalytic_coeffs]), 3)
-    # h', g', h'', g'' at the centres, and the majorants of h''', g'''
     values = _columns([hd[0], gd[0], hd[1], gd[1]], n)
     third = np.abs(_columns([hd[2], gd[2]], max(n - 2, 1)))
     gamma = _gamma(4 * n + 8)
     with np.errstate(over="ignore", invalid="ignore"):
-        # Horner error of those four values anywhere in the disk
         err = gamma * (_REGION ** np.arange(n) @ np.abs(values))
-    k_, kp = float(params.K), float(params.Kp)
+    return values, third, gamma, err
 
+
+def _squares(judge) -> tuple:
+    """Split squares over the disk |z| <= 0.999 until judge settles each; return (stop, squares evaluated).
+
+    judge(e, rho, delta) gets up to _CHUNK centres moved into the disk, radii
+    bounding the squares' parts of the disk, and the half-diagonal, and
+    returns the mask of squares to split, or a stop (status, witness,
+    reasons).  stop is None once no square is left, and inconclusive when
+    _CELL_CAP squares or _DEPTH splits run out.
+    """
     side = 2.0 * _REGION / _GRID
     axis = -_REGION + side * (np.arange(_GRID) + 0.5)
     pending = (axis[None, :] + 1j * axis[:, None]).ravel()
     cells = 0
-    seen_lam, seen_margin = 0.0, math.inf
-    sup_lam, min_margin = 0.0, math.inf
     for _ in range(_DEPTH + 1):
         delta = _HALF_DIAGONAL * side
-        # the Horner errors of h' and g', of h'' and g'' times delta
-        slack = err[:2] + delta * err[2:]
         size = np.abs(pending)
         inside = size - delta <= _REGION
         pending, size = pending[inside], size[inside]
         if cells + pending.size > _CELL_CAP:
-            return HypothesisReview(INCONCLUSIVE, seen_lam, seen_margin, {"cells": cells},
-                                    reasons=(f"cell budget of {_CELL_CAP} squares used up",))
+            return (INCONCLUSIVE, None, (f"cell budget of {_CELL_CAP} squares used up",)), cells
         cells += pending.size
         split = []
         for lo_idx in range(0, pending.size, _CHUNK):
@@ -169,52 +186,111 @@ def _cells(f: HarmonicMap, params: EllipticityParams, lam: float, tol: float) ->
             e = pending[chunk] / np.maximum(size[chunk] / _INNER, 1.0)
             # delta is rounded up enough to absorb the rounding of |e|
             rho = np.minimum(np.minimum(size[chunk], _INNER) + delta, _REGION)
-            with np.errstate(over="ignore", invalid="ignore"):
-                mod = np.abs(_horner(values, e[:, None]))
-                lam_max, lam_min, jac = stretches(mod[:, 0], mod[:, 1])
-                margin = k_ * jac + kp - lam_max * lam_max
-                seen_lam = max(seen_lam, float(np.fmax.reduce(lam_min)))
-                seen_margin = min(seen_margin, float(np.fmin.reduce(margin)))
-                fails = (lam_min > lam + tol, margin < -tol, jac <= 0.0)
-                if (fails[0] | fails[1] | fails[2]).any():
-                    return _refuted(e, lam, (lam_min, margin, jac), fails, seen_lam, seen_margin, cells)
-                h3 = rho[:, None] ** np.arange(len(third)) @ third
-                rad = (delta * mod[:, 2:] + (0.5 * delta * delta) * h3 + gamma * mod[:, :2]) * (1.0 + gamma) + slack
-                lo = np.maximum(mod[:, :2] - rad, 0.0)
-                hi = mod[:, :2] + rad
-                lam_hi = np.maximum(hi[:, 0] - lo[:, 1], hi[:, 1] - lo[:, 0]) * (1.0 + gamma)
-                # the margin's terms are nonnegative but for the two subtracted ones;
-                # total bounds their rounding
-                kept = (k_ - 1.0) * lo[:, 0] ** 2 + kp
-                total = kept + (k_ + 1.0) * hi[:, 1] ** 2 + 2.0 * hi[:, 0] * hi[:, 1]
-                margin_lo = 2.0 * kept - (1.0 + gamma) * total
-            if not np.isfinite(margin_lo + lam_hi).all():
-                z = complex(e[np.flatnonzero(~np.isfinite(margin_lo + lam_hi))[0]])
-                return HypothesisReview(INCONCLUSIVE, seen_lam, seen_margin, {"cells": cells},
-                                        reasons=(f"non-finite map derivatives near z = {z!r}",))
-            ok = (lam_hi <= lam + tol) & (margin_lo >= -tol) & (lo[:, 0] > hi[:, 1])
-            if ok.any():
-                sup_lam = max(sup_lam, float(lam_hi[ok].max()))
-                min_margin = min(min_margin, float(margin_lo[ok].min()))
-            split.append(pending[chunk][~ok])
+            verdict = judge(e, rho, delta)
+            if isinstance(verdict, tuple):
+                return verdict, cells
+            split.append(pending[chunk][verdict])
         side *= 0.5
         quarter = 0.5 * side
         pending = (np.concatenate(split)[:, None]
                    + quarter * np.array([-1 - 1j, 1 - 1j, -1 + 1j, 1 + 1j])).ravel()
         if not pending.size:
-            return HypothesisReview(CERTIFIED, sup_lam, min_margin, {"cells": cells})
-    return HypothesisReview(INCONCLUSIVE, seen_lam, seen_margin, {"cells": cells},
-                            reasons=(f"squares split {_DEPTH} times without deciding",))
+            return None, cells
+    return (INCONCLUSIVE, None, (f"squares split {_DEPTH} times without deciding",)), cells
 
 
-def _refuted(e, lam, data, fails, seen_lam, seen_margin, cells) -> HypothesisReview:
-    """The refuted review of the first centres where each hypothesis fails."""
+def _cells(f: HarmonicMap, params: EllipticityParams, lam: float, tol: float) -> HypothesisReview:
+    values, third, gamma, err = _square_series(f)
+    k_, kp = float(params.K), float(params.Kp)
+    seen_lam, seen_margin = 0.0, math.inf
+    sup_lam, min_margin = 0.0, math.inf
+
+    def judge(e, rho, delta):
+        nonlocal seen_lam, seen_margin, sup_lam, min_margin
+        # the Horner errors of h' and g', of h'' and g'' times delta
+        slack = err[:2] + delta * err[2:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mod = np.abs(_horner(values, e[:, None]))
+            lam_max, lam_min, jac = stretches(mod[:, 0], mod[:, 1])
+            margin = k_ * jac + kp - lam_max * lam_max
+            seen_lam = max(seen_lam, float(np.fmax.reduce(lam_min)))
+            seen_margin = min(seen_margin, float(np.fmin.reduce(margin)))
+            fails = (lam_min > lam + tol, margin < -tol, jac <= 0.0)
+            if (fails[0] | fails[1] | fails[2]).any():
+                return _refuted(e, lam, (lam_min, margin, jac), fails)
+            h3 = rho[:, None] ** np.arange(len(third)) @ third
+            rad = (delta * mod[:, 2:] + (0.5 * delta * delta) * h3 + gamma * mod[:, :2]) * (1.0 + gamma) + slack
+            lo = np.maximum(mod[:, :2] - rad, 0.0)
+            hi = mod[:, :2] + rad
+            lam_hi = np.maximum(hi[:, 0] - lo[:, 1], hi[:, 1] - lo[:, 0]) * (1.0 + gamma)
+            # the margin's terms are nonnegative but for the two subtracted ones;
+            # total bounds their rounding
+            kept = (k_ - 1.0) * lo[:, 0] ** 2 + kp
+            total = kept + (k_ + 1.0) * hi[:, 1] ** 2 + 2.0 * hi[:, 0] * hi[:, 1]
+            margin_lo = 2.0 * kept - (1.0 + gamma) * total
+        if not np.isfinite(margin_lo + lam_hi).all():
+            z = complex(e[np.flatnonzero(~np.isfinite(margin_lo + lam_hi))[0]])
+            return INCONCLUSIVE, None, (f"non-finite map derivatives near z = {z!r}",)
+        ok = (lam_hi <= lam + tol) & (margin_lo >= -tol) & (lo[:, 0] > hi[:, 1])
+        if ok.any():
+            sup_lam = max(sup_lam, float(lam_hi[ok].max()))
+            min_margin = min(min_margin, float(margin_lo[ok].min()))
+        return ~ok
+
+    stop, cells = _squares(judge)
+    if stop is None:
+        return HypothesisReview(CERTIFIED, sup_lam, min_margin, {"cells": cells})
+    status, witness, reasons = stop
+    return HypothesisReview(status, seen_lam, seen_margin, {"cells": cells}, witness=witness, reasons=reasons)
+
+
+def _refuted(e, lam, data, fails) -> tuple:
+    """The refutation at the first centres where each hypothesis fails: status, witness, reasons."""
     texts = ("sup lambda >= {!r} exceeds " + repr(lam), "ellipticity margin {!r}", "Jacobian {!r} <= 0")
     firsts = [(int(np.argmax(mask)), text, values) for mask, text, values in zip(fails, texts, data) if mask.any()]
     reasons = tuple(text.format(float(values[i])) + f" at z = {complex(e[i])!r}" for i, text, values in firsts)
-    witness = complex(e[min(i for i, _, _ in firsts)])
-    return HypothesisReview(REFUTED, seen_lam, seen_margin, {"cells": cells},
-                            witness=witness, reasons=reasons)
+    return REFUTED, complex(e[min(i for i, _, _ in firsts)]), reasons
+
+
+def _sup_weighted(f: HarmonicMap) -> tuple[complex, float, int]:
+    """Best centre z0, bound on sup W over |z| <= 0.999 and squares evaluated, given |h'| > |g'|."""
+    values, third, gamma, err = _square_series(f)
+    # the origin first, so that a tie keeps it
+    best, best_z = float(abs(values[0, 0]) - abs(values[0, 1])), 0j
+    top = -math.inf
+
+    def judge(e, rho, delta):
+        nonlocal best, best_z, top
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            v = _horner(values, e[:, None])
+            mod = np.abs(v)
+            size2 = e.real * e.real + e.imag * e.imag
+            centre = (1.0 - size2) * (mod[:, 0] - mod[:, 1])
+            i = int(np.argmax(centre))
+            if centre[i] > best:
+                best, best_z = float(centre[i]), complex(e[i])
+            h3 = rho[:, None] ** np.arange(len(third)) @ third
+            # |h'| - |g'| <= lam0 + Re(slope t), lam0 with the second-order and error terms
+            unit_g = np.divide(v[:, 1].conj(), mod[:, 1], out=np.zeros(e.size, dtype=complex), where=mod[:, 1] > 0.0)
+            slope = v[:, 0].conj() / mod[:, 0] * v[:, 2] - unit_g * v[:, 3]
+            lam0 = (mod[:, 0] - mod[:, 1] + gamma * (mod[:, 0] + mod[:, 1]) + err[:2].sum() + delta * err[2:].sum()
+                    + (0.5 * delta * delta) * (mod[:, 2] * mod[:, 2] / mod[:, 0] + h3.sum(axis=1)))
+            # times 1 - |z|^2 <= weight - 2 Re(conj(e) t) over |t| <= delta; scale bounds every term
+            weight = 1.0 - size2 + 4.0 * _UNIT_ROUNDOFF
+            grad = weight * slope.conj() - 2.0 * lam0 * e
+            reach = np.abs(e) * np.abs(slope)
+            hi = weight * lam0 + delta * np.abs(grad) + delta * delta * (reach - (e * slope).real)
+            scale = weight * (lam0 + delta * (mod[:, 2] + mod[:, 3])) + 2.0 * delta * (lam0 * np.abs(e) + delta * reach)
+            hi = (hi + gamma * scale) * (1.0 + gamma)
+        settled = hi <= best * (1.0 + _SEARCH_GAP)
+        if settled.any():
+            top = max(top, float(hi[settled].max()))
+        return ~settled
+
+    stop, cells = _squares(judge)
+    if stop is not None:
+        raise RuntimeError(f"weighted-distortion search: {stop[2][0]}")
+    return best_z, top, cells
 
 
 def _dft_error(n: int, degree: int) -> float:

@@ -278,7 +278,7 @@ def test_criterion_08_renormalization_pipeline():
         if abs(trace.lambda_origin - 1.0) > 1e-12:
             bad.append(f"{name}: rescaled lambda(0) = {trace.lambda_origin!r}")
     _verdict(8, bad, "5 maps rescale to lambda(0)=1 with the distortion bound and"
-             " ellipticity holding on samples", time.perf_counter() - t0, 120.0)
+             " ellipticity certified on |w| <= 0.999", time.perf_counter() - t0, 120.0)
 
 
 def test_criterion_09_growth_remark_sweep():

@@ -21,6 +21,7 @@ from elliptica import (
     random_elliptic,
     verify_bloch_pipeline,
 )
+from elliptica import hypotheses
 from elliptica.cli import _int_arg, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -101,6 +102,12 @@ class TestConstantsCommand:
         code, out, err = run(capsys, "constants", "--K", "1e200", "--lam", "1e200")
         assert code == 2 and out == ""
         assert "growth rate overflows" in err
+        # the Jacobian-normalized rho underflows to 0, or K'(K + K') overflows
+        for args, names in ((("--K", "1e300"), "K = 1e+300, Kp = 0.0"),
+                            (("--K", "1", "--Kp", "1e160"), "K = 1.0, Kp = 1e+160")):
+            code, out, err = run(capsys, "constants", *args, "--lam", "1")
+            assert code == 2 and out == ""
+            assert "Bloch rate overflows or radius underflows" in err and names in err
 
 
 class TestExtremalAndCheckMap:
@@ -264,7 +271,8 @@ class TestVerifyCommand:
         assert a == json.dumps(rep, indent=2) + "\n"
 
     def test_bloch_suite_adopts_a_polish_stopped_by_its_budget(self, capsys):
-        # random2 is random_elliptic(seed=8631), whose argmax polish stops at maxfev
+        # random2 is random_elliptic(seed=8631), where a simplex polish of the
+        # argmax once stopped at its evaluation budget short of the bound
         code, out, _ = run(capsys, "verify-theorem", "--which", "3", "--K", "4", "--Kp", "1",
                            "--lam", "3", "--seed", "8629")
         rep = json.loads(out)
@@ -349,8 +357,9 @@ class TestArgumentCaps:
         caps = {flag: cap for _, flag, cap in CAPS}
         # the univalence curve after its last doubling
         assert max(1024, 4 * caps["--n-theta"]) * 2 ** caps["--rounds"] <= 2**24
-        # a campaign checks each random map on 64 x 256-point grids
-        assert caps["--n-random"] * 64 * 256 <= 2**24
+        # a random map takes up to 64 draws of 48 x 192 points and up to 2^16
+        # squares for each of two hypothesis reviews and the argmax search
+        assert caps["--n-random"] * (64 * 48 * 192 + 3 * hypotheses._CELL_CAP) <= 2**30
 
     def test_readme_examples_parse(self):
         text = README.read_text()

@@ -5,6 +5,7 @@ recomputes its oracle in-test so a regression in either path is caught.
 """
 
 import math
+import re
 
 import mpmath
 import pytest
@@ -163,6 +164,12 @@ class TestLandau:
         for params, bound in ((P(1e200, 0), B(1e200)), (P(2, 1e308), B(2))):
             with pytest.raises(ValueError, match="growth rate overflows"):
                 landau(params, bound)
+        # the Bloch rates overflow, or the Jacobian-normalized rho underflows to 0
+        for bloch, params in ((bloch_lambda_normalized, P(1.0, 1e308)), (bloch_jacobian_normalized, P(1.0, 1e160)),
+                              (bloch_jacobian_normalized, P(1e300, 0.0))):
+            with pytest.raises(ValueError, match="Bloch rate overflows or radius underflows for K = "
+                                                 + re.escape(f"{params.K!r}, Kp = {params.Kp!r}")):
+                bloch(params)
 
     def test_sigma_is_psi_of_T(self):
         for K in (1, 1.5, 2, 4, 8):

@@ -204,22 +204,91 @@ def test_bloch_campaign_runs_without_scipy():
     assert json.loads(out.stdout)["theorem"] == "bloch-pipeline"
 
 
+def _sampled_reference(f, params, trace):
+    """The 64 x 256 grid scan the pipeline once ran, at trace's argmax: the sampled excess and margin of G."""
+    w = polar_grid(0.999, 64, 256)
+    lam_max, lam_min, jac = stretches(*harness._rescaled_partials(f, trace.argmax_point,
+                                                                  trace.sup_weighted_distortion, w))
+    excess = float(np.max(lam_min - 2.0 / (2.0 - (w.real**2 + w.imag**2))))
+    return excess, float(np.min(params.K * jac + 4.0 * params.Kp - lam_max**2))
+
+
+REFERENCE_MAPS = [("identity", HarmonicMap.identity(), P(1, 0)),
+                  ("F2-N128", build_Fn(2, 2.0, n_terms=128), P(1, 0)),
+                  *[(f"rand{100 + s}", random_elliptic(P(2, 0.5), 1.5, seed=100 + s), P(2, 0.5)) for s in range(3)],
+                  *[(f"K{k}-Kp{kp}-lam{lam}-seed{s}", random_elliptic(P(k, kp), lam, seed=s), P(k, kp))
+                    for k, kp, lam in ((2.0, 0.5, 1.5), (1.0, 0.0, 2.0), (4.0, 1.0, 3.0), (1.5, 0.25, 1.2))
+                    for s in range(2)],
+                  ("F3-lam2", build_Fn(3, 2.0), P(1, 0)), ("F5-lam5", build_Fn(5, 5.0), P(1, 0))]
+
+
 class TestBlochPipeline:
+    @pytest.mark.parametrize("f,params", [entry[1:] for entry in REFERENCE_MAPS], ids=[e[0] for e in REFERENCE_MAPS])
+    def test_certified_fields_bound_the_sampled_scan(self, f, params):
+        tr = bloch_pipeline(f, params)
+        excess, margin = _sampled_reference(f, params, tr)
+        assert excess <= tr.distortion_bound_excess <= 2.0 * hypotheses._SEARCH_GAP + 1e-15
+        assert -1e-9 <= tr.ellipticity_margin <= margin
+
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_search_bounds_the_weighted_distortion_on_a_grid(self, degree, seed):
+        f = _random_harmonic(degree, seed)
+        if hypotheses.certify_hypotheses(f, P(4, 1), math.inf, 1e-9).status != "certified":
+            return
+        z0, bound, squares = hypotheses._sup_weighted(f)
+        z = polar_grid(0.999, 64, 256)
+        _, lam_min, _ = stretches(*sample_grid(f, 0.999, 64, 256, partials=True))
+        assert float(np.max((1.0 - (z.real**2 + z.imag**2)) * lam_min)) <= bound
+        fz, fzb = f.partials(z0)
+        m = (1.0 - abs(z0) ** 2) * (abs(fz) - abs(fzb))
+        assert m <= bound <= m * (1.0 + hypotheses._SEARCH_GAP + 1e-14)
+        assert 0 < squares <= hypotheses._CELL_CAP
+
+    def test_campaign_does_not_depend_on_the_thread_count(self, monkeypatch):
+        params, bound = P(2, 0.5), DistortionBound(1.5)
+        entries = [("identity", "identity map", HarmonicMap.identity()), ("Fn2", "series extremal", build_Fn(2, 1.5))]
+        entries += [(f"seed{s}", "random", random_elliptic(params, 1.5, seed=s)) for s in range(4)]
+        out = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ELLIPTICA_THREADS", threads)
+            out[threads] = json.dumps(verify_bloch_pipeline(entries, params, bound))
+        assert out["1"] == out["2"]
+
+    def test_a_search_out_of_squares_is_an_excluded_row(self, monkeypatch):
+        # the analytic map's review takes arcs, so only the search needs squares
+        monkeypatch.setattr(hypotheses, "_CELL_CAP", 400)
+        rep = verify_bloch_pipeline([("Fn2", "series extremal", build_Fn(2, 2.0))], P(1, 0), DistortionBound(2))
+        assert rep["maps"][0]["verdict"] == "excluded"
+        assert rep["maps"][0]["verdicts"] == {"error": "weighted-distortion search: cell budget of 400 squares used up"}
+
+    def test_an_argmax_near_the_rim_is_rejected(self):
+        # h' = 1 + 1000 ((1 + z)/2)^400 - 1000/2^400: W peaks near z = 400/402
+        n = 400
+        hp = np.array([1000.0 * math.comb(n, k) / 2.0**n for k in range(n + 1)])
+        hp[0] += 1.0 - 1000.0 / 2.0**n
+        f = HarmonicMap([0.0, *(hp / np.arange(1, n + 2))])
+        with pytest.raises(RuntimeError, match=r"lies past \|z\| = 0.994"):
+            bloch_pipeline(f, P(1, 0))
+
     def test_identity_trace_is_exact(self):
-        tr = bloch_pipeline(HarmonicMap.identity(), P(1, 0))
+        f, params = HarmonicMap.identity(), P(1, 0)
+        tr = bloch_pipeline(f, params)
         assert tr.sup_weighted_distortion == 1.0
         assert tr.argmax_point == 0.0
         assert tr.lambda_origin == 1.0
-        assert tr.distortion_bound_excess == 0.0
         assert tr.ellipticity_margin == 0.0
+        assert _sampled_reference(f, params, tr)[0] == 0.0
+        assert 0.0 < tr.distortion_bound_excess <= 2.0 * hypotheses._SEARCH_GAP
 
     def test_extremal_trace(self):
         tr = bloch_pipeline(build_Fn(2, 2.0), P(1, 0))
         # analytic input: the quadrupled-constant margin is exactly zero
         assert tr.ellipticity_margin == 0.0
-        assert tr.distortion_bound_excess <= 0.0
-        assert tr.lambda_origin == 1.0
-        assert tr.sup_weighted_distortion == pytest.approx(1.2699128430242796, abs=1e-12)
+        assert tr.distortion_bound_excess <= 2.0 * hypotheses._SEARCH_GAP
+        assert abs(tr.lambda_origin - 1.0) <= 1e-15
+        # m <= sup W <= m (1 + excess/2) holds the sup a simplex polish found
+        m = tr.sup_weighted_distortion
+        assert m <= 1.2699128430242796 <= m * (1.0 + 0.5 * tr.distortion_bound_excess)
 
     def test_random_map_trace(self):
         f = random_elliptic(P(2, 0.5), 1.5, seed=11)
@@ -230,8 +299,9 @@ class TestBlochPipeline:
         assert tr.sup_weighted_distortion > 0
 
     def test_polish_stopped_by_its_budget_still_improves_the_argmax(self):
-        # Nelder-Mead stops at maxfev here, at 1.0329406 against the grid's
-        # 1.0328814; keeping the grid point left lambda above 2/(2 - |w|^2)
+        # a simplex polish stopped by its evaluation budget here, at 1.0329406
+        # against a 64 x 256 grid's 1.0328814; the grid point left lambda above
+        # 2/(2 - |w|^2), and the search's best centre must do better
         f = random_elliptic(P(4, 1), 3.0, seed=8631)
         tr = bloch_pipeline(f, P(4, 1))
         assert tr.sup_weighted_distortion > 1.03294
@@ -249,32 +319,6 @@ class TestBlochPipeline:
                 bloch_pipeline(f, P(1, 0))
             with pytest.raises(ValueError, match="got nan"):
                 verify_jacobian_normalized(f, P(1, 0))
-
-    @pytest.mark.parametrize("f,x0,nfev", [
-        (build_Fn(3, 5.0), None, 1200),  # stops at the evaluation budget, part-way through a step
-        (HarmonicMap.identity(), (0.0, 0.0), None),  # zero coordinates, and the grid point keeps its tie
-        (random_elliptic(P(2, 0.5), 1.5, seed=11), None, None),
-    ], ids=["F3-lam5", "identity", "random"])
-    def test_polish_repeats_scipy_nelder_mead_bit_for_bit(self, f, x0, nfev):
-        from scipy.optimize import minimize
-
-        z_pts = polar_grid(*harness._PIPELINE_GRID)
-        _, lam_min, _ = stretches(*sample_grid(f, *harness._PIPELINE_GRID, partials=True))
-        start = complex(z_pts[int(np.argmax((1.0 - np.abs(z_pts) ** 2) * lam_min))])
-
-        def neg_weighted(v):  # the pipeline's objective
-            if v[0] * v[0] + v[1] * v[1] >= 0.9999998:
-                return 0.0
-            return -harness._weighted_lambda(f, complex(v[0], v[1]))
-
-        x, fun, calls = harness._nelder_mead(neg_weighted, [start.real, start.imag])
-        ref = minimize(neg_weighted, [start.real, start.imag], method="Nelder-Mead",
-                       options={"xatol": 1e-11, "fatol": 1e-16, "maxiter": 600, "maxfev": 1200})
-        assert x.tobytes() == ref.x.tobytes()
-        assert np.float64(fun).tobytes() == np.float64(ref.fun).tobytes()
-        assert calls == ref.nfev
-        assert x0 is None or (start.real, start.imag) == x0
-        assert nfev is None or calls == nfev
 
     def test_trace_serializes(self):
         tr = bloch_pipeline(HarmonicMap.identity(), P(1, 0))
@@ -322,22 +366,22 @@ class TestRandomElliptic:
 
 def test_grid_scans_make_no_horner_pass_beyond_a_cloud(monkeypatch):
     f = random_elliptic(P(2, 0.5), 1.5, seed=11)
-    sizes = []
-    horner = seriescore._horner
+    sizes = {seriescore: [], hypotheses: []}
+    for module, seen in sizes.items():
+        def counting(coeffs, z, horner=module._horner, seen=seen):
+            seen.append(np.size(z))
+            return horner(coeffs, z)
 
-    def counting(coeffs, z):
-        sizes.append(np.size(z))
-        return horner(coeffs, z)
-
-    monkeypatch.setattr(seriescore, "_horner", counting)
+        monkeypatch.setattr(module, "_horner", counting)
     random_elliptic(P(2, 0.5), 1.5, seed=12)
     ellipticity_check(f, P(2, 0.5))
-    assert sizes and max(sizes) <= 128
-    sizes.clear()
+    assert sizes[seriescore] and max(sizes[seriescore]) <= 128 and not sizes[hypotheses]
+    sizes[seriescore].clear()
     bloch_pipeline(f, P(2, 0.5))
-    # only the rescaled map's chain rule evaluates at the grid points: the
-    # base map's h' and g' at the images of every ring and the centre
-    assert [n for n in sizes if n > 128] == [64 * 256 + 1] * 2
+    # no grid: the map is evaluated at single points, and the review and the
+    # argmax search evaluate their squares a chunk at a time
+    assert sizes[seriescore] and max(sizes[seriescore]) == 1
+    assert sizes[hypotheses] and max(sizes[hypotheses]) <= hypotheses._CHUNK
 
 
 BENCHMARK_REGIMES = ((2.0, 0.5, 1.5), (1.0, 0.0, 2.0), (4.0, 1.0, 3.0), (1.5, 0.25, 1.2))

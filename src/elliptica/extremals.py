@@ -43,13 +43,17 @@ def build_Fn(n: int, lam: float, n_terms: int = 64, r_ref: float = 0.9) -> Harmo
 
     coeffs = np.zeros(n_terms + 1, dtype=complex)
     coeffs[1] = 1.0
-    amp = lam * lam - 1.0
+    # each term is amp / (d lam^(k - shift)) with amp = (lam^2 - 1)/lam^shift;
+    # shift is 1 only past the square root of the float range, where lam^2 overflows
+    amp, shift = lam * lam - 1.0, 0
+    if amp == math.inf:
+        amp, shift = lam - 1.0 / lam, 1
     k = 1
     while k * (n - 1) + 1 <= n_terms:
         d = k * (n - 1) + 1
         sign = 1.0 if k % 2 == 1 else -1.0
         try:
-            denom = d * lam**k
+            denom = d * lam ** (k - shift)
         except OverflowError:
             denom = math.inf
         if denom < math.inf:
@@ -57,11 +61,15 @@ def build_Fn(n: int, lam: float, n_terms: int = 64, r_ref: float = 0.9) -> Harmo
         else:
             # lam**k, or d times it, is past the float range, but the term is
             # tiny: in logarithms it keeps its value, or underflows to 0
-            coeffs[d] = sign * math.exp(math.log(amp / d) - k * math.log(lam))
+            coeffs[d] = sign * math.exp(math.log(amp / d) - (k - shift) * math.log(lam))
         k += 1
     # first dropped index pair: degree k*(n-1)+1 with ratio r^(n-1)/lam < 1
     q = r_ref ** (n - 1) / lam
-    tail = amp * r_ref * q**k / ((k * (n - 1) + 1) * (1.0 - q))
+    if not shift:
+        tail = amp * r_ref * q**k / ((k * (n - 1) + 1) * (1.0 - q))
+    else:
+        # lam q = r^(n-1) restores the factor lam that amp lacks, and k >= 2
+        tail = amp * q * r_ref ** (n - 1) * r_ref * q ** (k - 2) / ((k * (n - 1) + 1) * (1.0 - q))
     return HarmonicMap(coeffs, (), tail_bound=tail, reference_radius=r_ref)
 
 
@@ -81,11 +89,17 @@ def build_classical(m_sup: float, n_terms: int = 64, r_ref: float = 0.9) -> Harm
 
     coeffs = np.zeros(n_terms + 1, dtype=complex)
     coeffs[1] = 1.0
-    coeffs[2] = (1.0 - m_sup * m_sup) / m_sup
-    for d in range(3, n_terms + 1):
-        coeffs[d] = coeffs[d - 1] / m_sup
     # dropped degrees d > N sum to (M^2-1) r (r/M)^N / (1 - r/M)
     q = r_ref / m_sup
-    tail = (m_sup * m_sup - 1.0) * r_ref * q**n_terms / (1.0 - q)
+    square = m_sup * m_sup
+    if square < math.inf:
+        coeffs[2] = (1.0 - square) / m_sup
+        tail = (square - 1.0) * r_ref * q**n_terms / (1.0 - q)
+    else:
+        # M^2 overflows: (M^2 - 1)/M = M - 1/M, and M q = r restores the other M
+        coeffs[2] = 1.0 / m_sup - m_sup
+        tail = (m_sup - 1.0 / m_sup) * q * r_ref * r_ref * q ** (n_terms - 2) / (1.0 - q)
+    for d in range(3, n_terms + 1):
+        coeffs[d] = coeffs[d - 1] / m_sup
     return HarmonicMap(coeffs, (), tail_bound=tail, reference_radius=r_ref)
 

@@ -441,7 +441,8 @@ def verify_jacobian_normalized(f, params: EllipticityParams,
     p0 = profile(f, 0.0)
     if not abs(p0.jacobian - 1.0) <= _HYP_TOL:
         raise ValueError(f"route requires J(0) = 1, got {p0.jacobian!r}")
-
+    # first, so that a K'(K + K') that overflows is a ValueError naming K and K'
+    rho2 = bloch_jacobian_normalized(params).rho
     eff = EllipticityParams(params.K, params.Kp * (params.K + params.Kp))
 
     def check(f) -> tuple[str, dict, dict]:
@@ -462,7 +463,7 @@ def verify_jacobian_normalized(f, params: EllipticityParams,
     return build_report(
         "bloch-jacobian-normalized",
         {"K": params.K, "Kp": params.Kp, "K_eff": eff.K, "Kp_eff": eff.Kp,
-         "rho2": bloch_jacobian_normalized(params).rho},
+         "rho2": rho2},
         rows,
         worst_case,
     )

@@ -54,13 +54,17 @@ rounded outward by a factor 1 + gamma_{4N+8} (Rump, Acta Numerica 19,
 2010).  The review is ``certified`` when every square or arc passes,
 ``refuted`` at the first centre or sample that fails a hypothesis beyond
 the caller's tolerance, and ``inconclusive`` when the budget of squares or
-circle samples is used up first.
+circle samples is used up first.  Each review is memoized on the map per
+(K, K', Lambda, tol), as its degree ladders are, so campaigns that check
+two theorems on one map review it once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -106,15 +110,24 @@ class HypothesisReview:
     largest lambda and the least margin at the points evaluated, and a
     refutation names its ``witness``, a point of the disk where a
     hypothesis fails.  ``pieces`` counts the squares (``cells``) or the
-    circle samples (``arcs``) evaluated.
+    circle samples (``arcs``) evaluated, in a read-only mapping: the map
+    keeps its reviews, so a caller must not be able to change one.
     """
 
     status: str
     sup_lambda: float
     ellipticity_margin: float
-    pieces: dict
+    pieces: Mapping
     witness: complex | None = None
     reasons: tuple = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pieces", MappingProxyType(dict(self.pieces)))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle, and a pickled map carries its reviews
+        return type(self), (self.status, self.sup_lambda, self.ellipticity_margin, dict(self.pieces),
+                            self.witness, self.reasons)
 
 
 def _derivatives(c: np.ndarray, count: int) -> list:
@@ -139,11 +152,18 @@ def certify_hypotheses(f: HarmonicMap, params: EllipticityParams, lam: float, to
     """Prove sup lambda <= lam, (K, K')-ellipticity and sense preservation on |z| <= 0.999.
 
     Each within tol; see the module docstring for the squares (g != 0),
-    the arcs (g = 0) and the three outcomes.
+    the arcs (g = 0) and the three outcomes.  The review is a function of
+    f's frozen coefficients and (K, K', lam, tol) alone, so f keeps it under
+    that key, as it keeps its degree ladders, and a second call returns it.
     """
-    if f.is_analytic:
-        return _arcs(f, params, float(lam), tol)
-    return _cells(f, params, float(lam), tol)
+    # repr tells the signed zeros apart, which compare equal but print apart
+    # in a review; threads that race on one key store equal reviews
+    key = repr((float(params.K), float(params.Kp), float(lam), float(tol)))
+    review = f._reviews.get(key)
+    if review is None:
+        review = (_arcs if f.is_analytic else _cells)(f, params, float(lam), tol)
+        f._reviews[key] = review
+    return review
 
 
 def _square_series(f: HarmonicMap) -> tuple:

@@ -160,7 +160,11 @@ class HarmonicMap:
 
     analytic_coeffs lists a_0..a_N; antianalytic_coeffs lists b_1..b_N (the
     degree-1-based convention of the on-disk format).  Shorter inputs are
-    zero-padded to a common truncation degree N >= 1.
+    zero-padded to a common truncation degree N >= 1.  A map memoizes what
+    depends on its coefficients alone: its degree ladders, and the certified
+    hypothesis reviews of :mod:`elliptica.hypotheses`, one per (K, K',
+    Lambda, tol).  Neither is computed before its first use, and both are
+    freed with the map.
     """
 
     analytic_coeffs: np.ndarray = field(repr=False)
@@ -285,6 +289,11 @@ class HarmonicMap:
         powers = np.power(np.arange(1, _LADDER_LEVELS + 1) / _LADDER_LEVELS, degrees)
         upper = np.maximum(powers, np.finfo(float).tiny)
         return [_ladder(c, powers, upper) for c in self._series]
+
+    @cached_property
+    def _reviews(self) -> dict:
+        """Certified hypothesis reviews of the map by their key, filled by ``hypotheses`` on first use."""
+        return {}
 
     def _sums(self, z, which):
         """Horner sums at z of the series numbered in which, each point to its effective degree."""

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -131,6 +132,15 @@ class TestExtremalAndCheckMap:
         assert code == 0 and err == ""
         assert 0.0 < HarmonicMap.from_json_dict(json.loads(out)).a_n(64).real < 1e-299
 
+    @pytest.mark.parametrize("family", [("Fn", "--n", "2", "--lam"), ("classical", "--M")])
+    def test_parameter_whose_square_overflows(self, capsys, family):
+        # lam^2 and M^2 overflow, but a_2 is about +-1e300 and the tail is finite
+        code, out, err = run(capsys, "extremal", "--family", *family, "1e300", "--N", "8")
+        assert code == 0 and err == ""
+        f = HarmonicMap.from_json_dict(json.loads(out))
+        assert abs(f.a_n(2)) == pytest.approx(5e299 if family[0] == "Fn" else 1e300, rel=1e-15)
+        assert np.isfinite(f.analytic_coeffs).all() and math.isfinite(f.tail_bound)
+
     def test_refutation_exit_code(self, capsys, tmp_path):
         # the verdict still goes to stdout; the exit status carries the answer
         path = tmp_path / "sq.json"
@@ -228,6 +238,13 @@ class TestVerifyCommand:
         assert rep["theorem"] == "coefficient-bounds"
         assert not rep["worst_case"]["refuted"]
         assert rep["runtime_ms"] is None
+
+    def test_c1_route_with_overflowing_effective_kp_names_its_inputs(self, capsys):
+        # K'(K + K') overflows; constants says the same for these inputs
+        code, out, err = run(capsys, "verify-theorem", "--which", "c1", "--K", "1", "--Kp", "1e200")
+        assert code == 2 and out == ""
+        assert "Bloch rate overflows or radius underflows for K = 1.0, Kp = 1e+200" in err
+        assert run(capsys, "constants", "--K", "1", "--Kp", "1e200", "--lam", "1")[2] == err
 
     def test_remarks_deterministic(self, capsys):
         args = ("verify-theorem", "--which", "remarks", "--samples", "50")

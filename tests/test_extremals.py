@@ -124,6 +124,26 @@ class TestPinnedFamily:
         for k in range(1, 63):
             assert f.a_n(k + 1).real == (-1) ** (k + 1) * (lam * lam - 1.0) / ((k + 1) * lam**k)
 
+    @pytest.mark.parametrize("n,lam", [(2, 1.4e154), (2, 1e300), (3, 1e200), (5, 1e250)])
+    def test_lam_whose_square_overflows(self, n, lam):
+        # lam^2 - 1 overflows, but every term and the tail are finite; the
+        # filterwarnings setting makes any RuntimeWarning fail the test, and
+        # terms past lam**k's float range go through logarithms (rel 1e-12)
+        assert math.isinf(lam * lam)
+        for n_terms in (n, 3 * n, 64):
+            f = build_Fn(n, lam, n_terms=n_terms)
+            with mpmath.workdps(40):
+                big, r = mpmath.mpf(lam), mpmath.mpf(0.9)
+                for d in range(2, n_terms + 1):
+                    k, rem = divmod(d - 1, n - 1)
+                    exact = 0 if rem else (-1) ** (k + 1) * (big * big - 1) / (d * big**k)
+                    assert f.a_n(d).real == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+                # the first dropped term, degree k(n-1)+1, and the exact geometric tail after it
+                k = (n_terms - 1) // (n - 1) + 1
+                q = r ** (n - 1) / big
+                tail = (big * big - 1) * r * q**k / ((k * (n - 1) + 1) * (1 - q))
+            assert math.isfinite(f.tail_bound) and f.tail_bound == pytest.approx(float(tail), rel=1e-14, abs=0.0)
+
 
 class TestClassicalFamily:
     def test_recurrence(self):
@@ -165,6 +185,21 @@ class TestClassicalFamily:
         vals = np.abs(classical_rational(M, consts.r0 * np.exp(1j * theta)))
         assert float(vals.min()) >= consts.R0 - 1e-9
         assert float(vals.min()) <= consts.R0 + 1e-6
+
+    @pytest.mark.parametrize("M", [1.4e154, 1e300])
+    def test_M_whose_square_overflows(self, M):
+        # M^2 overflows, but a_2 = (1 - M^2)/M, a_3 = a_2/M and the tail are finite
+        assert math.isinf(M * M)
+        for n_terms in (2, 3, 8):
+            f = build_classical(M, n_terms=n_terms)
+            with mpmath.workdps(40):
+                big, r = mpmath.mpf(M), mpmath.mpf(0.9)
+                for d in range(2, n_terms + 1):
+                    exact = (1 - big * big) / big ** (d - 1)
+                    assert f.a_n(d).real == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+                tail = (big * big - 1) * r * (r / big) ** n_terms / (1 - r / big)
+            assert math.isfinite(f.tail_bound) and f.tail_bound == pytest.approx(float(tail), rel=1e-14, abs=0.0)
+        assert build_classical(M, n_terms=2).tail_bound > 0.7
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -6,9 +6,11 @@ import inspect
 import json
 import math
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -246,10 +248,12 @@ class TestBlochPipeline:
 
     def test_campaign_does_not_depend_on_the_thread_count(self, monkeypatch):
         params, bound = P(2, 0.5), DistortionBound(1.5)
-        entries = [("identity", "identity map", HarmonicMap.identity()), ("Fn2", "series extremal", build_Fn(2, 1.5))]
-        entries += [(f"seed{s}", "random", random_elliptic(params, 1.5, seed=s)) for s in range(4)]
         out = {}
         for threads in ("1", "2"):
+            # maps of their own, so that the second run reviews rather than reads the first run's memo
+            entries = [("identity", "identity map", HarmonicMap.identity()),
+                       ("Fn2", "series extremal", build_Fn(2, 1.5))]
+            entries += [(f"seed{s}", "random", random_elliptic(params, 1.5, seed=s)) for s in range(4)]
             monkeypatch.setenv("ELLIPTICA_THREADS", threads)
             out[threads] = json.dumps(verify_bloch_pipeline(entries, params, bound))
         assert out["1"] == out["2"]
@@ -398,6 +402,122 @@ def _random_harmonic(degree, seed):
     return HarmonicMap([0.0, *a], b)
 
 
+def _review_entries(params):
+    """Four random maps, an analytic extremal and a map the review refutes, each built anew."""
+    entries = [(f"seed{s}", "random", random_elliptic(params, 1.5, seed=s)) for s in range(4)]
+    return entries + [("Fn2", "series extremal", build_Fn(2, 1.5)), ("wild", "crafted", HarmonicMap([0.0, 1.0, 1.0]))]
+
+
+def _counting_reviews(monkeypatch) -> list:
+    """Record the map of every review that _cells or _arcs computes."""
+    computed = []
+    for name in ("_cells", "_arcs"):
+        def counting(f, *args, review=getattr(hypotheses, name)):
+            computed.append(f)
+            return review(f, *args)
+
+        monkeypatch.setattr(hypotheses, name, counting)
+    return computed
+
+
+class TestReviewMemo:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_both_campaigns_review_each_fresh_map_once(self, monkeypatch, threads):
+        params, bound = P(2, 0.5), DistortionBound(1.5)
+        # each campaign on copies of its own, as a process that checks one theorem sees them
+        separate = [json.dumps(campaign(_review_entries(params), params, bound))
+                    for campaign in (verify_coefficient_bounds, verify_landau_probes)]
+        monkeypatch.setenv("ELLIPTICA_THREADS", threads)
+        computed = _counting_reviews(monkeypatch)
+        entries = _review_entries(params)
+        shared = [json.dumps(campaign(entries, params, bound))
+                  for campaign in (verify_coefficient_bounds, verify_landau_probes)]
+        assert shared == separate
+        assert sorted(map(id, computed)) == sorted(id(f) for _, _, f in entries)
+
+    def test_each_key_computes_its_own_review(self, monkeypatch):
+        computed = _counting_reviews(monkeypatch)
+        for f in (random_elliptic(P(2, 0.5), 1.5, seed=0), build_Fn(2, 1.5)):
+            keys = [(P(2, 0.5), 1.5, 1e-9), (P(3, 0.5), 1.5, 1e-9), (P(2, 0.75), 1.5, 1e-9),
+                    (P(2, 0.5), 1.75, 1e-9), (P(2, 0.5), 1.5, 1e-8)]
+            reviews = [hypotheses.certify_hypotheses(f, *key) for key in keys]
+            assert len(computed) == len(keys)
+            # the same key again, with equal values of other types, reads the memo
+            again = hypotheses.certify_hypotheses(f, P(np.float64(2), 0.5), 1.5, 1e-9)
+            assert len(computed) == len(keys) and again is reviews[0]
+            computed.clear()
+            # a change of K or K' shows in the margin of a map with g != 0
+            assert len({r.ellipticity_margin for r in reviews[:3]}) == (2 if f.is_analytic else 3)
+
+    def test_signed_zeros_are_different_keys(self):
+        # K' = -0.0 and 0.0 compare equal, but an analytic map's margin is K' itself
+        f = build_Fn(2, 1.5)
+        plus = hypotheses.certify_hypotheses(f, P(1, 0.0), 1.5, 1e-9)
+        minus = hypotheses.certify_hypotheses(f, P(1, -0.0), 1.5, 1e-9)
+        assert math.copysign(1.0, plus.ellipticity_margin) == 1.0
+        assert math.copysign(1.0, minus.ellipticity_margin) == -1.0
+
+    def test_threads_sharing_maps_get_the_reviews_of_a_serial_run(self):
+        # eight threads on two cores race to fill the same memos; a lost or torn
+        # store may cost a second review, but never a different one
+        keys = [(P(2, 0.5), 1.5, 1e-9), (P(4, 1), 3.0, 1e-9), (P(2, 0.5), math.inf, 1e-9)]
+
+        def maps():
+            return [random_elliptic(P(2, 0.5), 1.5, seed=s) for s in range(3)] + [build_Fn(2, 1.5)]
+
+        serial = [[hypotheses.certify_hypotheses(f, *key) for key in keys] for f in maps()]
+        shared = maps()
+        seen = [None] * 8
+
+        def work(slot):
+            # each thread takes the keys in its own order
+            got = {}
+            for i in range(slot, slot + len(keys)):
+                for j, f in enumerate(shared):
+                    got[j, i % len(keys)] = hypotheses.certify_hypotheses(f, *keys[i % len(keys)])
+            seen[slot] = [[got[j, i] for i in range(len(keys))] for j in range(len(shared))]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(reviews == serial for reviews in seen)
+
+    def test_a_memoized_review_is_read_only(self, monkeypatch):
+        f = random_elliptic(P(2, 0.5), 1.5, seed=0)
+        review = hypotheses.certify_hypotheses(f, P(2, 0.5), 1.5, 1e-9)
+        with pytest.raises(TypeError):
+            review.pieces["cells"] = 0
+        assert dict(review.pieces) == {"cells": review.pieces["cells"]} and review.pieces["cells"] > 0
+        # a reviewed map still pickles, and its copy keeps the review, read-only
+        computed = _counting_reviews(monkeypatch)
+        copy = pickle.loads(pickle.dumps(f))
+        assert hypotheses.certify_hypotheses(copy, P(2, 0.5), 1.5, 1e-9) == review and not computed
+        with pytest.raises(TypeError):
+            copy._reviews[next(iter(copy._reviews))].pieces["cells"] = 0
+
+    def test_a_changed_row_leaves_the_next_campaign_alone(self):
+        params, bound = P(2, 0.5), DistortionBound(1.5)
+        entries = [("seed0", "random", random_elliptic(params, 1.5, seed=0)), ("Fn2", "series extremal", build_Fn(2, 1.5))]
+        first = verify_coefficient_bounds(entries, params, bound)
+        expected = json.dumps(first)
+        for row in first["maps"]:
+            review = row["verdicts"]["hypotheses"]
+            for key in ("cells", "arcs"):
+                if key in review:
+                    review[key] = -1
+            review["reasons"].append("changed")
+            review["status"] = "changed"
+        assert json.dumps(verify_coefficient_bounds(entries, params, bound)) == expected
+
+
 class TestHypothesisReview:
     def test_the_review_samples_no_grid(self, monkeypatch):
         # the review proves its bounds from cells or arcs: no polar grid, no
@@ -462,10 +582,10 @@ class TestHypothesisReview:
 
     def test_review_keys_do_not_depend_on_the_thread_count(self, monkeypatch):
         params, bound = P(2, 0.5), DistortionBound(1.5)
-        entries = [(f"seed{s}", "random", random_elliptic(params, 1.5, seed=s)) for s in range(4)]
-        entries += [("Fn2", "series extremal", build_Fn(2, 1.5)), ("wild", "crafted", HarmonicMap([0.0, 1.0, 1.0]))]
         reviews = {}
         for threads in ("1", "2"):
+            # maps of their own, so that the second run reviews rather than reads the first run's memo
+            entries = _review_entries(params)
             monkeypatch.setenv("ELLIPTICA_THREADS", threads)
             reviews[threads] = [row["verdicts"]["hypotheses"]
                                 for row in verify_coefficient_bounds(entries, params, bound)["maps"]]
@@ -573,6 +693,11 @@ class TestCampaigns:
     def test_jacobian_normalized_validation(self):
         with pytest.raises(ValueError):
             verify_jacobian_normalized(HarmonicMap([0.0, 2.0]), P(1, 0))
+
+    def test_jacobian_normalized_route_names_an_overflowing_input(self):
+        # K'(K + K') overflows, so the route's effective constants cannot be formed
+        with pytest.raises(ValueError, match=r"Bloch rate overflows or radius underflows for K = 1\.0, Kp = 1e\+200"):
+            verify_jacobian_normalized(HarmonicMap([0.0, 1.25], [0.75]), P(1.0, 1e200))
 
     def test_remark_campaign_small(self):
         rep = remark_campaign(samples=60)

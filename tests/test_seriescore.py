@@ -18,6 +18,7 @@ from elliptica import (
     random_elliptic,
 )
 from elliptica import seriescore
+from elliptica.hypotheses import _TWIDDLE_ULPS, _dft_error
 
 AFFINE = HarmonicMap([0.0, 1.0], [0.5])  # z + 0.5*conj(z)
 
@@ -186,6 +187,59 @@ class TestOnRings:
                     hp, gp = (np.fft.ifft(folded(c, powers, n), norm="forward") for c in f._series[2:])
                     assert same(f.on_rings(radii, n), values)
                     assert same(f.on_rings(radii, n, partials=True), (hp, np.conj(gp)))
+
+
+class TestDFTError:
+    """The DFT error bound that the review's arcs add, measured against mpmath at the sizes in use."""
+
+    SIZES = (256, 1024, 4096, 16384, 65536)
+
+    @staticmethod
+    def _roots(n):
+        """e^{2 pi i m/n}, m < n, as double-double pairs (hi, lo), from a quarter circle of cospi."""
+        quarter = n // 4
+        with mpmath.workdps(30):
+            exact = [mpmath.cospi(mpmath.mpf(2 * m) / n) for m in range(quarter + 1)]
+            hi = np.array([float(x) for x in exact])
+            lo = np.array([float(x - h) for x, h in zip(exact, hi)])
+        m = np.arange(quarter)
+        # sin(2 pi m/n) = cos(2 pi (n/4 - m)/n), and each further quadrant is a
+        # product by i, exact in floating point
+        return tuple(np.concatenate([(part[m] + 1j * part[quarter - m]) * unit for unit in (1, 1j, -1, -1j)])
+                     for part in (hi, lo))
+
+    def test_impulse_responses_are_within_the_fft_bound(self):
+        u = seriescore._UNIT_ROUNDOFF
+        eta = _TWIDDLE_ULPS * u + seriescore._gamma(4) * (math.sqrt(2.0) + _TWIDDLE_ULPS * u)
+        hi, lo = self._roots(max(self.SIZES))
+        for n in self.SIZES:
+            log_n = math.log2(n)
+            step = max(self.SIZES) // n
+            for k in (1, 3, n // 3, n // 2 - 1, n - 1):
+                impulse = np.zeros(n, dtype=complex)
+                impulse[k] = 1.0
+                # the inverse DFT of e_k is e^{2 pi i jk/n}, a vector of 2-norm sqrt(n)
+                at = (np.arange(n) * k % n) * step
+                error = (np.fft.ifft(impulse, norm="forward") - hi[at]) - lo[at]
+                assert np.linalg.norm(error) / math.sqrt(n) <= log_n * eta / (1.0 - log_n * eta)
+
+    @pytest.mark.parametrize("degree,harmonic", [(8, False), (8, True), (400, False), (400, True)])
+    def test_on_rings_is_within_the_dft_bound(self, degree, harmonic):
+        rng = np.random.default_rng(degree + harmonic)
+        a = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        b = rng.standard_normal(degree) + 1j * rng.standard_normal(degree) if harmonic else np.zeros(degree)
+        f, r = HarmonicMap(a, b), 0.999
+        scale = float((np.abs(f.analytic_coeffs) + np.abs(f._b_full)) @ r ** np.arange(degree + 1))
+        for n in self.SIZES if degree < 64 else self.SIZES[::2]:
+            values = f.on_rings(r, n)
+            # the samples Horner flags as worst, and two at random
+            guess = np.abs(values - f.eval(r * np.exp(2j * np.pi * np.arange(n) / n)))
+            picks = {*np.argsort(guess)[-3:].tolist(), *rng.integers(0, n, 2).tolist()}
+            with mpmath.workdps(30):
+                for j in picks:
+                    z = mpmath.mpf(r) * mpmath.expjpi(mpmath.mpf(2 * j) / n)
+                    exact = mpmath.polyval(a[::-1].tolist(), z) + mpmath.conj(z * mpmath.polyval(b[::-1].tolist(), z))
+                    assert float(abs(mpmath.mpc(values[j]) - exact)) <= _dft_error(n, degree) * scale
 
 
 def _full_horner(coeffs, z):

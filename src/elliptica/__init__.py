@@ -24,9 +24,7 @@ _EXPORTS = {
         "build_report", "classical_landau", "coeff_bound", "growth_rate", "landau", "psi",
         "remark_campaign", "remark_inequalities",
     ),
-    "distortion": (
-        "DistortionProfile", "EllipticityReport", "ellipticity_check", "profile", "sup_lambda_min",
-    ),
+    "distortion": ("DistortionProfile", "profile"),
     "extremals": ("build_classical", "build_Fn"),
     "harness": (
         "PipelineTrace", "bloch_pipeline", "parallel_map", "random_elliptic", "thread_count",
@@ -36,7 +34,7 @@ _EXPORTS = {
     "oracles": (
         "CERTIFIED", "INCONCLUSIVE", "REFUTED", "OracleVerdict", "coverage_probe", "univalence_probe",
     ),
-    "sampling": ("SamplingSpec", "disk_net", "halton", "halton_disk", "polar_grid"),
+    "sampling": ("SamplingSpec", "disk_net"),
     "seriescore": ("HarmonicMap",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -287,9 +287,9 @@ def radical_inverse(count: int, base: int, start: int = 1) -> list[float]:
 
     Each index's digits are summed least significant first, with weights
     base**-k formed by repeated division, so every value is bit-identical
-    to the digit-by-digit loop, and ``sampling.halton`` is this list as an
-    array.  Starting at index 1 keeps 0.0 out of the sequence, which
-    matters when a coordinate is later mapped onto a half-open interval.
+    to the digit-by-digit loop.  Starting at index 1 keeps 0.0 out of the
+    sequence, which matters when a coordinate is later mapped onto a
+    half-open interval.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")

@@ -36,9 +36,8 @@ from .constants import (
     coeff_bound,
     landau,
 )
-from .distortion import ellipticity_check, profile, stretches
-from .oracles import CERTIFIED, REFUTED, coverage_probe, univalence_probe
-from .sampling import sample_grid
+from .distortion import profile
+from .oracles import CERTIFIED, INCONCLUSIVE, REFUTED, coverage_probe, univalence_probe
 from .seriescore import HarmonicMap
 
 __all__ = [
@@ -179,18 +178,21 @@ def bloch_pipeline(f, params: EllipticityParams) -> PipelineTrace:
 
 
 def random_elliptic(params: EllipticityParams, lam: float, seed: int = 0) -> HarmonicMap:
-    """Draw a random map satisfying the sampled hypotheses with a buffer.
+    """Draw a random map whose hypotheses are certified with a buffer.
 
     The affine part fixes lambda(0) = 1 exactly; degrees 2 through 8 get
-    complex Gaussian coefficients which are halved until the sampled
-    checks pass: sup lambda <= 0.98 lam, ellipticity margin and Jacobian
-    bounded away from zero.  The buffer keeps the checks stable under the
-    denser grids other components may use.  Raises RuntimeError when the
-    parameters leave no room (for instance lam too close to 1).
+    complex Gaussian coefficients which are halved until the review of
+    :func:`~elliptica.hypotheses.certify_hypotheses` certifies, on |z| <=
+    0.999, sup lambda <= 0.98 lam, an ellipticity margin of at least the
+    buffer, and J > 0.  Raises RuntimeError when the parameters leave no
+    room (for instance lam too close to 1).
     """
     lam = float(lam)
     if not (math.isfinite(lam) and lam >= 1.0):
         raise ValueError(f"lam must be finite and >= 1, got {lam}")
+    # imported here: `import elliptica` need not compile the certificate
+    from .hypotheses import certify_hypotheses
+
     rng = np.random.default_rng(seed)
 
     margin_buffer = min(0.02, 0.5 * (params.K - 1.0 + params.Kp))
@@ -211,22 +213,18 @@ def random_elliptic(params: EllipticityParams, lam: float, seed: int = 0) -> Har
     if b1_cap == 0.0:
         b_hi = np.zeros(shape, dtype=complex)  # conformal regime: no antianalytic part at all
 
-    jac_floor = 0.02
     scale = 1.0
     for _ in range(64):
         analytic = np.concatenate(([0.0, a1], scale * a_hi))
         anti = np.concatenate(([b1], scale * b_hi))
         candidate = HarmonicMap(analytic, anti)
-        lam_max, lam_min_arr, jac = stretches(*sample_grid(candidate, 1.0 - 1e-7, 48, 192, partials=True))
-        if (
-            float(lam_min_arr.max()) <= 0.98 * lam
-            and float(np.min(params.K * jac + params.Kp - lam_max * lam_max)) >= margin_buffer
-            and float(jac.min()) >= (jac_floor if margin_buffer > 0.0 else 0.0)
-        ):
+        # the tolerance -buffer demands a margin >= buffer, and lam is raised by the buffer to match
+        review = certify_hypotheses(candidate, params, 0.98 * lam + margin_buffer, -margin_buffer)
+        if review.status == CERTIFIED:
             return candidate
         scale *= 0.5
     raise RuntimeError(
-        "generator exhausted: the sampled hypotheses leave no room at "
+        "generator exhausted: the hypotheses certified on |z| <= 0.999 leave no room at "
         f"K={params.K}, K'={params.Kp}, lam={lam} (lam must exceed about 1.02)"
     )
 
@@ -257,19 +255,32 @@ def _hypothesis_review(f, params: EllipticityParams, bound: DistortionBound) -> 
         reasons.append(f"lambda(0) = {p0.lambda_min!r} is not 1")
     review = certify_hypotheses(f, params, bound.lam, _HYP_TOL)
     status = REFUTED if reasons else review.status
-    witness = review.witness
+    fields = _review_fields(review)
     detail = {
         "status": status,
         "origin": [origin_value.real, origin_value.imag],
-        # an overflowing map may leave no finite value, and JSON has no spelling for inf
-        "lambda_origin": p0.lambda_min if math.isfinite(p0.lambda_min) else None,
-        **review.pieces,
-        "sup_lambda": review.sup_lambda if math.isfinite(review.sup_lambda) else None,
-        "ellipticity_margin": review.ellipticity_margin if math.isfinite(review.ellipticity_margin) else None,
-        "witness": None if witness is None else [witness.real, witness.imag],
-        "reasons": reasons + list(review.reasons),
+        "lambda_origin": _finite(p0.lambda_min),
+        **fields,
+        "reasons": reasons + fields["reasons"],
     }
     return status, detail
+
+
+def _finite(x: float) -> float | None:
+    # an overflowing map may leave no finite value, and JSON has no spelling for inf
+    return x if math.isfinite(x) else None
+
+
+def _review_fields(review) -> dict:
+    """A review's JSON fields after its status: pieces, bounds, witness and reasons."""
+    witness = review.witness
+    return {
+        **review.pieces,
+        "sup_lambda": _finite(review.sup_lambda),
+        "ellipticity_margin": _finite(review.ellipticity_margin),
+        "witness": None if witness is None else [witness.real, witness.imag],
+        "reasons": list(review.reasons),
+    }
 
 
 def _reviewed(check: Callable, params: EllipticityParams, bound: DistortionBound) -> Callable:
@@ -429,14 +440,22 @@ def verify_bloch_pipeline(entries: Sequence[MapEntry], params: EllipticityParams
 
 def verify_jacobian_normalized(f, params: EllipticityParams,
                                map_id: str = "map", source: str = "") -> dict:
-    """Jacobian-normalized route: rescale by lambda(0), recheck ellipticity.
+    """Jacobian-normalized route: rescale by lambda(0), review the (K, K'(K + K')) hypotheses.
 
     Requires J(0) = 1 within 1e-9 (that is the normalization this route
     assumes); rejects otherwise.  The origin bound Lambda(0) <= sqrt(K+K')
     is evaluated and reported, not enforced: a failure here falsifies the
     bound for this map, which is exactly what the report should say.  The
-    map runs as a one-entry campaign, so the row and worst case take the
-    shape of every other campaign's.
+    input f/lambda(0) is then reviewed by
+    :func:`~elliptica.hypotheses.certify_hypotheses` with Lambda = inf at
+    (K, K'(K + K')): a refuted review, like a failed origin bound, is a
+    violation, and an undecided one makes the row inconclusive, without
+    slacks.  The input's own (K, K') review is reported beside it.  Both
+    reviews take the campaigns' JSON shape, so a certified review's
+    ``ellipticity_margin`` is a certified lower bound on |z| <= 0.999, not
+    a sampled minimum, and reads lower than one.  The map runs as a
+    one-entry campaign, so the row and worst case take the shape of every
+    other campaign's.
     """
     p0 = profile(f, 0.0)
     if not abs(p0.jacobian - 1.0) <= _HYP_TOL:
@@ -444,20 +463,27 @@ def verify_jacobian_normalized(f, params: EllipticityParams,
     # first, so that a K'(K + K') that overflows is a ValueError naming K and K'
     rho2 = bloch_jacobian_normalized(params).rho
     eff = EllipticityParams(params.K, params.Kp * (params.K + params.Kp))
+    # imported here: `import elliptica` need not compile the certificate
+    from .hypotheses import certify_hypotheses
 
     def check(f) -> tuple[str, dict, dict]:
         lambda0_slack = math.sqrt(params.K + params.Kp) + _HYP_TOL - p0.lambda_max
         scaled = f.scale_output(1.0 / p0.lambda_min)
-        report = ellipticity_check(scaled, eff)
+        review = certify_hypotheses(scaled, eff, math.inf, _HYP_TOL)
+        given = certify_hypotheses(f, params, math.inf, _HYP_TOL)
         verdicts = {
             "lambda0_bound_holds": bool(lambda0_slack >= 0.0),
-            "input_ellipticity_margin": ellipticity_check(f, params).min_margin,
+            "input_hypotheses": {"status": given.status, **_review_fields(given)},
             "rescaled_lambda_origin": profile(scaled, 0.0).lambda_min,
-            "rescaled_ellipticity": report.to_json_dict(),
+            "rescaled_hypotheses": {"status": review.status, **_review_fields(review)},
         }
-        ok = lambda0_slack >= 0.0 and report.min_margin >= -_HYP_TOL
-        return ("pass" if ok else "violation", verdicts,
-                {"lambda0_slack": lambda0_slack, "ellipticity_margin": report.min_margin})
+        if review.status == INCONCLUSIVE and lambda0_slack >= 0.0:
+            return "inconclusive", verdicts, {}
+        slacks = {"lambda0_slack": lambda0_slack}
+        if review.status != INCONCLUSIVE:
+            slacks["ellipticity_margin"] = review.ellipticity_margin
+        ok = lambda0_slack >= 0.0 and review.status == CERTIFIED
+        return ("pass" if ok else "violation"), verdicts, slacks
 
     rows, worst_case = _campaign([(map_id, source, f)], check)
     return build_report(
@@ -467,4 +493,3 @@ def verify_jacobian_normalized(f, params: EllipticityParams,
         rows,
         worst_case,
     )
-

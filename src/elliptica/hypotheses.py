@@ -21,7 +21,8 @@ refutes one at a point of the disk where it fails:
   lo_h > hi_g.  A square whose bounds fall short while its centre fails
   no hypothesis splits in four.  (Moore, Kearfott & Cloud, *Introduction
   to Interval Analysis*, SIAM 2009.)
-* g = 0.  The margin (K - 1)|h'|^2 + K' is at least K' everywhere, and f
+* g = 0.  The margin (K - 1)|h'|^2 + K' is at least K' everywhere (a
+  review asked for more, by a tol below -K', is inconclusive), and f
   preserves sense: its dilatation g'/h' vanishes.  The zeros h' may have
   (the extremals F_n have n - 1 of them) are isolated points where
   J = |h'|^2 vanishes; they fail no hypothesis.  By the maximum modulus
@@ -151,8 +152,9 @@ def _columns(series: list, length: int) -> np.ndarray:
 def certify_hypotheses(f: HarmonicMap, params: EllipticityParams, lam: float, tol: float) -> HypothesisReview:
     """Prove sup lambda <= lam, (K, K')-ellipticity and sense preservation on |z| <= 0.999.
 
-    Each within tol; see the module docstring for the squares (g != 0),
-    the arcs (g = 0) and the three outcomes.  The review is a function of
+    Each within tol, which may be negative to demand room: sup lambda <=
+    lam + tol and a margin >= -tol.  See the module docstring for the
+    squares (g != 0), the arcs (g = 0) and the three outcomes.  The review is a function of
     f's frozen coefficients and (K, K', lam, tol) alone, so f keeps it under
     that key, as it keeps its degree ladders, and a second call returns it.
     """
@@ -338,6 +340,10 @@ def _arcs(f: HarmonicMap, params: EllipticityParams, lam: float, tol: float) -> 
         sums = np.array([h1, _REGION * h2, _REGION * (h2 + _REGION * h3)])
         third = _REGION * (h2 + 3.0 * _REGION * h3 + _REGION**2 * h4) * (1.0 + gamma)
     kp = float(params.Kp)
+    if kp < -tol:
+        # a negative tol asks for a margin above K', which the arcs do not bound from below
+        return HypothesisReview(INCONCLUSIVE, 0.0, kp, {"arcs": 0},
+                                reasons=(f"margin bound K' = {kp!r} is below {-tol!r}",))
 
     n = _ARCS
     seen = 0.0

@@ -32,7 +32,7 @@ underflows counts as the smallest normal number.  The ladder is built on the
 first Horner evaluation of a map and cached on it.  A series keeps its full
 degree, which is always sound, when its sums are not finite or when its top
 term is not negligible even at rho_1.
-Circles |z| = r, and the rings of polar grids, go through
+Circles |z| = r go through
 :meth:`HarmonicMap.on_rings`, one inverse DFT of the coefficients scaled by
 r^k, in O(n log n) rather than O(n N) per circle; its 2-norm error over a
 circle of n samples is at most log2(n) * eta / (1 - log2(n) * eta) times the
@@ -65,7 +65,7 @@ def _coeff_array(values, name: str) -> np.ndarray:
 
 
 def _horner(coeffs: np.ndarray, z):
-    # Scattered points only; circles and grid rings go through _ring_spectrum and one DFT.
+    # Scattered points only; circles go through _ring_spectrum and one DFT.
     # HarmonicMap passes each point's effective-degree prefix of a series (see
     # the module docstring).  The fixed order keeps each point's value
     # bit-reproducible and within the Horner bound of the module docstring,

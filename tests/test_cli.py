@@ -305,6 +305,15 @@ class TestVerifyCommand:
         assert code_ok == 0
         assert not json.loads(out_ok)["worst_case"]["refuted"]
 
+    def test_jacobian_route_with_an_undecided_review_exits_0(self, capsys, monkeypatch):
+        # fewer squares than the first cover: the rescaled review cannot decide,
+        # which is inconclusive, not negative
+        monkeypatch.setattr(hypotheses, "_CELL_CAP", 100)
+        code, out, _ = run(capsys, "verify-theorem", "--which", "c1", "--K", "4")
+        rep = json.loads(out)
+        assert code == 0 and rep["worst_case"] == {"refuted": False}
+        assert rep["maps"][0]["verdict"] == "inconclusive" and rep["maps"][0]["slacks"] == {}
+
 
 class TestReportAndBoundary:
     def test_aggregate_report(self, capsys):

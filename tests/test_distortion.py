@@ -1,18 +1,22 @@
-"""Pointwise distortion identities and sampled ellipticity evidence."""
+"""Pointwise distortion identities, and the certified ellipticity and lambda checks."""
+
+import json
+import math
 
 import numpy as np
 import pytest
+from conftest import grid_stretches
 from hypothesis import given, strategies as st
 
 from elliptica import (
     EllipticityParams,
     HarmonicMap,
-    SamplingSpec,
-    ellipticity_check,
+    build_Fn,
     profile,
-    sup_lambda_min,
 )
 from elliptica.distortion import stretches
+from elliptica.harness import _review_fields
+from elliptica.hypotheses import certify_hypotheses
 
 AFFINE = HarmonicMap([0.0, 1.0], [0.5])  # z + 0.5*conj(z)
 
@@ -34,9 +38,12 @@ class TestProfile:
 
     def test_affine_margin_is_exactly_zero_at_k3(self):
         # 3 * 0.75 + 0 - 2.25 = 0 in floats, not just approximately
-        rep = ellipticity_check(AFFINE, EllipticityParams(3, 0))
-        assert rep.min_margin == 0.0
-        assert rep.sense_preserving_everywhere_sampled
+        lam_max, _, jac = grid_stretches(AFFINE, 0.999, 8, 32)
+        assert np.all(3.0 * jac - lam_max * lam_max == 0.0) and np.all(jac > 0.0)
+        # and the certificate bounds that zero margin from below to rounding
+        review = certify_hypotheses(AFFINE, EllipticityParams(3, 0), math.inf, 1e-12)
+        assert review.status == "certified"
+        assert -1e-12 <= review.ellipticity_margin <= 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_stretch_product_equals_abs_jacobian(self, seed):
@@ -79,52 +86,48 @@ class TestEllipticityCheck:
             assert pg.jacobian == pytest.approx(pf.jacobian, abs=1e-12)
 
     def test_margin_monotone_in_params(self):
-        f = random_map(6)
-        r1 = ellipticity_check(f, EllipticityParams(1, 2))
-        r2 = ellipticity_check(f, EllipticityParams(1, 3))
-        assert r2.min_margin >= r1.min_margin + 0.999  # Kp shifts margins by 1
-        # raising K helps wherever J > 0; this map is checked sense-preserving
-        if r1.sense_preserving_everywhere_sampled:
-            r3 = ellipticity_check(f, EllipticityParams(2, 2))
-            assert r3.min_margin >= r1.min_margin
+        # the review refutes this map on its first squares, and the least
+        # margin it saw there shifts with K'
+        r1 = certify_hypotheses(random_map(6), EllipticityParams(1, 2), math.inf, 1e-9)
+        r2 = certify_hypotheses(random_map(6), EllipticityParams(1, 3), math.inf, 1e-9)
+        assert r2.ellipticity_margin >= r1.ellipticity_margin + 0.999  # Kp shifts margins by 1
+        # certified bounds rise with K' and, where J > 0, with K
+        r1, r2, r3 = (certify_hypotheses(AFFINE, EllipticityParams(k, kp), math.inf, 1e-9)
+                      for k, kp in ((3, 0), (3, 1), (4, 0)))
+        assert r1.status == r2.status == r3.status == "certified"
+        assert r2.ellipticity_margin >= r1.ellipticity_margin + 0.999
+        assert r3.ellipticity_margin >= r1.ellipticity_margin
 
     def test_report_shape(self):
-        rep = ellipticity_check(AFFINE, EllipticityParams(3, 0),
-                                grid=SamplingSpec(8, 16, 2), region_radius=0.9)
-        assert abs(rep.worst_point) <= 0.9
-        assert rep.sample_count >= 8 * 16 + 1
-        d = rep.to_json_dict()
-        assert set(d) == {"params", "min_margin", "worst_point", "sample_count",
-                          "sense_preserving_everywhere_sampled"}
-        assert d["worst_point"] == [rep.worst_point.real, rep.worst_point.imag]
+        # a review as a row prints it: status, pieces, bounds, witness, reasons
+        review = certify_hypotheses(HarmonicMap([0.0, 0.25], [1.0]), EllipticityParams(1, 0), math.inf, 1e-9)
+        d = {"status": review.status, **_review_fields(review)}
+        assert list(d) == ["status", "cells", "sup_lambda", "ellipticity_margin", "witness", "reasons"]
+        assert d["witness"] == [review.witness.real, review.witness.imag]
+        assert d["reasons"] == list(review.reasons)
+        json.dumps(d, allow_nan=False)
 
     def test_detects_violation_with_negative_margin(self):
         g = HarmonicMap([0.0, 0.25], [1.0])
-        rep = ellipticity_check(g, EllipticityParams(1, 0))
-        assert rep.min_margin < 0
-        assert not rep.sense_preserving_everywhere_sampled
+        review = certify_hypotheses(g, EllipticityParams(1, 0), math.inf, 1e-9)
+        assert review.status == "refuted" and review.ellipticity_margin < 0
+        assert any(r.startswith("Jacobian") for r in review.reasons)
+        assert abs(review.witness) <= 0.999 and profile(g, review.witness).jacobian < 0
 
     def test_deterministic(self):
-        f = random_map(7)
-        a = ellipticity_check(f, EllipticityParams(2, 1))
-        b = ellipticity_check(f, EllipticityParams(2, 1))
+        # two copies of one map, so that the second is reviewed rather than read from a memo
+        a = certify_hypotheses(random_map(7), EllipticityParams(2, 1), math.inf, 1e-9)
+        b = certify_hypotheses(random_map(7), EllipticityParams(2, 1), math.inf, 1e-9)
         assert a == b
-
-    def test_region_validation(self):
-        with pytest.raises(ValueError):
-            ellipticity_check(AFFINE, EllipticityParams(1, 0), region_radius=1.0)
 
 
 class TestSupLambdaMin:
     def test_affine(self):
-        assert sup_lambda_min(AFFINE, 0.999) == 0.5
+        review = certify_hypotheses(AFFINE, EllipticityParams(3, 0), 0.5, 1e-12)
+        assert review.status == "certified"
+        assert 0.5 <= review.sup_lambda <= 0.5 + 1e-12
 
     def test_extremal_cap(self):
-        from elliptica import build_Fn
-        f = build_Fn(2, 2.0)
         # the pinned family satisfies lambda <= lam strictly inside the disk
-        assert sup_lambda_min(f, 0.999, SamplingSpec(64, 256)) <= 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sup_lambda_min(AFFINE, 1.5)
+        review = certify_hypotheses(build_Fn(2, 2.0), EllipticityParams(1, 0), 2.0, 0.0)
+        assert review.status == "certified" and review.sup_lambda <= 2.0

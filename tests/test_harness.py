@@ -14,6 +14,7 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import grid_stretches, polar_grid
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,16 +23,13 @@ from elliptica import (
     DistortionBound,
     EllipticityParams,
     HarmonicMap,
-    SamplingSpec,
     bloch_pipeline,
     build_Fn,
     build_report,
-    ellipticity_check,
     parallel_map,
     profile,
     random_elliptic,
     remark_campaign,
-    sup_lambda_min,
     thread_count,
     verify_bloch_pipeline,
     verify_coefficient_bounds,
@@ -41,10 +39,8 @@ from elliptica import (
 from elliptica import distortion, harness, hypotheses, sampling, seriescore
 from elliptica.distortion import stretches
 from elliptica.harness import _hypothesis_review
-from elliptica.sampling import polar_grid, sample_grid
 
 P = EllipticityParams
-SMALL_GRID = SamplingSpec(n_r=24, n_theta=96, refinement_rounds=2)
 
 
 class TestThreading:
@@ -239,7 +235,7 @@ class TestBlochPipeline:
             return
         z0, bound, squares = hypotheses._sup_weighted(f)
         z = polar_grid(0.999, 64, 256)
-        _, lam_min, _ = stretches(*sample_grid(f, 0.999, 64, 256, partials=True))
+        _, lam_min, _ = grid_stretches(f, 0.999, 64, 256)
         assert float(np.max((1.0 - (z.real**2 + z.imag**2)) * lam_min)) <= bound
         fz, fzb = f.partials(z0)
         m = (1.0 - abs(z0) ** 2) * (abs(fz) - abs(fzb))
@@ -351,11 +347,26 @@ class TestRandomElliptic:
     def test_sampled_hypotheses(self, seed):
         params, lam = P(2, 0.5), 1.5
         f = random_elliptic(params, lam, seed=seed)
-        from elliptica import ellipticity_check, sup_lambda_min
-        assert sup_lambda_min(f, 0.999, SMALL_GRID) <= lam
-        rep = ellipticity_check(f, params, SMALL_GRID)
-        assert rep.min_margin >= 0
-        assert rep.sense_preserving_everywhere_sampled
+        lam_max, lam_min, jac = grid_stretches(f, 0.999, 64, 256)
+        assert lam_min.max() <= 0.98 * lam
+        assert (params.K * jac + params.Kp - lam_max**2).min() >= 0.02
+        assert jac.min() > 0.0
+
+    @pytest.mark.parametrize("k,kp", [(3.0, 0.0), (2.0, 0.01)])
+    def test_buffer_above_kp(self, k, kp):
+        # the buffer of 0.02 exceeds K' here, so it cannot be taken off K';
+        # the review's tolerance of -buffer asks for the margin instead
+        params, lam = P(k, kp), 1.5
+        for seed in range(4):
+            f = random_elliptic(params, lam, seed=seed)
+            assert any(abs(c) > 0.0 for c in f.antianalytic_coeffs)
+            review = hypotheses.certify_hypotheses(f, params, 0.98 * lam + 0.02, -0.02)
+            assert review.status == "certified" and review.ellipticity_margin >= 0.02
+            assert review.sup_lambda <= 0.98 * lam
+            lam_max, lam_min, jac = grid_stretches(f, 0.999, 64, 256)
+            assert (k * jac + kp - lam_max**2).min() >= review.ellipticity_margin
+            assert lam_min.max() <= review.sup_lambda and jac.min() > 0.0
+            assert _hypothesis_review(f, params, DistortionBound(lam))[0] == "certified"
 
     def test_conformal_regime_has_no_antianalytic_part(self):
         f = random_elliptic(P(1, 0), 2.0, seed=1)
@@ -377,10 +388,6 @@ def test_grid_scans_make_no_horner_pass_beyond_a_cloud(monkeypatch):
             return horner(coeffs, z)
 
         monkeypatch.setattr(module, "_horner", counting)
-    random_elliptic(P(2, 0.5), 1.5, seed=12)
-    ellipticity_check(f, P(2, 0.5))
-    assert sizes[seriescore] and max(sizes[seriescore]) <= 128 and not sizes[hypotheses]
-    sizes[seriescore].clear()
     bloch_pipeline(f, P(2, 0.5))
     # no grid: the map is evaluated at single points, and the review and the
     # argmax search evaluate their squares a chunk at a time
@@ -428,16 +435,18 @@ class TestReviewMemo:
         separate = [json.dumps(campaign(_review_entries(params), params, bound))
                     for campaign in (verify_coefficient_bounds, verify_landau_probes)]
         monkeypatch.setenv("ELLIPTICA_THREADS", threads)
-        computed = _counting_reviews(monkeypatch)
+        # built first: the generator reviews its draws too
         entries = _review_entries(params)
+        computed = _counting_reviews(monkeypatch)
         shared = [json.dumps(campaign(entries, params, bound))
                   for campaign in (verify_coefficient_bounds, verify_landau_probes)]
         assert shared == separate
         assert sorted(map(id, computed)) == sorted(id(f) for _, _, f in entries)
 
     def test_each_key_computes_its_own_review(self, monkeypatch):
+        maps = (random_elliptic(P(2, 0.5), 1.5, seed=0), build_Fn(2, 1.5))
         computed = _counting_reviews(monkeypatch)
-        for f in (random_elliptic(P(2, 0.5), 1.5, seed=0), build_Fn(2, 1.5)):
+        for f in maps:
             keys = [(P(2, 0.5), 1.5, 1e-9), (P(3, 0.5), 1.5, 1e-9), (P(2, 0.75), 1.5, 1e-9),
                     (P(2, 0.5), 1.75, 1e-9), (P(2, 0.5), 1.5, 1e-8)]
             reviews = [hypotheses.certify_hypotheses(f, *key) for key in keys]
@@ -519,16 +528,22 @@ class TestReviewMemo:
 
 
 class TestHypothesisReview:
-    def test_the_review_samples_no_grid(self, monkeypatch):
-        # the review proves its bounds from cells or arcs: no polar grid, no
-        # refinement cloud, and no sampled ellipticity scan
-        def refuse(*args, **kwargs):
-            raise AssertionError("the review sampled a grid")
+    def test_a_negative_tol_demands_room_on_arcs_too(self):
+        # an analytic map's margin is K' where h' vanishes, and F_2 at K = 1 has
+        # margin K' everywhere: a buffer above K' must not be certified
+        f = build_Fn(2, 1.5)
+        short = hypotheses.certify_hypotheses(f, P(1, 0), 1.52, -0.02)
+        assert short.status == "inconclusive" and "below 0.02" in short.reasons[0]
+        roomy = hypotheses.certify_hypotheses(f, P(1, 0.5), 1.52, -0.02)
+        assert roomy.status == "certified" and roomy.ellipticity_margin == 0.5 and roomy.sup_lambda <= 1.5
 
+    def test_the_review_samples_no_grid(self):
+        # the review proves its bounds from cells or arcs: the library has no
+        # polar grid, no refinement cloud and no sampled ellipticity scan
         maps = [(random_elliptic(params, 1.5, seed=seed), params) for seed, params in ((0, P(2, 0.5)), (1, P(1, 0)))]
         for module in (harness, distortion, sampling):
-            for name in ("polar_grid", "sample_grid", "halton_disk", "ellipticity_check"):
-                monkeypatch.setattr(module, name, refuse, raising=False)
+            for name in ("polar_grid", "sample_grid", "halton_disk", "ellipticity_check", "sup_lambda_min"):
+                assert not hasattr(module, name), (module.__name__, name)
         for f, params in maps:
             status, detail = _hypothesis_review(f, params, DistortionBound(1.5))
             assert status == "certified" and detail["status"] == "certified"
@@ -536,13 +551,13 @@ class TestHypothesisReview:
 
     @pytest.mark.parametrize("k,kp,lam", BENCHMARK_REGIMES)
     def test_certified_bounds_enclose_the_grid_samples(self, k, kp, lam):
-        grid = SamplingSpec(n_r=64, n_theta=256, refinement_rounds=3)
         for seed in range(4):
             f = random_elliptic(P(k, kp), lam, seed=seed)
             status, detail = _hypothesis_review(f, P(k, kp), DistortionBound(lam))
             assert status == "certified" and detail["reasons"] == [] and detail["witness"] is None
-            assert sup_lambda_min(f, 0.999, grid) <= detail["sup_lambda"] <= lam + 1e-9
-            assert -1e-9 <= detail["ellipticity_margin"] <= ellipticity_check(f, P(k, kp), grid).min_margin
+            lam_max, lam_min, jac = grid_stretches(f, 0.999, 64, 256)
+            assert lam_min.max() <= detail["sup_lambda"] <= lam + 1e-9
+            assert -1e-9 <= detail["ellipticity_margin"] <= (k * jac + kp - lam_max**2).min()
 
     def test_planted_map_between_the_grid_angles_is_excluded(self):
         # h' = 1 - 0.6 z^256 is 1 - 0.6 r^256 at every angle of a 256-angle
@@ -551,7 +566,7 @@ class TestHypothesisReview:
         a[1], a[257] = 1.0, -0.6 / 257
         f = HarmonicMap(a)
         params, bound = P(1, 0), DistortionBound(1.3)
-        assert sup_lambda_min(f, 0.999) < 1.3
+        assert grid_stretches(f, 0.999, 64, 256)[1].max() < 1.3
         rep = verify_coefficient_bounds([("planted", "a_257 = -0.6/257", f)], params, bound)
         row = rep["maps"][0]
         assert row["verdict"] == "excluded" and row["slacks"] == {}
@@ -566,15 +581,15 @@ class TestHypothesisReview:
            st.floats(0.98, 1.02))
     def test_never_certifies_a_map_a_denser_scan_refutes(self, degree, seed, kp_pair, ratio):
         # Lambda near the map's sampled sup, so that the review has to decide
-        # close calls; the check samples 4x the points of ellipticity_check's grid
+        # close calls; the check samples 4x the points of the 64 x 256 grid
         f = _random_harmonic(degree, seed)
         params = P(*kp_pair)
-        lam_max, lam_min, jac = stretches(*sample_grid(f, 0.999, 64, 256, partials=True))
+        lam_max, lam_min, jac = grid_stretches(f, 0.999, 64, 256)
         lam = max(1.0, ratio * float(lam_min.max()))
         status, detail = _hypothesis_review(f, params, DistortionBound(lam))
         if status != "certified":
             return
-        lam_max, lam_min, jac = stretches(*sample_grid(f, 0.999, 128, 512, partials=True))
+        lam_max, lam_min, jac = grid_stretches(f, 0.999, 128, 512)
         assert lam_min.max() <= min(lam + 1e-9, detail["sup_lambda"])
         margin = params.K * jac + params.Kp - lam_max**2
         assert margin.min() >= max(-1e-9, detail["ellipticity_margin"])
@@ -606,9 +621,10 @@ class TestHypothesisReview:
         json.dumps(rep, allow_nan=False)
 
     def test_an_inconclusive_review_is_its_own_row_verdict(self, monkeypatch):
-        monkeypatch.setattr(hypotheses, "_CELL_CAP", 100)
         params, bound = P(2, 0.5), DistortionBound(1.5)
-        rep = verify_landau_probes([("seed0", "random", random_elliptic(params, 1.5, seed=0))], params, bound)
+        f = random_elliptic(params, 1.5, seed=0)
+        monkeypatch.setattr(hypotheses, "_CELL_CAP", 100)
+        rep = verify_landau_probes([("seed0", "random", f)], params, bound)
         row = rep["maps"][0]
         assert row["verdict"] == "inconclusive" and row["slacks"] == {}
         assert row["verdicts"]["hypotheses"]["status"] == "inconclusive"
@@ -686,9 +702,40 @@ class TestCampaigns:
         assert not bad["maps"][0]["verdicts"]["lambda0_bound_holds"]
         good = verify_jacobian_normalized(aff, P(4, 0), map_id="aff")
         assert not good["worst_case"]["refuted"]
-        # rescaled by 1/lambda(0) = 2 and checked at the inflated constant
+        # rescaled by 1/lambda(0) = 2 and reviewed at the inflated constant: the
+        # margin is exactly 0, and the certified bound on it is 0 to rounding
         assert good["params"]["Kp_eff"] == 0.0
-        assert good["maps"][0]["slacks"]["ellipticity_margin"] == 0.0
+        assert -1e-9 <= good["maps"][0]["slacks"]["ellipticity_margin"] <= 0.0
+        review = good["maps"][0]["verdicts"]["rescaled_hypotheses"]
+        assert review["status"] == "certified"
+        assert review["ellipticity_margin"] == good["maps"][0]["slacks"]["ellipticity_margin"]
+        # in the shape of a campaign row's review, less the origin's values
+        _, detail = _hypothesis_review(aff.scale_output(0.5), P(4, 0), DistortionBound(1.5))
+        assert list(review) == [key for key in detail if key not in ("origin", "lambda_origin")]
+
+    def test_jacobian_normalized_route_refutes_a_rescaled_map(self):
+        # lambda(0) = 2 meets sqrt(K + K') = 2, but the z^2 term leaves the
+        # rescaled map non-elliptic at (4, 0) away from the origin
+        f = HarmonicMap([0.0, 1.25, 0.1], [0.75])
+        rep = verify_jacobian_normalized(f, P(4, 0), map_id="f")
+        row = rep["maps"][0]
+        assert row["verdict"] == "violation" and rep["worst_case"]["refuted"]
+        assert row["verdicts"]["lambda0_bound_holds"]
+        review = row["verdicts"]["rescaled_hypotheses"]
+        assert review["status"] == "refuted" and review["reasons"]
+        w = complex(*review["witness"])
+        fz, fzb = f.scale_output(0.5).partials(w)
+        assert abs(w) <= 0.999 and 4.0 * (abs(fz) ** 2 - abs(fzb) ** 2) - (abs(fz) + abs(fzb)) ** 2 < 0.0
+        assert row["slacks"]["ellipticity_margin"] == review["ellipticity_margin"] < 0.0
+
+    def test_jacobian_normalized_route_leaves_an_undecided_review_inconclusive(self, monkeypatch):
+        # fewer squares than the first cover: the rescaled review cannot decide
+        monkeypatch.setattr(hypotheses, "_CELL_CAP", 100)
+        rep = verify_jacobian_normalized(HarmonicMap([0.0, 1.25], [0.75]), P(4, 0), map_id="aff")
+        row = rep["maps"][0]
+        assert row["verdict"] == "inconclusive" and row["slacks"] == {}
+        assert row["verdicts"]["rescaled_hypotheses"]["status"] == "inconclusive"
+        assert rep["worst_case"] == {"refuted": False}
 
     def test_jacobian_normalized_validation(self):
         with pytest.raises(ValueError):

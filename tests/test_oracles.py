@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import grid_stretches
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,12 +24,10 @@ from elliptica import (
     coverage_probe,
     disk_net,
     landau,
-    polar_grid,
     random_elliptic,
     univalence_probe,
 )
 from elliptica import oracles, sampling, seriescore
-from elliptica.distortion import stretches
 from elliptica.oracles import _MOVE_SAFETY, _collision_seeds, _curve_scan, _polish_collisions, _zeros_inside
 
 IDENTITY = HarmonicMap.identity()
@@ -80,7 +79,7 @@ class TestUnivalenceProbe:
                 univalence_probe(IDENTITY, bad)
 
     def test_resolution_records_thresholds(self):
-        v = univalence_probe(SQUARE, 0.5, SamplingSpec(16, 64, 1))
+        v = univalence_probe(SQUARE, 0.5, SamplingSpec(64, 1))
         assert v.status == REFUTED
         # the certificate's facts that seeded the witness, and the witness's own
         assert v.resolution["hprime_zeros"] == 1 and v.resolution["hprime_points"] == 1024
@@ -89,7 +88,7 @@ class TestUnivalenceProbe:
         assert v.resolution["witness_separation"] == -v.margin > 1e-6
         for key in ("mesh", "sep_threshold", "image_threshold", "sup_lambda", "candidate_pairs", "n_r"):
             assert key not in v.resolution
-        v = univalence_probe(IDENTITY, 0.5, SamplingSpec(16, 64, 1))
+        v = univalence_probe(IDENTITY, 0.5, SamplingSpec(64, 1))
         assert v.status == CERTIFIED
         for key in ("hprime_zeros", "hprime_points", "dilatation_max"):
             assert key in v.resolution
@@ -673,7 +672,7 @@ def _certificate_cases():
 @pytest.mark.parametrize("name,f,radius,critical", list(_certificate_cases()))
 def test_jacobian_certificate_agrees_with_a_2d_reference(name, f, radius, critical):
     spec = SamplingSpec()
-    reference = stretches(*f.partials(polar_grid(radius, spec.n_r, spec.n_theta)))[2].min() > 0
+    reference = grid_stretches(f, radius, 48, spec.n_theta)[2].min() > 0
     _, keys, _ = oracles._jacobian_certificate(f, radius, max(1024, 4 * spec.n_theta), spec.refinement_rounds)
     certified = keys.get("hprime_zeros") == 0 and keys.get("dilatation_max", 1.0) < 1.0
     if critical is not None and critical < radius:
@@ -704,14 +703,13 @@ def test_jacobian_certificate_agrees_with_a_2d_reference(name, f, radius, critic
     pytest.param(HarmonicMap([0.0, 1.0, -np.exp(-1j)]), 0.5, INCONCLUSIVE, id="hprime-zero-on-the-circle"),
 ])
 def test_certified_probe_does_no_2d_work(monkeypatch, f, radius, status):
-    # no probe samples a 2D grid, whatever its verdict; a certified one
-    # polishes nothing either
+    # no probe samples a 2D grid, whatever its verdict (the library has none);
+    # a certified one polishes nothing either
     def refuse(*args, **kwargs):
-        raise AssertionError("a probe sampled a 2D grid")
+        raise AssertionError("a certified probe polished a collision")
 
-    assert not hasattr(oracles, "polar_grid") and not hasattr(oracles, "sample_grid")
-    for name in ("polar_grid", "sample_grid"):
-        monkeypatch.setattr(sampling, name, refuse)
+    for module in (oracles, sampling):
+        assert not hasattr(module, "polar_grid") and not hasattr(module, "sample_grid")
     if status == CERTIFIED:
         monkeypatch.setattr(oracles, "_polish_collisions", refuse)
     v = univalence_probe(f, radius)

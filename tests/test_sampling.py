@@ -1,7 +1,8 @@
-"""Grids and quasi-random sequences: determinism, membership, coverage."""
+"""Circles, nets and quasi-random sequences: determinism, membership, coverage."""
 
 import numpy as np
 import pytest
+from conftest import polar_grid
 from hypothesis import given, strategies as st
 
 from elliptica import (
@@ -10,16 +11,14 @@ from elliptica import (
     build_classical,
     build_Fn,
     disk_net,
-    halton,
-    halton_disk,
-    polar_grid,
     random_elliptic,
 )
 from elliptica.constants import radical_inverse
-from elliptica.sampling import sample_grid
+from elliptica.sampling import sample_circle
 
 
 class TestPolarGrid:
+    # the reference grid that the certificate tests sample
     def test_layout(self):
         pts = polar_grid(0.5, 4, 8)
         assert pts.shape == (33,)
@@ -40,10 +39,6 @@ class TestPolarGrid:
         b = polar_grid(0.999, 48, 192)
         assert np.array_equal(a, b)
 
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            polar_grid(0.0, 4, 8)
-
 
 def _grid_maps():
     yield "classical-2", build_classical(2.0, 400), 0.25
@@ -54,7 +49,8 @@ def _grid_maps():
 
 @pytest.mark.parametrize("name,f,radius", [pytest.param(*case, id=case[0]) for case in _grid_maps()])
 def test_sample_grid_matches_horner_at_the_grid_points(name, f, radius):
-    # a series map's grid, read ring by ring, is the map at polar_grid's points, in its order
+    # a series map's circles, read by one sample_circle call over an array of
+    # radii, are the map at those points, evaluated by Horner
     eps = np.finfo(float).eps
     k = np.arange(f.truncation_degree + 1)
     moduli = np.abs(f.analytic_coeffs) + np.abs(f._b_full)
@@ -63,14 +59,20 @@ def test_sample_grid_matches_horner_at_the_grid_points(name, f, radius):
     slope_sum = (k[1:] * moduli[1:] * radius ** k[:-1]).sum()
     # folded (n_theta < N + 1) and unfolded (n_theta >= N + 1) rings
     for n_r, n_theta in ((3, (f.truncation_degree + 1) // 2), (5, 2 * f.truncation_degree + 8)):
-        points = polar_grid(radius, n_r, n_theta)
-        values = sample_grid(f, radius, n_r, n_theta)
-        fz, fzb = sample_grid(f, radius, n_r, n_theta, partials=True)
-        assert values.shape == fz.shape == fzb.shape == points.shape
+        radii = radius * (np.arange(n_r + 1) / n_r)
+        theta, values = sample_circle(f, radii, n_theta)
+        _, (fz, fzb) = sample_circle(f, radii, n_theta, partials=True)
+        points = np.multiply.outer(radii, np.exp(1j * theta))
+        assert values.shape == fz.shape == fzb.shape == points.shape == (n_r + 1, n_theta)
         ref_fz, ref_fzb = f.partials(points)
         assert np.abs(values - f.eval(points)).max() <= 64 * eps * value_sum
         assert np.abs(fz - ref_fz).max() <= 64 * eps * slope_sum
         assert np.abs(fzb - ref_fzb).max() <= 64 * eps * slope_sum
+
+
+def halton(count, base, start=1):
+    """The radical inverses of constants.radical_inverse, as an array."""
+    return np.array(radical_inverse(count, base, start), dtype=float)
 
 
 def _scalar_halton(count, base, start=1):
@@ -97,11 +99,10 @@ class TestHalton:
 
     @pytest.mark.parametrize("base", [2, 3, 5, 7, 11])
     def test_pure_python_inverse_is_the_reference_bit_for_bit(self, base):
-        # the one radical inverse behind halton and the remark sweep
+        # the one radical inverse, behind the remark sweep
         for start, count in ((1, 100_000), (2, 3000), (1000, 2000), (99_991, 500)):
             ref = _scalar_halton(count, base, start).tobytes()
             assert np.array(radical_inverse(count, base, start)).tobytes() == ref
-            assert halton(count, base, start).tobytes() == ref
 
     def test_base2_prefix(self):
         # radical inverse of 1,2,3,4 in base 2
@@ -123,24 +124,6 @@ class TestHalton:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             halton(-1, 2)
-
-
-class TestHaltonDisk:
-    def test_membership(self):
-        pts = halton_disk(0.2 + 0.1j, 0.3, 400)
-        assert np.all(np.abs(pts - (0.2 + 0.1j)) < 0.3)
-
-    def test_area_uniform_mean_radius(self):
-        # for the uniform disk law E|z - c| = (2/3) radius
-        pts = halton_disk(0.0, 1.0, 4000)
-        assert abs(np.mean(np.abs(pts)) - 2.0 / 3.0) < 0.01
-
-    def test_deterministic_and_start_sensitive(self):
-        a = halton_disk(0.0, 1.0, 64)
-        b = halton_disk(0.0, 1.0, 64)
-        c = halton_disk(0.0, 1.0, 64, start=65)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
 
 
 class TestDiskNet:
@@ -178,12 +161,12 @@ class TestDiskNet:
 class TestSamplingSpec:
     def test_defaults(self):
         spec = SamplingSpec()
-        assert (spec.n_r, spec.n_theta, spec.refinement_rounds) == (48, 192, 3)
+        assert (spec.n_theta, spec.refinement_rounds) == (192, 3)
 
     @pytest.mark.parametrize("kwargs", [
-        {"n_r": 0}, {"n_theta": 3}, {"refinement_rounds": -1}, {"n_r": 2.5},
-        # bool is an int subclass: True would pass as one ring, False as no rounds
-        {"n_r": True}, {"n_theta": True}, {"refinement_rounds": False},
+        {"n_theta": 0}, {"n_theta": 3}, {"refinement_rounds": -1}, {"n_theta": 64.0},
+        # bool is an int subclass: True would pass as one angle, False as no rounds
+        {"refinement_rounds": 1.5}, {"n_theta": True}, {"refinement_rounds": False},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):

@@ -446,7 +446,7 @@ def verify_jacobian_normalized(f, params: EllipticityParams,
     assumes); rejects otherwise.  The origin bound Lambda(0) <= sqrt(K+K')
     is evaluated and reported, not enforced: a failure here falsifies the
     bound for this map, which is exactly what the report should say.  The
-    input f/lambda(0) is then reviewed by
+    rescaled map f/lambda(0) is then reviewed by
     :func:`~elliptica.hypotheses.certify_hypotheses` with Lambda = inf at
     (K, K'(K + K')): a refuted review, like a failed origin bound, is a
     violation, and an undecided one makes the row inconclusive, without

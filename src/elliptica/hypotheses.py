@@ -154,9 +154,10 @@ def certify_hypotheses(f: HarmonicMap, params: EllipticityParams, lam: float, to
 
     Each within tol, which may be negative to demand room: sup lambda <=
     lam + tol and a margin >= -tol.  See the module docstring for the
-    squares (g != 0), the arcs (g = 0) and the three outcomes.  The review is a function of
-    f's frozen coefficients and (K, K', lam, tol) alone, so f keeps it under
-    that key, as it keeps its degree ladders, and a second call returns it.
+    squares (g != 0), the arcs (g = 0) and the three outcomes.  The review
+    is a function of f's frozen coefficients and (K, K', lam, tol) alone,
+    so f keeps it under that key, as it keeps its degree ladders, and a
+    second call returns it.
     """
     # repr tells the signed zeros apart, which compare equal but print apart
     # in a review; threads that race on one key store equal reviews

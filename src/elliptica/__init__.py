@@ -34,7 +34,7 @@ _EXPORTS = {
     "oracles": (
         "CERTIFIED", "INCONCLUSIVE", "REFUTED", "OracleVerdict", "coverage_probe", "univalence_probe",
     ),
-    "sampling": ("SamplingSpec", "disk_net"),
+    "sampling": ("disk_net",),
     "seriescore": ("HarmonicMap",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -154,17 +154,15 @@ def _cmd_extremal(args, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_check_map(args, parser: argparse.ArgumentParser) -> int:
     from .oracles import REFUTED, coverage_probe, univalence_probe
-    from .sampling import SamplingSpec
     from .seriescore import HarmonicMap
 
     f = HarmonicMap.load(args.map)
-    spec = SamplingSpec(n_theta=args.n_theta, refinement_rounds=args.rounds)
     if args.mode == "univalence":
-        verdict = univalence_probe(f, args.r, spec)
+        verdict = univalence_probe(f, args.r)
     else:
         if args.rho is None:
             parser.error("mode coverage requires --rho")
-        verdict = coverage_probe(f, args.r, args.rho, spec)
+        verdict = coverage_probe(f, args.r, args.rho)
     return _emit(_json_text(verdict.to_json_dict()), args.out, verdict.status == REFUTED)
 
 
@@ -236,14 +234,13 @@ def _cmd_report(args) -> tuple[dict, bool]:
 
 
 def _cmd_boundary(args) -> int:
-    from .sampling import sample_circle
     from .seriescore import HarmonicMap
 
     f = HarmonicMap.load(args.map)
-    theta, curve = sample_circle(f, args.r, args.n)
+    curve = f.on_rings(args.r, args.n)
     lines = ["theta,re,im"]
     lines.extend(
-        f"{t:.17g},{v.real:.17g},{v.imag:.17g}" for t, v in zip(theta, curve)
+        f"{2.0 * math.pi * k / args.n:.17g},{v.real:.17g},{v.imag:.17g}" for k, v in enumerate(curve)
     )
     return _emit("\n".join(lines) + "\n", args.out)
 
@@ -260,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     k_type = _float_arg("K", 1.0)
     kp_type = _float_arg("Kp", 0.0)
     lam_type = _float_arg("lam", 1.0)
-    # a random map takes up to 64 draws of 48 x 192 points and 2^16 squares per review or argmax search
-    n_random_type = _int_arg("n-random", 0, _MAX_POINTS >> 14)
+    # a random map takes up to 64 draws, a review and an argmax search, each of at most 2^16 squares
+    n_random_type = _int_arg("n-random", 0, _MAX_POINTS >> 17)
     samples_type = _int_arg("samples", 1, _MAX_POINTS)
     seed_type = _int_arg("seed", 0)
 
@@ -290,10 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--r", type=_float_arg("r", 0.0, strict=True), required=True)
     p_chk.add_argument("--mode", choices=("univalence", "coverage"), required=True)
     p_chk.add_argument("--rho", type=_float_arg("rho", 0.0, strict=True), default=None)
-    # the univalence curve grows to max(1024, 4 n_theta) * 2^rounds <= 2^24,
-    # and the winding refinements stop at 2^18 points
-    p_chk.add_argument("--n-theta", type=_int_arg("n-theta", 4, 1 << 12), default=192)
-    p_chk.add_argument("--rounds", type=_int_arg("rounds", 0, 10), default=3)
     p_chk.add_argument("--out", default=None)
 
     p_ver = sub.add_parser("verify-theorem", help="run a verification campaign")

@@ -3,7 +3,8 @@
 Every builder returns a :class:`~elliptica.seriescore.HarmonicMap` whose
 coefficients come from the printed series expansion, never from quadrature.
 The dropped tail is bounded by the exact geometric majorant at the map's
-reference radius, so truncation error is certified rather than estimated.
+reference radius and carried as ``tail_bound``; no check reads that bound
+yet, so a review or probe of the map covers the truncated polynomial only.
 """
 
 from __future__ import annotations

@@ -229,11 +229,11 @@ def random_elliptic(params: EllipticityParams, lam: float, seed: int = 0) -> Har
     )
 
 
-def _hypothesis_review(f, params: EllipticityParams, bound: DistortionBound) -> tuple[str, dict]:
+def _hypothesis_review(f, params: EllipticityParams, lam: float) -> tuple[str, dict]:
     """Review the theorem's hypotheses; a map that does not pass is outside the theorem.
 
     f(0) = 0 and lambda(0) = 1 are checked at the origin, and sup lambda <=
-    Lambda, (K, K')-ellipticity and sense preservation on |z| <= 0.999 by
+    lam, (K, K')-ellipticity and sense preservation on |z| <= 0.999 by
     :func:`~elliptica.hypotheses.certify_hypotheses`, which proves them or
     refutes one at a point.  Returns the status, ``certified``, ``refuted``
     or ``inconclusive``, and the detail a row records.  A map refuted here
@@ -253,7 +253,7 @@ def _hypothesis_review(f, params: EllipticityParams, bound: DistortionBound) -> 
         p0 = profile(f, 0.0)
     if abs(p0.lambda_min - 1.0) > _HYP_TOL:
         reasons.append(f"lambda(0) = {p0.lambda_min!r} is not 1")
-    review = certify_hypotheses(f, params, bound.lam, _HYP_TOL)
+    review = certify_hypotheses(f, params, lam, _HYP_TOL)
     status = REFUTED if reasons else review.status
     fields = _review_fields(review)
     detail = {
@@ -283,8 +283,8 @@ def _review_fields(review) -> dict:
     }
 
 
-def _reviewed(check: Callable, params: EllipticityParams, bound: DistortionBound) -> Callable:
-    """check(f) -> (verdict, verdicts, slacks), run only on maps whose review certifies.
+def _reviewed(check: Callable, params: EllipticityParams, lam: float) -> Callable:
+    """check(f) -> (verdict, verdicts, slacks), run only on maps whose review at lam certifies.
 
     Any other map is an ``excluded`` row (refuted review) or an
     ``inconclusive`` one, with the review as ``verdicts.hypotheses``;
@@ -292,7 +292,7 @@ def _reviewed(check: Callable, params: EllipticityParams, bound: DistortionBound
     """
 
     def reviewed(f) -> tuple[str, dict, dict]:
-        status, detail = _hypothesis_review(f, params, bound)
+        status, detail = _hypothesis_review(f, params, lam)
         if status != CERTIFIED:
             return ("excluded" if status == REFUTED else "inconclusive"), {"hypotheses": detail}, {}
         verdict, verdicts, slacks = check(f)
@@ -359,7 +359,7 @@ def verify_coefficient_bounds(entries: Sequence[MapEntry], params: EllipticityPa
         verdict = "pass" if worst >= -_COEFF_TOL else "violation"
         return verdict, {"worst_degree": worst_n}, slacks
 
-    rows, worst_case = _campaign(entries, _reviewed(check, params, bound), lambda row, slack: {
+    rows, worst_case = _campaign(entries, _reviewed(check, params, bound.lam), lambda row, slack: {
         "map": row["id"], "degree": row["verdicts"]["worst_degree"], "slack": slack})
     return build_report(
         "coefficient-bounds",
@@ -395,7 +395,7 @@ def verify_landau_probes(entries: Sequence[MapEntry], params: EllipticityParams,
                 {"univalence": uni.to_json_dict(), "coverage": cov.to_json_dict()},
                 {"univalence_margin": uni.margin, "coverage_margin": cov.margin})
 
-    rows, worst_case = _campaign(entries, _reviewed(check, params, bound),
+    rows, worst_case = _campaign(entries, _reviewed(check, params, bound.lam),
                                  lambda row, margin: {"map": row["id"], "margin": margin},
                                  probe_radius=probe_radius, probe_rho=probe_rho)
     return build_report(
@@ -421,7 +421,10 @@ def verify_bloch_pipeline(entries: Sequence[MapEntry], params: EllipticityParams
     whose hypothesis review certifies are renormalized, so a map outside the
     theorem cannot become a violation; a map the pipeline rejects (its argmax
     search out of squares, or the argmax past |z| = 0.994) is an excluded
-    row whose error names the reason.
+    row whose error names the reason.  The Bloch theorem assumes no bound
+    Lambda, so the row's review takes Lambda = inf, the review the pipeline
+    runs itself, and each map is reviewed once; ``bound`` only names the
+    report's lam.
     """
 
     def check(f) -> tuple[str, dict, dict]:
@@ -432,7 +435,7 @@ def verify_bloch_pipeline(entries: Sequence[MapEntry], params: EllipticityParams
               and slacks["normalization"] >= 0.0)
         return "pass" if ok else "violation", trace.to_json_dict(), slacks
 
-    rows, worst_case = _campaign(entries, _reviewed(check, params, bound))
+    rows, worst_case = _campaign(entries, _reviewed(check, params, math.inf))
     return build_report("bloch-pipeline",
                         {"K": params.K, "Kp": params.Kp, "lam": float(bound.lam)},
                         rows, worst_case)

@@ -240,7 +240,7 @@ def _cells(f: HarmonicMap, params: EllipticityParams, lam: float, tol: float) ->
             seen_margin = min(seen_margin, float(np.fmin.reduce(margin)))
             fails = (lam_min > lam + tol, margin < -tol, jac <= 0.0)
             if (fails[0] | fails[1] | fails[2]).any():
-                return _refuted(e, lam, (lam_min, margin, jac), fails)
+                return _refuted(e, min(lam, lam + tol), (lam_min, margin, jac), fails)
             h3 = rho[:, None] ** np.arange(len(third)) @ third
             rad = (delta * mod[:, 2:] + (0.5 * delta * delta) * h3 + gamma * mod[:, :2]) * (1.0 + gamma) + slack
             lo = np.maximum(mod[:, :2] - rad, 0.0)
@@ -267,9 +267,9 @@ def _cells(f: HarmonicMap, params: EllipticityParams, lam: float, tol: float) ->
     return HypothesisReview(status, seen_lam, seen_margin, {"cells": cells}, witness=witness, reasons=reasons)
 
 
-def _refuted(e, lam, data, fails) -> tuple:
+def _refuted(e, threshold, data, fails) -> tuple:
     """The refutation at the first centres where each hypothesis fails: status, witness, reasons."""
-    texts = ("sup lambda >= {!r} exceeds " + repr(lam), "ellipticity margin {!r}", "Jacobian {!r} <= 0")
+    texts = ("sup lambda >= {!r} exceeds " + repr(threshold), "ellipticity margin {!r}", "Jacobian {!r} <= 0")
     firsts = [(int(np.argmax(mask)), text, values) for mask, text, values in zip(fails, texts, data) if mask.any()]
     reasons = tuple(text.format(float(values[i])) + f" at z = {complex(e[i])!r}" for i, text, values in firsts)
     return REFUTED, complex(e[min(i for i, _, _ in firsts)]), reasons
@@ -359,7 +359,8 @@ def _arcs(f: HarmonicMap, params: EllipticityParams, lam: float, tol: float) -> 
             # the sample, moved inside the disk by far less than tol can notice
             z = _INNER * complex(math.cos(2.0 * math.pi * top / n), math.sin(2.0 * math.pi * top / n))
             return HypothesisReview(REFUTED, seen, kp, {"arcs": n}, witness=z,
-                                    reasons=(f"sup lambda >= {float(size[top])!r} exceeds {lam!r} at z = {z!r}",))
+                                    reasons=(f"sup lambda >= {float(size[top])!r} exceeds {min(lam, lam + tol)!r} "
+                                             f"at z = {z!r}",))
         phi = math.pi / n
         with np.errstate(over="ignore", invalid="ignore"):
             # |P(p)|^2 for P(p) = a + p t + p^2 u / 2, bounded over |p| <= phi term by term

@@ -34,7 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from .sampling import SamplingSpec, _circle_rows, disk_net, sample_circle
+from .sampling import disk_net
 
 __all__ = [
     "CERTIFIED",
@@ -61,7 +61,12 @@ _DIAG_TOL = 1e-6
 # inf or nan values means anything, and JSON has no spelling for them
 _NONFINITE = "non-finite map values"
 
-# the winding refinements of both probes stop at this many curve points
+# the first curve of each probe has this many points, and univalence_probe
+# refines its curve scan and both probes their windings at most _ROUNDS times;
+# the winding refinements stop at _CURVE_CAP points
+_UNIVALENCE_POINTS = 1024
+_COVERAGE_POINTS = 2048
+_ROUNDS = 3
 _CURVE_CAP = 1 << 18
 
 # the power sums lose accuracy, and np.roots costs cubic time, as zeros
@@ -244,7 +249,7 @@ def _polish_collisions(f, z1: np.ndarray, z2: np.ndarray, radius: float):
     return z1[:keep], z2[:keep], ok[:keep], _cabs(resid[:keep]), _cabs(z1[:keep] - z2[:keep])
 
 
-def _curve_scan(f, radius: float, n_curve: int, samples=None):
+def _curve_scan(f, radius: float, n_curve: int, curve=None):
     """Simplicity scan of the image of |z| = radius at n_curve samples.
 
     Returns (simple, margin, reason, info).  The curve is declared simple
@@ -252,10 +257,11 @@ def _curve_scan(f, radius: float, n_curve: int, samples=None):
     by more than the sum of their movement radii, and consecutive chord
     directions never turn by a right angle or more.  The margin is a lower
     bound for the separation slack over all such pairs, binned pairs
-    explicitly and the rest by the bin-size guarantee.  samples, when
-    given, is (theta, curve) as sample_circle returns them.
+    explicitly and the rest by the bin-size guarantee.  curve, when given,
+    is f.on_rings(radius, n_curve).
     """
-    theta, curve = samples or sample_circle(f, radius, n_curve)
+    if curve is None:
+        curve = f.on_rings(radius, n_curve)
     chords = _chords(curve)
     abs_chords = np.abs(chords)
     info = {"curve_points": n_curve}
@@ -294,12 +300,12 @@ def _curve_scan(f, radius: float, n_curve: int, samples=None):
                 worst = (i[k], j[k])
     info["scanned_pairs"] = pairs
     if margin <= 0.0:
-        info["worst_pair_theta"] = [float(theta[worst[0]]), float(theta[worst[1]])]
+        info["worst_pair_theta"] = [2.0 * np.pi * int(k) / n_curve for k in worst]
         return False, float(margin), "near self-intersection unresolved at this resolution", info
     return True, float(margin), "", info
 
 
-def _jacobian_certificate(f, radius: float, n: int, rounds: int, first=None):
+def _jacobian_certificate(f, radius: float, n: int, first=None):
     """Boundary certificate of J > 0 on |z| <= radius: (reason it fails, or "", keys, circle).
 
     Write f = h + conj(g), so f_z = h' and |f_zbar| = |g'|.  J > 0 on the
@@ -307,21 +313,21 @@ def _jacobian_certificate(f, radius: float, n: int, rounds: int, first=None):
     circle, since the dilatation g'/h' is then analytic on the disk and, by
     the maximum principle, of modulus below 1 inside.  The zeros of h' are
     its winding about 0 under the chord precondition of _winding_block; at
-    most ``rounds`` refinements each jump to the resolution it demands.
-    first, when given, is the first round's samples as
-    sample_circle(f, radius, n, partials=True) returns them.  circle is
-    (theta, f_z, f_zbar) at the last samples, None if not finite.
+    most _ROUNDS refinements each jump to the resolution it demands.
+    first, when given, is the first round's (f_z, f_zbar) as
+    f.on_rings(radius, n, partials=True) returns them.  circle is
+    (f_z, f_zbar) at the last samples, None if not finite.
     """
-    for round_idx in range(rounds + 1):
+    for round_idx in range(_ROUNDS + 1):
         info = {"hprime_points": n}
-        theta, (fz, fzb) = first or sample_circle(f, radius, n, partials=True)
+        fz, fzb = first or f.on_rings(radius, n, partials=True)
         first = None
         abs_fz, abs_fzb = np.abs(fz), np.abs(fzb)
         if not (np.isfinite(abs_fz).all() and np.isfinite(abs_fzb).all()):
             return _NONFINITE + " or derivatives on the boundary circle", info, None
-        circle = (theta, fz, fzb)
+        circle = (fz, fzb)
         if not (abs_fzb < abs_fz).all():
-            worst = float(theta[np.argmax(abs_fzb - abs_fz)])
+            worst = 2.0 * np.pi * int(np.argmax(abs_fzb - abs_fz)) / n
             return f"nonpositive Jacobian on the boundary circle at theta = {worst!r}; cannot certify", info, circle
         info["dilatation_max"] = float((abs_fzb / abs_fz).max())
         # h' / max|h'| winds as h' does, and its chords and moduli stay finite
@@ -335,13 +341,13 @@ def _jacobian_certificate(f, radius: float, n: int, rounds: int, first=None):
         # the longest chord shrinks no faster than 1/n and dist cannot grow
         # under refinement, so a need beyond the cap cannot be met within it
         need = abs_chords.max() / (0.1 * dist[0])
-        if round_idx == rounds or n * need > _CURVE_CAP:
+        if round_idx == _ROUNDS or n * need > _CURVE_CAP:
             return "winding preconditions for the zeros of h' = f_z unmet at this resolution", info, circle
         n = _refined(n, need)
 
 
-def _zeros_inside(theta: np.ndarray, values: np.ndarray, fn, radius: float) -> np.ndarray:
-    """Zeros in |z| < radius of an analytic fn sampled as values at radius e^{i theta}.
+def _zeros_inside(values: np.ndarray, fn, radius: float) -> np.ndarray:
+    """Zeros in |z| < radius of an analytic fn sampled as values at radius e^{2 pi i k / n}.
 
     None when their count, the winding of values about 0, is unresolved
     (:func:`_winding_block`) or above _MAX_ZEROS.  The Delves-Lyness power
@@ -362,7 +368,7 @@ def _zeros_inside(theta: np.ndarray, values: np.ndarray, fn, radius: float) -> n
     dlog = np.log(np.roll(values, -1) / values)
     # z_mid^k = (radius e^{i pi / n})^k e^{i k theta}: one DFT of dlog gives every sum
     k = np.arange(1, count + 1)
-    sums = (radius * np.exp(1j * np.pi / len(theta))) ** k * np.fft.ifft(dlog, norm="forward")[k] / (2j * np.pi)
+    sums = (radius * np.exp(1j * np.pi / len(values))) ** k * np.fft.ifft(dlog, norm="forward")[k] / (2j * np.pi)
     coeffs = [1.0]
     for j in range(1, count + 1):
         coeffs.append(-sum(coeffs[j - i] * sums[i - 1] for i in range(1, j + 1)) / j)
@@ -393,12 +399,13 @@ def _collision_seeds(f, radius: float, circle, worst_theta):
 
     p = np.zeros(0, dtype=complex)
     if circle is not None:
-        theta, fz, fzb = circle
-        p = _zeros_inside(theta, fz, lambda w: f.partials(w)[0], radius)
+        fz, fzb = circle
+        p = _zeros_inside(fz, lambda w: f.partials(w)[0], radius)
         margin = np.abs(fz) - np.abs(fzb)
-        low = np.concatenate([radius * np.exp(1j * theta[[np.argmin(margin)]]), p])
-        high = np.concatenate([radius * np.exp(1j * theta[[np.argmax(margin)]]), [0j],
-                               _zeros_inside(theta, np.conj(fzb), lambda w: np.conj(f.partials(w)[1]), radius)])
+        worst, best = 2.0 * np.pi * np.array([[np.argmin(margin)], [np.argmax(margin)]]) / len(fz)
+        low = np.concatenate([radius * np.exp(1j * worst), p])
+        high = np.concatenate([radius * np.exp(1j * best), [0j],
+                               _zeros_inside(np.conj(fzb), lambda w: np.conj(f.partials(w)[1]), radius)])
         low, high = low[~positive(low)], high[positive(high)]
         if len(low) and len(high):
             # bisect 64 ways at a time: keep the first cut whose right end has J > 0
@@ -417,30 +424,28 @@ def _collision_seeds(f, radius: float, circle, worst_theta):
     return z1, z2
 
 
-def univalence_probe(f, radius: float, spec: SamplingSpec | None = None) -> OracleVerdict:
+def univalence_probe(f, radius: float) -> OracleVerdict:
     """Three-way injectivity verdict for f on the closed disk |z| <= radius.
 
     Certified by J > 0 on the closed disk (:func:`_jacobian_certificate`)
-    and a simple boundary curve (:func:`_curve_scan`), each refined within
-    ``refinement_rounds``.  Otherwise the circle samples seed a few
+    and a simple boundary curve (:func:`_curve_scan`), each refined at most
+    _ROUNDS times.  Otherwise the circle samples seed a few
     candidate collision pairs (:func:`_collision_seeds`), polished as one
     batch; the first that converges is the witness, and without one the
     verdict is inconclusive with the reason the certificate failed.
     """
-    if spec is None:
-        spec = SamplingSpec()
     radius = float(radius)
     if not (0.0 < radius < 1.0):
         raise ValueError(f"radius must lie in (0, 1), got {radius}")
 
-    n_curve = max(1024, 4 * spec.n_theta)
+    n_curve = _UNIVALENCE_POINTS
     # round 0 of both checks reads one stacked inverse DFT of f, f_z and f_zbar
-    theta, (curve, fz, fzb) = _circle_rows(f, radius, n_curve)
-    reason, cert, circle = _jacobian_certificate(f, radius, n_curve, spec.refinement_rounds, (theta, (fz, fzb)))
+    curve, fz, fzb = f._rings(radius, n_curve, True, True)
+    reason, cert, circle = _jacobian_certificate(f, radius, n_curve, (fz, fzb))
     if not reason:
-        for round_idx in range(spec.refinement_rounds + 1):
-            samples = (theta, curve) if round_idx == 0 else None
-            simple, margin, reason, info = _curve_scan(f, radius, n_curve << round_idx, samples)
+        for round_idx in range(_ROUNDS + 1):
+            simple, margin, reason, info = _curve_scan(f, radius, n_curve << round_idx,
+                                                       curve if round_idx == 0 else None)
             if simple:
                 res = {**cert, **info, "rounds_used": round_idx}
                 return OracleVerdict(CERTIFIED, margin=margin, resolution=res)
@@ -496,7 +501,7 @@ def _winding_block(curve: np.ndarray, abs_chords: np.ndarray, targets: np.ndarra
     return wind, valid, dist
 
 
-def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = None) -> OracleVerdict:
+def coverage_probe(f, radius: float, rho: float) -> OracleVerdict:
     """Does f(|z| < radius) cover the closed disk |w| <= rho?
 
     Certification needs the sampled boundary curve to keep a gap > 0 from
@@ -511,8 +516,6 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
     sign of J (z + 1.5 conj(z)^2 winds -2 about f(0) = 0).  Non-finite
     samples, or J > 0 uncertified, leave the verdict inconclusive.
     """
-    if spec is None:
-        spec = SamplingSpec()
     radius = float(radius)
     rho = float(rho)
     if not (0.0 < radius < 1.0):
@@ -520,10 +523,10 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
     if not (0.0 < rho < math.inf):
         raise ValueError(f"rho must be positive and finite, got {rho}")
 
-    n_curve = max(2048, 4 * spec.n_theta)
+    n_curve = _COVERAGE_POINTS
     witness = None
-    for round_idx in range(spec.refinement_rounds + 1):
-        _, curve = sample_circle(f, radius, n_curve)
+    for round_idx in range(_ROUNDS + 1):
+        curve = f.on_rings(radius, n_curve)
         abs_chords = np.abs(_chords(curve))
         chord_max = float(abs_chords.max())
         min_abs = float(np.abs(curve).min())
@@ -590,7 +593,7 @@ def coverage_probe(f, radius: float, rho: float, spec: SamplingSpec | None = Non
         if f.is_analytic:
             reason = ""
         else:
-            reason = _jacobian_certificate(f, radius, max(1024, 4 * spec.n_theta), spec.refinement_rounds)[0]
+            reason = _jacobian_certificate(f, radius, _UNIVALENCE_POINTS)[0]
         if not reason:
             return OracleVerdict(REFUTED, margin=margin, witness=witness, resolution=info)
         reason = "a winding <= 0 shows an uncovered point only where J > 0 on the closed disk: " + reason

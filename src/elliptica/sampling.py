@@ -1,52 +1,16 @@
-"""Deterministic sampling of the unit disk, and maps sampled on circles.
+"""Deterministic covering nets of a disk.
 
-Everything here is reproducible from its arguments alone: circles are
-index-generated and disk nets are laid out ring by ring from the rim
-inward.  No global RNG state is touched.  Maps are sampled on circles here,
-and nowhere else; the theorems' hypotheses are never sampled, but certified
-on the whole disk by :mod:`elliptica.hypotheses`.
+A net is reproducible from its arguments alone: it is laid out ring by ring
+from the rim inward, and no global RNG state is touched.  Maps are sampled
+on circles by ``HarmonicMap.on_rings``; the theorems' hypotheses are never
+sampled, but certified on the whole disk by :mod:`elliptica.hypotheses`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["SamplingSpec", "sample_circle", "disk_net"]
-
-
-@dataclass(frozen=True)
-class SamplingSpec:
-    """Resolution of an oracle's circle scans: angular steps and refinement rounds.
-
-    refinement_rounds bounds how often an oracle may refine (finer curve
-    sampling) before giving up.
-    """
-
-    n_theta: int = 192
-    refinement_rounds: int = 3
-
-    def __post_init__(self) -> None:
-        for name, low in (("n_theta", 4), ("refinement_rounds", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and not isinstance(value, bool) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def sample_circle(f, radius, n: int, partials: bool = False):
-    """theta_k = 2 pi k / n for k < n, and f (or its partials) at radius e^{i theta_k}.
-
-    radius may be an array of radii, one row of values each.  Each circle is
-    summed by one inverse DFT (``on_rings``); the pair of partials comes back
-    as two arrays.
-    """
-    return 2.0 * np.pi * np.arange(n) / n, f.on_rings(radius, n, partials)
-
-
-def _circle_rows(f, radius: float, n: int):
-    """sample_circle's angles, and the rows f, f_z, f_zbar there from one stacked inverse DFT."""
-    return 2.0 * np.pi * np.arange(n) / n, f._rings(radius, n, True, True)
+__all__ = ["disk_net"]
 
 
 def disk_net(rho: float, spacing: float) -> np.ndarray:

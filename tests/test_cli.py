@@ -168,12 +168,14 @@ class TestExtremalAndCheckMap:
         assert json.loads(out)["status"] == "inconclusive"
 
     def test_probe_grid_option_is_gone(self, capsys, tmp_path):
-        # the probes sample no 2D grid, so there is no ring count to set
-        with pytest.raises(SystemExit) as exc:
-            main(["check-map", "--map", str(tmp_path / "f.json"), "--r", "0.5", "--mode", "univalence",
-                  "--n-r", "8"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --n-r 8" in capsys.readouterr().err
+        # the probes sample no 2D grid, and their curve sizes and refinement
+        # budget are constants, so there is nothing to set
+        for option in (["--n-r", "8"], ["--n-theta", "192"], ["--rounds", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["check-map", "--map", str(tmp_path / "f.json"), "--r", "0.5", "--mode", "univalence",
+                      *option])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: " + " ".join(option) in capsys.readouterr().err
 
     def test_coverage_requires_rho(self, tmp_path):
         path = tmp_path / "id.json"
@@ -347,12 +349,10 @@ class TestReportAndBoundary:
 CAPS = [
     ("extremal --family Fn --n 2 --lam 2", "--N", 2**24 - 1),
     ("boundary --map f.json --r 0.5", "--n", 2**24),
-    ("check-map --map f.json --r 0.5 --mode univalence", "--n-theta", 2**12),
-    ("check-map --map f.json --r 0.5 --mode univalence", "--rounds", 10),
     ("verify-theorem --which remarks", "--samples", 2**24),
-    ("verify-theorem --which 1", "--n-random", 2**10),
+    ("verify-theorem --which 1", "--n-random", 2**7),
     ("report --K 1 --lam 2", "--samples", 2**24),
-    ("report --K 1 --lam 2", "--n-random", 2**10),
+    ("report --K 1 --lam 2", "--n-random", 2**7),
 ]
 
 
@@ -381,11 +381,9 @@ class TestArgumentCaps:
 
     def test_caps_bound_every_array(self):
         caps = {flag: cap for _, flag, cap in CAPS}
-        # the univalence curve after its last doubling
-        assert max(1024, 4 * caps["--n-theta"]) * 2 ** caps["--rounds"] <= 2**24
-        # a random map takes up to 64 draws of 48 x 192 points and up to 2^16
-        # squares for each of two hypothesis reviews and the argmax search
-        assert caps["--n-random"] * (64 * 48 * 192 + 3 * hypotheses._CELL_CAP) <= 2**30
+        # a random map takes up to 64 draws, each one hypothesis review, then
+        # the row's review and the argmax search, each of at most 2^16 squares
+        assert caps["--n-random"] * (64 + 2) * hypotheses._CELL_CAP <= 2**30
 
     def test_readme_examples_parse(self):
         text = README.read_text()

@@ -254,6 +254,29 @@ class TestBlochPipeline:
             out[threads] = json.dumps(verify_bloch_pipeline(entries, params, bound))
         assert out["1"] == out["2"]
 
+    def test_each_row_reviews_its_map_once(self, monkeypatch):
+        params = P(2, 0.5)
+        entries = [("Fn2", "series extremal", build_Fn(2, 1.5)),
+                   ("seed0", "random", random_elliptic(params, 1.5, seed=0))]
+        reviewed = []
+        for name in ("_arcs", "_cells"):
+            def counted(f, *args, _review=getattr(hypotheses, name)):
+                reviewed.append(id(f))
+                return _review(f, *args)
+            monkeypatch.setattr(hypotheses, name, counted)
+        rep = verify_bloch_pipeline(entries, params, DistortionBound(1.5))
+        assert [row["verdict"] for row in rep["maps"]] == ["pass", "pass"]
+        assert sorted(reviewed) == sorted(id(f) for _, _, f in entries)
+
+    def test_rows_are_reviewed_without_a_lambda_bound(self):
+        # the truncated F_3 overshoots lambda = 1.2 near the rim, which the
+        # Bloch theorem does not assume bounded
+        params, f = P(1.5, 0.25), build_Fn(3, 1.2)
+        assert _hypothesis_review(f, params, 1.2)[0] == "refuted"
+        row = verify_bloch_pipeline([("Fn3", "series extremal", f)], params, DistortionBound(1.2))["maps"][0]
+        assert row["verdict"] == "pass"
+        assert row["verdicts"]["hypotheses"]["status"] == "certified"
+
     def test_a_search_out_of_squares_is_an_excluded_row(self, monkeypatch):
         # the analytic map's review takes arcs, so only the search needs squares
         monkeypatch.setattr(hypotheses, "_CELL_CAP", 400)
@@ -366,7 +389,7 @@ class TestRandomElliptic:
             lam_max, lam_min, jac = grid_stretches(f, 0.999, 64, 256)
             assert (k * jac + kp - lam_max**2).min() >= review.ellipticity_margin
             assert lam_min.max() <= review.sup_lambda and jac.min() > 0.0
-            assert _hypothesis_review(f, params, DistortionBound(lam))[0] == "certified"
+            assert _hypothesis_review(f, params, lam)[0] == "certified"
 
     def test_conformal_regime_has_no_antianalytic_part(self):
         f = random_elliptic(P(1, 0), 2.0, seed=1)
@@ -537,6 +560,17 @@ class TestHypothesisReview:
         roomy = hypotheses.certify_hypotheses(f, P(1, 0.5), 1.52, -0.02)
         assert roomy.status == "certified" and roomy.ellipticity_margin == 0.5 and roomy.sup_lambda <= 1.5
 
+    @pytest.mark.parametrize("f,params,lam", [
+        pytest.param(HarmonicMap.identity(), P(1, 0.5), 1.0, id="arcs"),
+        pytest.param(HarmonicMap([0.0, 1.0], [0.1]), P(2, 0.5), 0.9, id="cells"),
+    ])
+    def test_a_negative_tol_refutation_names_the_threshold_tested(self, f, params, lam):
+        # lambda is lam everywhere: within tol > 0 of it, and beyond lam + tol for tol < 0
+        assert hypotheses.certify_hypotheses(f, params, lam, 0.01).status == "certified"
+        review = hypotheses.certify_hypotheses(f, params, lam, -0.01)
+        assert review.status == "refuted"
+        assert f"exceeds {lam - 0.01!r} at z = " in review.reasons[0]
+
     def test_the_review_samples_no_grid(self):
         # the review proves its bounds from cells or arcs: the library has no
         # polar grid, no refinement cloud and no sampled ellipticity scan
@@ -545,7 +579,7 @@ class TestHypothesisReview:
             for name in ("polar_grid", "sample_grid", "halton_disk", "ellipticity_check", "sup_lambda_min"):
                 assert not hasattr(module, name), (module.__name__, name)
         for f, params in maps:
-            status, detail = _hypothesis_review(f, params, DistortionBound(1.5))
+            status, detail = _hypothesis_review(f, params, 1.5)
             assert status == "certified" and detail["status"] == "certified"
             assert ("arcs" in detail) == f.is_analytic and ("cells" in detail) != f.is_analytic
 
@@ -553,7 +587,7 @@ class TestHypothesisReview:
     def test_certified_bounds_enclose_the_grid_samples(self, k, kp, lam):
         for seed in range(4):
             f = random_elliptic(P(k, kp), lam, seed=seed)
-            status, detail = _hypothesis_review(f, P(k, kp), DistortionBound(lam))
+            status, detail = _hypothesis_review(f, P(k, kp), lam)
             assert status == "certified" and detail["reasons"] == [] and detail["witness"] is None
             lam_max, lam_min, jac = grid_stretches(f, 0.999, 64, 256)
             assert lam_min.max() <= detail["sup_lambda"] <= lam + 1e-9
@@ -586,7 +620,7 @@ class TestHypothesisReview:
         params = P(*kp_pair)
         lam_max, lam_min, jac = grid_stretches(f, 0.999, 64, 256)
         lam = max(1.0, ratio * float(lam_min.max()))
-        status, detail = _hypothesis_review(f, params, DistortionBound(lam))
+        status, detail = _hypothesis_review(f, params, lam)
         if status != "certified":
             return
         lam_max, lam_min, jac = grid_stretches(f, 0.999, 128, 512)
@@ -684,7 +718,7 @@ class TestCampaigns:
                                     params, bound)
         assert rep["theorem"] == "bloch-pipeline"
         # the review refutes the sense reversal before the pipeline runs
-        status, detail = _hypothesis_review(reversing, params, bound)
+        status, detail = _hypothesis_review(reversing, params, math.inf)
         assert status == "refuted" and any("Jacobian" in r for r in detail["reasons"])
         assert "sense-reversal" in str(exc.value)
         assert rep["maps"][1] == {"id": "bad", "source": "crafted", "verdict": "excluded",
@@ -710,7 +744,7 @@ class TestCampaigns:
         assert review["status"] == "certified"
         assert review["ellipticity_margin"] == good["maps"][0]["slacks"]["ellipticity_margin"]
         # in the shape of a campaign row's review, less the origin's values
-        _, detail = _hypothesis_review(aff.scale_output(0.5), P(4, 0), DistortionBound(1.5))
+        _, detail = _hypothesis_review(aff.scale_output(0.5), P(4, 0), 1.5)
         assert list(review) == [key for key in detail if key not in ("origin", "lambda_origin")]
 
     def test_jacobian_normalized_route_refutes_a_rescaled_map(self):

@@ -17,7 +17,6 @@ from elliptica import (
     EllipticityParams,
     HarmonicMap,
     OracleVerdict,
-    SamplingSpec,
     build_classical,
     build_Fn,
     classical_landau,
@@ -79,7 +78,7 @@ class TestUnivalenceProbe:
                 univalence_probe(IDENTITY, bad)
 
     def test_resolution_records_thresholds(self):
-        v = univalence_probe(SQUARE, 0.5, SamplingSpec(64, 1))
+        v = univalence_probe(SQUARE, 0.5)
         assert v.status == REFUTED
         # the certificate's facts that seeded the witness, and the witness's own
         assert v.resolution["hprime_zeros"] == 1 and v.resolution["hprime_points"] == 1024
@@ -88,7 +87,7 @@ class TestUnivalenceProbe:
         assert v.resolution["witness_separation"] == -v.margin > 1e-6
         for key in ("mesh", "sep_threshold", "image_threshold", "sup_lambda", "candidate_pairs", "n_r"):
             assert key not in v.resolution
-        v = univalence_probe(IDENTITY, 0.5, SamplingSpec(64, 1))
+        v = univalence_probe(IDENTITY, 0.5)
         assert v.status == CERTIFIED
         for key in ("hprime_zeros", "hprime_points", "dilatation_max"):
             assert key in v.resolution
@@ -96,7 +95,7 @@ class TestUnivalenceProbe:
 
 def _winding(f, radius: float, w: complex, n: int = 2048) -> tuple[int, bool]:
     """Winding of the image of |z| = radius about w, and whether its chord precondition holds."""
-    _, curve = sampling.sample_circle(f, radius, n)
+    curve = f.on_rings(radius, n)
     wind, valid, _ = oracles._winding_block(curve, np.abs(oracles._chords(curve)), np.array([w], dtype=complex))
     return int(wind[0]), bool(valid[0])
 
@@ -285,7 +284,7 @@ def test_curve_scan_margin_matches_brute_force(f, radius):
     n_curve = 256
     simple, margin, _, info = _curve_scan(f, radius, n_curve)
     # the scan's own samples: a series map's circle comes from one DFT
-    _, curve = oracles.sample_circle(f, radius, n_curve)
+    curve = f.on_rings(radius, n_curve)
     chords = np.abs(np.roll(curve, -1) - curve)
     move = _MOVE_SAFETY * np.maximum(np.roll(chords, 1), chords)
     brute = float(move.max())
@@ -299,8 +298,8 @@ def test_curve_scan_margin_matches_brute_force(f, radius):
 
 def _circle_zeros(f, radius, n=2048):
     """_zeros_inside for h' = f_z from the circle samples the certificate takes."""
-    theta, (fz, _) = oracles.sample_circle(f, radius, n, partials=True)
-    return _zeros_inside(theta, fz, lambda w: f.partials(w)[0], radius)
+    fz, _ = f.on_rings(radius, n, partials=True)
+    return _zeros_inside(fz, lambda w: f.partials(w)[0], radius)
 
 
 @pytest.mark.parametrize("a,radius", [
@@ -497,7 +496,7 @@ def test_hprime_zero_on_the_circle_stops_without_refining_to_the_cap():
     # samples: no resolution within the cap meets the chord precondition,
     # so the certificate gives up at the first resolution that shows it
     f = HarmonicMap([0.0, 1.0, -np.exp(-1j)])
-    reason, keys, _ = oracles._jacobian_certificate(f, 0.5, 1024, 3)
+    reason, keys, _ = oracles._jacobian_certificate(f, 0.5, 1024)
     assert reason == "winding preconditions for the zeros of h' = f_z unmet at this resolution"
     assert keys["hprime_points"] == 1024
 
@@ -671,9 +670,8 @@ def _certificate_cases():
 
 @pytest.mark.parametrize("name,f,radius,critical", list(_certificate_cases()))
 def test_jacobian_certificate_agrees_with_a_2d_reference(name, f, radius, critical):
-    spec = SamplingSpec()
-    reference = grid_stretches(f, radius, 48, spec.n_theta)[2].min() > 0
-    _, keys, _ = oracles._jacobian_certificate(f, radius, max(1024, 4 * spec.n_theta), spec.refinement_rounds)
+    reference = grid_stretches(f, radius, 48, 192)[2].min() > 0
+    _, keys, _ = oracles._jacobian_certificate(f, radius, oracles._UNIVALENCE_POINTS)
     certified = keys.get("hprime_zeros") == 0 and keys.get("dilatation_max", 1.0) < 1.0
     if critical is not None and critical < radius:
         # the classical h' = f' vanishes at r0 alone, so J = |h'|^2 is positive
@@ -721,11 +719,12 @@ def test_certified_probe_does_no_2d_work(monkeypatch, f, radius, status):
         assert abs(f.eval(w1) - f.eval(w2)) < 1e-12 and abs(w1 - w2) > 1e-6
 
 
-def test_winding_refinement_jumps_within_one_round():
+def test_winding_refinement_jumps_within_one_round(monkeypatch):
     # the chord precondition of h' needs about 6x the 1024 base points here;
     # one refinement jumps to 8192 instead of doubling three times
+    monkeypatch.setattr(oracles, "_ROUNDS", 1)
     f = build_classical(2.0, 400)
-    v = univalence_probe(f, 0.99 * classical_landau(2.0).r0, SamplingSpec(refinement_rounds=1))
+    v = univalence_probe(f, 0.99 * classical_landau(2.0).r0)
     assert v.status == CERTIFIED
     assert v.resolution["hprime_points"] == 8192
     assert v.resolution["rounds_used"] == 1
@@ -759,7 +758,7 @@ def _assert_confirmed(f, v, radius):
 
 def _seeds_of(f, radius):
     """The seed pairs and the certificate's keys of univalence_probe(f, radius)."""
-    _, keys, circle = oracles._jacobian_certificate(f, radius, 1024, 3)
+    _, keys, circle = oracles._jacobian_certificate(f, radius, 1024)
     return _collision_seeds(f, radius, circle, None), keys
 
 
@@ -845,7 +844,7 @@ def test_coverage_refutes_an_analytic_map_without_the_jacobian_certificate():
     # z^2 covers only |w| < 0.25 from |z| < 0.5, and its winding counts the
     # preimages of w with positive multiplicity although h' vanishes at 0
     f = HarmonicMap([0.0, 0.0, 1.0])
-    assert oracles._jacobian_certificate(f, 0.5, 1024, 3)[0]
+    assert oracles._jacobian_certificate(f, 0.5, 1024)[0]
     v = coverage_probe(f, 0.5, 0.3)
     assert v.status == REFUTED
     assert 0.25 < abs(v.witness) <= 0.3

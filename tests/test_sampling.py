@@ -7,14 +7,12 @@ from hypothesis import given, strategies as st
 
 from elliptica import (
     EllipticityParams,
-    SamplingSpec,
     build_classical,
     build_Fn,
     disk_net,
     random_elliptic,
 )
 from elliptica.constants import radical_inverse
-from elliptica.sampling import sample_circle
 
 
 class TestPolarGrid:
@@ -49,7 +47,7 @@ def _grid_maps():
 
 @pytest.mark.parametrize("name,f,radius", [pytest.param(*case, id=case[0]) for case in _grid_maps()])
 def test_sample_grid_matches_horner_at_the_grid_points(name, f, radius):
-    # a series map's circles, read by one sample_circle call over an array of
+    # a series map's circles, read by one on_rings call over an array of
     # radii, are the map at those points, evaluated by Horner
     eps = np.finfo(float).eps
     k = np.arange(f.truncation_degree + 1)
@@ -60,9 +58,9 @@ def test_sample_grid_matches_horner_at_the_grid_points(name, f, radius):
     # folded (n_theta < N + 1) and unfolded (n_theta >= N + 1) rings
     for n_r, n_theta in ((3, (f.truncation_degree + 1) // 2), (5, 2 * f.truncation_degree + 8)):
         radii = radius * (np.arange(n_r + 1) / n_r)
-        theta, values = sample_circle(f, radii, n_theta)
-        _, (fz, fzb) = sample_circle(f, radii, n_theta, partials=True)
-        points = np.multiply.outer(radii, np.exp(1j * theta))
+        values = f.on_rings(radii, n_theta)
+        fz, fzb = f.on_rings(radii, n_theta, partials=True)
+        points = np.multiply.outer(radii, np.exp(2j * np.pi * np.arange(n_theta) / n_theta))
         assert values.shape == fz.shape == fzb.shape == points.shape == (n_r + 1, n_theta)
         ref_fz, ref_fzb = f.partials(points)
         assert np.abs(values - f.eval(points)).max() <= 64 * eps * value_sum
@@ -157,17 +155,3 @@ class TestDiskNet:
         with pytest.raises(ValueError):
             disk_net(0.1, 0.0)
 
-
-class TestSamplingSpec:
-    def test_defaults(self):
-        spec = SamplingSpec()
-        assert (spec.n_theta, spec.refinement_rounds) == (192, 3)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"n_theta": 0}, {"n_theta": 3}, {"refinement_rounds": -1}, {"n_theta": 64.0},
-        # bool is an int subclass: True would pass as one angle, False as no rounds
-        {"refinement_rounds": 1.5}, {"n_theta": True}, {"refinement_rounds": False},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
-            SamplingSpec(**kwargs)

@@ -269,8 +269,8 @@ class TestBlochPipeline:
         assert sorted(reviewed) == sorted(id(f) for _, _, f in entries)
 
     def test_rows_are_reviewed_without_a_lambda_bound(self):
-        # the truncated F_3 overshoots lambda = 1.2 near the rim, which the
-        # Bloch theorem does not assume bounded
+        # the truncated F_3 overshoots lambda = 1.2 near the rim, but the Bloch
+        # theorem assumes no bound on lambda
         params, f = P(1.5, 0.25), build_Fn(3, 1.2)
         assert _hypothesis_review(f, params, 1.2)[0] == "refuted"
         row = verify_bloch_pipeline([("Fn3", "series extremal", f)], params, DistortionBound(1.2))["maps"][0]

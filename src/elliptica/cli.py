@@ -237,7 +237,7 @@ def _cmd_boundary(args) -> int:
     from .seriescore import HarmonicMap
 
     f = HarmonicMap.load(args.map)
-    curve = f.on_rings(args.r, args.n)
+    curve = f.on_circle(args.r, args.n)[0]
     lines = ["theta,re,im"]
     lines.extend(
         f"{2.0 * math.pi * k / args.n:.17g},{v.real:.17g},{v.imag:.17g}" for k, v in enumerate(curve)

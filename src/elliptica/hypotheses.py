@@ -49,7 +49,7 @@ largest settled bound M has sup W <= M <= (1 + tau) m, tau = _SEARCH_GAP.
 
 Every enclosure adds the error of the values it starts from: a Horner sum
 at a point, gamma_{2N} sum_k |c_k| rho^k (the ``seriescore`` docstring),
-and a circle from ``on_rings``, its DFT bound from the same docstring with
+and a circle from ``on_circle``, its DFT bound from the same docstring with
 mu = 4u for the computed roots of unity; bounds and majorants are then
 rounded outward by a factor 1 + gamma_{4N+8} (Rump, Acta Numerica 19,
 2010).  The review is ``certified`` when every square or arc passes,
@@ -317,7 +317,7 @@ def _sup_weighted(f: HarmonicMap) -> tuple[complex, float, int]:
 
 
 def _dft_error(n: int, degree: int) -> float:
-    """Per-sample error of on_rings over n angles, per unit of sum_k |c_k| r^k (seriescore docstring)."""
+    """Per-sample error of on_circle over n angles, per unit of sum_k |c_k| r^k (seriescore docstring)."""
     mu = _TWIDDLE_ULPS * _UNIT_ROUNDOFF
     eta = mu + _gamma(4) * (math.sqrt(2.0) + mu)
     log_n = math.log2(n)

@@ -258,10 +258,10 @@ def _curve_scan(f, radius: float, n_curve: int, curve=None):
     directions never turn by a right angle or more.  The margin is a lower
     bound for the separation slack over all such pairs, binned pairs
     explicitly and the rest by the bin-size guarantee.  curve, when given,
-    is f.on_rings(radius, n_curve).
+    is f.on_circle(radius, n_curve)[0].
     """
     if curve is None:
-        curve = f.on_rings(radius, n_curve)
+        curve = f.on_circle(radius, n_curve)[0]
     chords = _chords(curve)
     abs_chords = np.abs(chords)
     info = {"curve_points": n_curve}
@@ -315,12 +315,12 @@ def _jacobian_certificate(f, radius: float, n: int, first=None):
     its winding about 0 under the chord precondition of _winding_block; at
     most _ROUNDS refinements each jump to the resolution it demands.
     first, when given, is the first round's (f_z, f_zbar) as
-    f.on_rings(radius, n, partials=True) returns them.  circle is
-    (f_z, f_zbar) at the last samples, None if not finite.
+    f.on_circle(radius, n, values=False, partials=True) returns them.
+    circle is (f_z, f_zbar) at the last samples, None if not finite.
     """
     for round_idx in range(_ROUNDS + 1):
         info = {"hprime_points": n}
-        fz, fzb = first or f.on_rings(radius, n, partials=True)
+        fz, fzb = first or f.on_circle(radius, n, values=False, partials=True)
         first = None
         abs_fz, abs_fzb = np.abs(fz), np.abs(fzb)
         if not (np.isfinite(abs_fz).all() and np.isfinite(abs_fzb).all()):
@@ -440,7 +440,7 @@ def univalence_probe(f, radius: float) -> OracleVerdict:
 
     n_curve = _UNIVALENCE_POINTS
     # round 0 of both checks reads one stacked inverse DFT of f, f_z and f_zbar
-    curve, fz, fzb = f._rings(radius, n_curve, True, True)
+    curve, fz, fzb = f.on_circle(radius, n_curve, partials=True)
     reason, cert, circle = _jacobian_certificate(f, radius, n_curve, (fz, fzb))
     if not reason:
         for round_idx in range(_ROUNDS + 1):
@@ -526,7 +526,7 @@ def coverage_probe(f, radius: float, rho: float) -> OracleVerdict:
     n_curve = _COVERAGE_POINTS
     witness = None
     for round_idx in range(_ROUNDS + 1):
-        curve = f.on_rings(radius, n_curve)
+        curve = f.on_circle(radius, n_curve)[0]
         abs_chords = np.abs(_chords(curve))
         chord_max = float(abs_chords.max())
         min_abs = float(np.abs(curve).min())

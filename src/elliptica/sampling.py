@@ -2,7 +2,7 @@
 
 A net is reproducible from its arguments alone: it is laid out ring by ring
 from the rim inward, and no global RNG state is touched.  Maps are sampled
-on circles by ``HarmonicMap.on_rings``; the theorems' hypotheses are never
+on circles by ``HarmonicMap.on_circle``; the theorems' hypotheses are never
 sampled, but certified on the whole disk by :mod:`elliptica.hypotheses`.
 """
 

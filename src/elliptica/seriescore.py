@@ -1,13 +1,12 @@
-"""Truncated harmonic-map series with certified tail bounds.
+"""Truncated harmonic-map series.
 
-A planar harmonic map f = h + conj(g) is stored through the coefficients of
-its two power series,
+A planar harmonic map f = h + conj(g) is its coefficients: those of its two
+polynomials
 
     h(z) = a_0 + a_1 z + ... + a_N z^N,      g(z) = b_1 z + ... + b_N z^N,
 
-together with a tail_bound: a certified bound on sum_{n>N} (|a_n| + |b_n|) *
-reference_radius**n for the underlying (possibly infinite) series.  A
-polynomial map simply carries tail_bound = 0.  Maps are immutable; the
+and nothing else.  A map cut from an infinite series is that polynomial:
+every review and probe covers the polynomial alone.  Maps are immutable; the
 coefficient arrays are frozen at construction, so instances may be shared
 freely across worker threads.
 
@@ -33,7 +32,7 @@ first Horner evaluation of a map and cached on it.  A series keeps its full
 degree, which is always sound, when its sums are not finite or when its top
 term is not negligible even at rho_1.
 Circles |z| = r go through
-:meth:`HarmonicMap.on_rings`, one inverse DFT of the coefficients scaled by
+:meth:`HarmonicMap.on_circle`, one inverse DFT of the coefficients scaled by
 r^k, in O(n log n) rather than O(n N) per circle; its 2-norm error over a
 circle of n samples is at most log2(n) * eta / (1 - log2(n) * eta) times the
 2-norm of the values, with eta = mu + gamma_4 * (sqrt(2) + mu) and mu the
@@ -46,7 +45,6 @@ series, never from finite differences.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -132,7 +130,7 @@ def _levels(z) -> np.ndarray:
 
 
 def _ring_spectrum(coeffs: np.ndarray, powers: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Add c_k = coeffs[k] r^k, for each row of powers r^k, into out at frequencies k mod n.
+    """Add c_k = coeffs[k] r^k, with powers[k] = r^k, into out at frequencies k mod n.
 
     Folding is exact aliasing: e^{ik theta} and e^{i(k mod n) theta} agree on
     the n angles 2 pi j / n, so the n-point inverse DFT of the folded row is
@@ -142,15 +140,14 @@ def _ring_spectrum(coeffs: np.ndarray, powers: np.ndarray, n: int, out: np.ndarr
     way each entry is 0 plus its terms in the same order, so a -0 term comes
     out +0 and the bits do not depend on the path.
     """
-    rows = powers.shape[:-1]
     if out is None:
-        out = np.zeros(rows + (n,), dtype=complex)
-    scaled = coeffs * powers[..., : coeffs.size]
+        out = np.zeros(n, dtype=complex)
+    scaled = coeffs * powers[: coeffs.size]
     if coeffs.size <= n:
-        out[..., : coeffs.size] += scaled
+        out[: coeffs.size] += scaled
     else:
-        pad = np.zeros(rows + (-coeffs.size % n,), dtype=complex)
-        out += np.concatenate([scaled, pad], axis=-1).reshape(rows + (-1, n)).sum(axis=-2)
+        pad = np.zeros(-coeffs.size % n, dtype=complex)
+        out += np.concatenate([scaled, pad]).reshape(-1, n).sum(axis=0)
     return out
 
 
@@ -169,8 +166,6 @@ class HarmonicMap:
 
     analytic_coeffs: np.ndarray = field(repr=False)
     antianalytic_coeffs: np.ndarray = field(default=(), repr=False)
-    tail_bound: float = 0.0
-    reference_radius: float = 0.9
     truncation_degree: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -179,10 +174,6 @@ class HarmonicMap:
         n = max(a.size - 1, b1.size, 1)
         a = np.concatenate([a, np.zeros(n + 1 - a.size, dtype=complex)])
         b1 = np.concatenate([b1, np.zeros(n - b1.size, dtype=complex)])
-        if not (math.isfinite(self.tail_bound) and self.tail_bound >= 0.0):
-            raise ValueError("tail_bound must be finite and >= 0")
-        if not (0.0 < self.reference_radius < 1.0):
-            raise ValueError("reference_radius must lie in (0, 1)")
         # Degree-aligned copy of g's coefficients (index = degree) for Horner.
         b_full = np.concatenate([[0.0 + 0.0j], b1])
         # h' and g' coefficients; huge inputs may overflow to inf, which the
@@ -210,14 +201,17 @@ class HarmonicMap:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HarmonicMap":
+        """The map of a record {"a": [[re, im], ...], "b": [[re, im], ...]}.
+
+        Older records also hold "tail_bound" and "r_ref", a tail model that
+        no check ever read; those keys, like any other, are ignored.
+        """
         try:
             a = [complex(re, im) for re, im in data["a"]]
             b = [complex(re, im) for re, im in data["b"]]
-            tail = float(data["tail_bound"])
-            r_ref = float(data["r_ref"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed harmonic-map record: {exc}") from exc
-        return cls(a, b, tail_bound=tail, reference_radius=r_ref)
+        return cls(a, b)
 
     @classmethod
     def load(cls, path) -> "HarmonicMap":
@@ -228,8 +222,6 @@ class HarmonicMap:
         return {
             "a": [[float(c.real), float(c.imag)] for c in self.analytic_coeffs],
             "b": [[float(c.real), float(c.imag)] for c in self.antianalytic_coeffs],
-            "tail_bound": float(self.tail_bound),
-            "r_ref": float(self.reference_radius),
         }
 
     def save(self, path) -> None:
@@ -336,39 +328,31 @@ class HarmonicMap:
             return complex(hp), complex(fzb)
         return hp, fzb
 
-    def on_rings(self, radii, n: int, partials: bool = False):
-        """f, or the pair (f_z, f_zbar), at radii[i] e^{2 pi i k / n} for k < n.
+    def on_circle(self, radius: float, n: int, values: bool = True, partials: bool = False) -> np.ndarray:
+        """Samples at radius e^{2 pi i k / n}, k < n, one row each: f if values, then f_z and f_zbar if partials.
 
-        The values have shape radii.shape + (n,), so a scalar radius gives
-        one circle.  On |z| = r, h is the trigonometric polynomial with
-        coefficients a_k r^k, and conj(g) the one with conj(b_k) r^k at
-        frequency -k; both fold into one spectrum, and one inverse DFT sums
-        it at every angle.  The partials take h' and g' the same way.
+        On |z| = r, h is the trigonometric polynomial with coefficients
+        a_k r^k, and conj(g) the one with conj(b_k) r^k at frequency -k;
+        both fold into one spectrum, and the partials take h' and g' the
+        same way.  Every spectrum goes into one zeroed array of shape
+        (rows, n), and one inverse DFT sums them all in place, so a call
+        allocates one array of n per row; each row has the bits a transform
+        of its own would give.
         """
-        rows = self._rings(radii, n, not partials, partials)
-        return (rows[0], rows[1]) if partials else rows[0]
-
-    def _rings(self, radii, n: int, values: bool, partials: bool) -> np.ndarray:
-        """The rows of on_rings stacked: f if values, then f_z and f_zbar if partials.
-
-        Every spectrum goes into one zeroed array, and one inverse DFT sums
-        them all in place, so a call allocates one array of n per row; each
-        row has the bits a transform of its own would give.
-        """
-        radii = np.asarray(radii, dtype=float)
-        self._check_domain(radii)
-        powers = np.power(radii[..., None], np.arange(self.truncation_degree + 1))
-        spectra = np.zeros((values + 2 * partials,) + radii.shape + (n,), dtype=complex)
+        radius = float(radius)
+        self._check_domain(radius)
+        powers = np.power(radius, np.arange(self.truncation_degree + 1))
+        spectra = np.zeros((values + 2 * partials, n), dtype=complex)
         if values:
             _ring_spectrum(self.analytic_coeffs, powers, n, spectra[0])
             g = np.conj(self._b_full)
             if g.size <= n:
                 # frequency -k is frequency k - 1 of the reversed row, and b_0 = 0 adds nothing
-                _ring_spectrum(g[1:], powers[..., 1:], n, spectra[0][..., ::-1])
+                _ring_spectrum(g[1:], powers[1:], n, spectra[0][::-1])
             else:
                 # fold, then reverse: a one-sample fold sums pairwise, where
                 # the b_0 term's place in the sum counts
-                spectra[0] += _ring_spectrum(g, powers, n)[..., -np.arange(n) % n]
+                spectra[0] += _ring_spectrum(g, powers, n)[-np.arange(n) % n]
         if partials:
             for row, c in zip(spectra[values:], self._series[2:]):
                 _ring_spectrum(c, powers, n, row)
@@ -405,9 +389,4 @@ class HarmonicMap:
         The antianalytic side stores g with f = h + conj(g), and
         c*conj(g) = conj(conj(c)*g), so those coefficients pick up conj(c).
         """
-        return HarmonicMap(
-            c * self.analytic_coeffs,
-            np.conj(c) * self.antianalytic_coeffs,
-            tail_bound=abs(c) * self.tail_bound,
-            reference_radius=self.reference_radius,
-        )
+        return HarmonicMap(c * self.analytic_coeffs, np.conj(c) * self.antianalytic_coeffs)

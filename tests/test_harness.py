@@ -686,6 +686,14 @@ class TestCampaigns:
         assert any("sup lambda" in r for r in reasons)
         assert not rep["worst_case"]["refuted"]
 
+    def test_a_map_with_f0_off_the_origin_is_excluded(self):
+        params, bound = P(1, 0), DistortionBound(2)
+        shifted = HarmonicMap([0.1, 1.0])
+        for campaign in (verify_coefficient_bounds, verify_landau_probes):
+            row = campaign([("shifted", "crafted", shifted)], params, bound)["maps"][0]
+            assert row["verdict"] == "excluded"
+            assert row["verdicts"]["hypotheses"]["reasons"] == ["f(0) = (0.1+0j) is not 0"]
+
     def test_landau_probes_certify_extremal(self):
         params, bound = P(1, 0), DistortionBound(2)
         entries = [("Fn2", "series extremal", build_Fn(2, 2.0))]

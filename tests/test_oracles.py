@@ -95,7 +95,7 @@ class TestUnivalenceProbe:
 
 def _winding(f, radius: float, w: complex, n: int = 2048) -> tuple[int, bool]:
     """Winding of the image of |z| = radius about w, and whether its chord precondition holds."""
-    curve = f.on_rings(radius, n)
+    curve = f.on_circle(radius, n)[0]
     wind, valid, _ = oracles._winding_block(curve, np.abs(oracles._chords(curve)), np.array([w], dtype=complex))
     return int(wind[0]), bool(valid[0])
 
@@ -284,7 +284,7 @@ def test_curve_scan_margin_matches_brute_force(f, radius):
     n_curve = 256
     simple, margin, _, info = _curve_scan(f, radius, n_curve)
     # the scan's own samples: a series map's circle comes from one DFT
-    curve = f.on_rings(radius, n_curve)
+    curve = f.on_circle(radius, n_curve)[0]
     chords = np.abs(np.roll(curve, -1) - curve)
     move = _MOVE_SAFETY * np.maximum(np.roll(chords, 1), chords)
     brute = float(move.max())
@@ -298,7 +298,7 @@ def test_curve_scan_margin_matches_brute_force(f, radius):
 
 def _circle_zeros(f, radius, n=2048):
     """_zeros_inside for h' = f_z from the circle samples the certificate takes."""
-    fz, _ = f.on_rings(radius, n, partials=True)
+    fz, _ = f.on_circle(radius, n, values=False, partials=True)
     return _zeros_inside(fz, lambda w: f.partials(w)[0], radius)
 
 

@@ -1,17 +1,11 @@
-"""Circles, nets and quasi-random sequences: determinism, membership, coverage."""
+"""Nets and quasi-random sequences: determinism, membership, coverage."""
 
 import numpy as np
 import pytest
 from conftest import polar_grid
 from hypothesis import given, strategies as st
 
-from elliptica import (
-    EllipticityParams,
-    build_classical,
-    build_Fn,
-    disk_net,
-    random_elliptic,
-)
+from elliptica import disk_net
 from elliptica.constants import radical_inverse
 
 
@@ -36,36 +30,6 @@ class TestPolarGrid:
         a = polar_grid(0.999, 48, 192)
         b = polar_grid(0.999, 48, 192)
         assert np.array_equal(a, b)
-
-
-def _grid_maps():
-    yield "classical-2", build_classical(2.0, 400), 0.25
-    yield "F_3", build_Fn(3, 2.0, n_terms=128), 0.5
-    for seed, (k, kp, lam) in enumerate(((2.0, 0.5, 1.5), (4.0, 1.0, 3.0))):
-        yield f"random-{seed}", random_elliptic(EllipticityParams(k, kp), lam, seed), 0.999
-
-
-@pytest.mark.parametrize("name,f,radius", [pytest.param(*case, id=case[0]) for case in _grid_maps()])
-def test_sample_grid_matches_horner_at_the_grid_points(name, f, radius):
-    # a series map's circles, read by one on_rings call over an array of
-    # radii, are the map at those points, evaluated by Horner
-    eps = np.finfo(float).eps
-    k = np.arange(f.truncation_degree + 1)
-    moduli = np.abs(f.analytic_coeffs) + np.abs(f._b_full)
-    # the sums at the outer radius bound those of every inner ring
-    value_sum = (moduli * radius**k).sum()
-    slope_sum = (k[1:] * moduli[1:] * radius ** k[:-1]).sum()
-    # folded (n_theta < N + 1) and unfolded (n_theta >= N + 1) rings
-    for n_r, n_theta in ((3, (f.truncation_degree + 1) // 2), (5, 2 * f.truncation_degree + 8)):
-        radii = radius * (np.arange(n_r + 1) / n_r)
-        values = f.on_rings(radii, n_theta)
-        fz, fzb = f.on_rings(radii, n_theta, partials=True)
-        points = np.multiply.outer(radii, np.exp(2j * np.pi * np.arange(n_theta) / n_theta))
-        assert values.shape == fz.shape == fzb.shape == points.shape == (n_r + 1, n_theta)
-        ref_fz, ref_fzb = f.partials(points)
-        assert np.abs(values - f.eval(points)).max() <= 64 * eps * value_sum
-        assert np.abs(fz - ref_fz).max() <= 64 * eps * slope_sum
-        assert np.abs(fzb - ref_fzb).max() <= 64 * eps * slope_sum
 
 
 def halton(count, base, start=1):

@@ -1,4 +1,4 @@
-"""Series maps: evaluation, Wirtinger derivatives, tails, serialization."""
+"""Series maps: evaluation, Wirtinger derivatives, circles, serialization."""
 
 import json
 import math
@@ -108,61 +108,60 @@ class TestPartials:
 
 
 def _ring_maps():
-    yield "classical-2", build_classical(2.0, 400), 0.25
-    yield "F_3", build_Fn(3, 2.0, n_terms=128), 0.5
+    yield "classical-2", build_classical(2.0, 400), (0.125, 0.25)
+    yield "F_3", build_Fn(3, 2.0, n_terms=128), (0.25, 0.5)
     for seed, (k, kp, lam) in enumerate(((2.0, 0.5, 1.5), (1.0, 0.0, 2.0), (4.0, 1.0, 3.0), (1.5, 0.25, 1.2))):
-        yield f"random-{seed}", random_elliptic(EllipticityParams(k, kp), lam, seed), 0.6
+        yield f"random-{seed}", random_elliptic(EllipticityParams(k, kp), lam, seed), (0.3, 0.6, 0.999)
 
 
 class TestOnRings:
     """Circles summed by one inverse DFT agree with Horner at every sample."""
 
-    @pytest.mark.parametrize("name,f,radius", [pytest.param(*case, id=case[0]) for case in _ring_maps()])
-    def test_matches_horner_within_the_coefficient_sum(self, name, f, radius):
+    @pytest.mark.parametrize("name,f,radii", [pytest.param(*case, id=case[0]) for case in _ring_maps()])
+    def test_matches_horner_within_the_coefficient_sum(self, name, f, radii):
         eps = np.finfo(float).eps
         k = np.arange(f.truncation_degree + 1)
         moduli = np.abs(f.analytic_coeffs) + np.abs(f._b_full)
-        radii = np.array([0.5 * radius, radius])
         # folded (n < N + 1) and unfolded (n >= N + 1) spectra
         for n in ((f.truncation_degree + 1) // 2, 2 * f.truncation_degree + 8):
-            points = np.multiply.outer(radii, np.exp(2j * np.pi * np.arange(n) / n))
-            values = f.on_rings(radii, n)
-            fz, fzb = f.on_rings(radii, n, partials=True)
-            assert values.shape == fz.shape == fzb.shape == (2, n)
-            ref_fz, ref_fzb = f.partials(points)
-            for row, r in enumerate(radii):
+            for r in radii:
+                points = r * np.exp(2j * np.pi * np.arange(n) / n)
+                values, fz, fzb = f.on_circle(r, n, partials=True)
+                ref_fz, ref_fzb = f.partials(points)
                 value_sum = (moduli * r**k).sum()
                 slope_sum = (k[1:] * moduli[1:] * r ** k[:-1]).sum()
-                assert np.abs(values[row] - f.eval(points[row])).max() <= 64 * eps * value_sum
-                assert np.abs(fz[row] - ref_fz[row]).max() <= 64 * eps * slope_sum
-                assert np.abs(fzb[row] - ref_fzb[row]).max() <= 64 * eps * slope_sum
+                assert np.abs(values - f.eval(points)).max() <= 64 * eps * value_sum
+                assert np.abs(fz - ref_fz).max() <= 64 * eps * slope_sum
+                assert np.abs(fzb - ref_fzb).max() <= 64 * eps * slope_sum
 
     def test_repeated_calls_are_bit_identical(self):
         f = build_classical(2.0, 400)
-        radii = np.array([0.0, 0.1, 0.2])
-        for partials in (False, True):
-            first = np.asarray(f.on_rings(radii, 192, partials))
-            assert np.array_equal(first, np.asarray(f.on_rings(radii, 192, partials)))
+        for r in (0.0, 0.1, 0.2):
+            for values, partials in ((True, False), (False, True), (True, True)):
+                first = f.on_circle(r, 192, values, partials)
+                assert np.array_equal(first, f.on_circle(r, 192, values, partials))
 
     def test_scalar_radius_and_centre(self):
         f = random_map(5)
-        values = f.on_rings(0.0, 8)
-        assert values.shape == (8,)
-        assert np.allclose(values, f.analytic_coeffs[0], rtol=0, atol=1e-15)
-        fz, fzb = f.on_rings(0.0, 4, partials=True)
+        rows = f.on_circle(0.0, 8)
+        assert rows.shape == (1, 8)
+        assert np.allclose(rows[0], f.analytic_coeffs[0], rtol=0, atol=1e-15)
+        fz, fzb = f.on_circle(0.0, 4, values=False, partials=True)
+        assert fz.shape == fzb.shape == (4,)
         assert np.allclose(fz, f.analytic_coeffs[1], rtol=0, atol=1e-15)
         assert np.allclose(fzb, np.conj(f.antianalytic_coeffs[0]), rtol=0, atol=1e-15)
+        assert f.on_circle(0.5, 16, partials=True).shape == (3, 16)
 
     def test_domain_rejected(self):
-        with pytest.raises(ValueError):
-            HarmonicMap.identity().on_rings([0.5, 1.0], 16)
+        for radius in (1.0, -1.0):
+            with pytest.raises(ValueError):
+                HarmonicMap.identity().on_circle(radius, 16)
 
     def test_spectra_are_bit_identical_to_the_padded_fold(self):
         def folded(coeffs, powers, n):
-            rows = powers.shape[:-1]
-            scaled = coeffs * powers[..., : coeffs.size]
-            pad = np.zeros(rows + (-coeffs.size % n,), dtype=complex)
-            return np.concatenate([scaled, pad], axis=-1).reshape(rows + (-1, n)).sum(axis=-2)
+            scaled = coeffs * powers[: coeffs.size]
+            pad = np.zeros(-coeffs.size % n, dtype=complex)
+            return np.concatenate([scaled, pad]).reshape(-1, n).sum(axis=0)
 
         def same(got, want):
             got, want = np.asarray(got), np.asarray(want)
@@ -176,17 +175,19 @@ class TestOnRings:
                 c[rng.random(c.size) < 0.3] = complex(-0.0, -0.0)
                 c.imag[rng.random(c.size) < 0.3] = -0.0
             f = HarmonicMap(a, b)
-            for radii in (0.6, np.array([0.0, 0.35, 0.9])):
-                powers = np.power(np.asarray(radii)[..., None], np.arange(degree + 1))
+            for r in (0.6, 0.0, 0.35, 0.9):
+                powers = np.power(r, np.arange(degree + 1))
                 # folded (n < N + 1) and unfolded (n >= N + 1) spectra, one sample included
                 for n in sorted({1, max(1, degree // 2), degree, degree + 1, degree + 2, 2 * degree + 3}):
                     for c in f._series:
                         assert same(seriescore._ring_spectrum(c, powers, n), folded(c, powers, n))
-                    g = folded(np.conj(f._b_full), powers, n)[..., -np.arange(n) % n]
+                    g = folded(np.conj(f._b_full), powers, n)[-np.arange(n) % n]
                     values = np.fft.ifft(folded(f.analytic_coeffs, powers, n) + g, norm="forward")
                     hp, gp = (np.fft.ifft(folded(c, powers, n), norm="forward") for c in f._series[2:])
-                    assert same(f.on_rings(radii, n), values)
-                    assert same(f.on_rings(radii, n, partials=True), (hp, np.conj(gp)))
+                    # each row of a stacked transform has the bits of its own
+                    assert same(f.on_circle(r, n), [values])
+                    assert same(f.on_circle(r, n, values=False, partials=True), (hp, np.conj(gp)))
+                    assert same(f.on_circle(r, n, partials=True), (values, hp, np.conj(gp)))
 
 
 class TestDFTError:
@@ -231,7 +232,7 @@ class TestDFTError:
         f, r = HarmonicMap(a, b), 0.999
         scale = float((np.abs(f.analytic_coeffs) + np.abs(f._b_full)) @ r ** np.arange(degree + 1))
         for n in self.SIZES if degree < 64 else self.SIZES[::2]:
-            values = f.on_rings(r, n)
+            values = f.on_circle(r, n)[0]
             # the samples Horner flags as worst, and two at random
             guess = np.abs(values - f.eval(r * np.exp(2j * np.pi * np.arange(n) / n)))
             picks = {*np.argsort(guess)[-3:].tolist(), *rng.integers(0, n, 2).tolist()}
@@ -374,6 +375,8 @@ _PAIRS = st.lists(st.lists(_JSON_SCALARS, min_size=2, max_size=2), max_size=4)
 _RECORDS = st.fixed_dictionaries({
     "a": _PAIRS | _JSON,
     "b": _PAIRS | _JSON,
+}, optional={
+    # the keys of records written before maps dropped their tail model
     "tail_bound": st.floats(0.0, 1.0) | _JSON_SCALARS,
     "r_ref": st.floats(0.0, 1.0) | _JSON_SCALARS,
 })
@@ -385,7 +388,6 @@ class TestSerialization:
         g = HarmonicMap.from_json_dict(f.to_json_dict())
         assert np.array_equal(f.analytic_coeffs, g.analytic_coeffs)
         assert np.array_equal(f.antianalytic_coeffs, g.antianalytic_coeffs)
-        assert f.tail_bound == g.tail_bound
         assert f.eval(0.3 + 0.2j) == g.eval(0.3 + 0.2j)
 
     def test_save_load(self, tmp_path):
@@ -396,23 +398,32 @@ class TestSerialization:
         assert np.array_equal(f.analytic_coeffs, g.analytic_coeffs)
         # the on-disk form is plain JSON with [re, im] pairs
         raw = json.loads(path.read_text())
-        assert set(raw) == {"a", "b", "tail_bound", "r_ref"}
+        assert set(raw) == {"a", "b"}
+
+    def test_legacy_tail_keys_are_ignored(self):
+        record = random_map(7).to_json_dict()
+        f = HarmonicMap.from_json_dict(record)
+        for tail, r_ref in ((0.0, 0.9), (1e-6, 0.5), ("x", None), (10**400, 2.0)):
+            g = HarmonicMap.from_json_dict({**record, "tail_bound": tail, "r_ref": r_ref})
+            assert np.array_equal(f.analytic_coeffs, g.analytic_coeffs)
+            assert np.array_equal(f.antianalytic_coeffs, g.antianalytic_coeffs)
+            assert g.to_json_dict() == record
 
     @pytest.mark.parametrize("record", [
         {},
-        {"a": [[0, 0]], "b": []},                                  # missing fields
+        {"a": [[0, 0]], "tail_bound": 0, "r_ref": 0.9},            # missing field
         {"a": [[0, 0], [1]], "b": [], "tail_bound": 0, "r_ref": 0.9},  # ragged pair
-        {"a": [[0, 0]], "b": [], "tail_bound": "x", "r_ref": 0.9},
+        {"a": [[0, 0]], "b": [[0, "x"]]},
     ])
     def test_malformed_rejected(self, record):
         with pytest.raises(ValueError):
             HarmonicMap.from_json_dict(record)
 
-    @pytest.mark.parametrize("field", ["a", "b", "tail_bound"])
+    @pytest.mark.parametrize("field", ["a", "b"])
     def test_oversized_number_rejected(self, field):
-        record = {"a": [[0, 0], [1, 0]], "b": [], "tail_bound": 0, "r_ref": 0.9}
+        record = {"a": [[0, 0], [1, 0]], "b": []}
         huge = 10**400  # a float() of it overflows
-        record[field] = huge if field == "tail_bound" else [[0, 0], [huge, 0]]
+        record[field] = [[0, 0], [huge, 0]]
         with pytest.raises(ValueError, match="malformed harmonic-map record"):
             HarmonicMap.from_json_dict(record)
 
@@ -425,10 +436,6 @@ class TestSerialization:
         assert isinstance(f, HarmonicMap)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            HarmonicMap([0, 1], tail_bound=-1.0)
-        with pytest.raises(ValueError):
-            HarmonicMap([0, 1], reference_radius=1.0)
         with pytest.raises(ValueError):
             HarmonicMap([[0, 1], [2, 3]])
 
@@ -455,15 +462,3 @@ class TestDerivedMaps:
         g = f.scale_output(2j)
         z = 0.25 + 0.1j
         assert abs(g.eval(z) - 2j * f.eval(z)) < 1e-14
-        assert g.tail_bound == 2 * f.tail_bound
-
-
-class TestTails:
-    def test_builder_tail_is_sound(self):
-        # N-term build vs 2N-term build differ by less than the N-term tail
-        small = build_Fn(2, 2.0, n_terms=12, r_ref=0.9)
-        big = build_Fn(2, 2.0, n_terms=24, r_ref=0.9)
-        theta = np.linspace(0, 2 * np.pi, 128, endpoint=False)
-        z = 0.9 * np.exp(1j * theta)
-        gap = np.abs(small.eval(z) - big.eval(z))
-        assert float(gap.max()) <= small.tail_bound

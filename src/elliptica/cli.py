@@ -102,10 +102,8 @@ def _flatten(prefix: str, value, rows: list) -> None:
     if isinstance(value, dict):
         for key, sub in value.items():
             _flatten(f"{prefix}.{key}" if prefix else str(key), sub, rows)
-    elif isinstance(value, float):
-        rows.append((prefix, f"{value:.17g}"))
     else:
-        rows.append((prefix, str(value)))
+        rows.append((prefix, f"{value:.17g}"))
 
 
 def _csv_text(payload: dict) -> str:

@@ -363,8 +363,6 @@ def remark_campaign(samples: int = 1000) -> dict:
         k_val = _K_RANGE[0] + (_K_RANGE[1] - _K_RANGE[0]) * u_k
         kp_val = _KP_RANGE[0] + (_KP_RANGE[1] - _KP_RANGE[0]) * u_kp
         lam_val = _LAM_RANGE[0] + (_LAM_RANGE[1] - _LAM_RANGE[0]) * u_lam
-        if lam_val <= 1.0:
-            lam_val = 1.0 + 1e-9
         checks = remark_inequalities(EllipticityParams(k_val, kp_val), DistortionBound(lam_val))
         holds = checks.correction_holds and checks.radius_holds and checks.sigma_holds
         if not holds:
@@ -387,8 +385,6 @@ def remark_campaign(samples: int = 1000) -> dict:
     for u1, u2 in _halton_points(_PSI_PAIRS, (7, 11)):
         t_a = math.exp(lo + (hi - lo) * u1)
         t_b = math.exp(lo + (hi - lo) * u2)
-        if t_a == t_b:
-            continue
         t_lo, t_hi = (t_a, t_b) if t_a < t_b else (t_b, t_a)
         if not (psi(t_lo) > psi(t_hi)):
             psi_failures += 1

@@ -52,12 +52,13 @@ at a point, gamma_{2N} sum_k |c_k| rho^k (the ``seriescore`` docstring),
 and a circle from ``on_circle``, its DFT bound from the same docstring with
 mu = 4u for the computed roots of unity; bounds and majorants are then
 rounded outward by a factor 1 + gamma_{4N+8} (Rump, Acta Numerica 19,
-2010).  The review is ``certified`` when every square or arc passes,
-``refuted`` at the first centre or sample that fails a hypothesis beyond
-the caller's tolerance, and ``inconclusive`` when the budget of squares or
-circle samples is used up first.  Each review is memoized on the map per
-(K, K', Lambda, tol), as its degree ladders are, so campaigns that check
-two theorems on one map review it once.
+2010); the derivatives and their majorant sums come from ``seriescore``.
+The review is ``certified`` when every square or arc passes, ``refuted``
+at the first centre or sample that fails a hypothesis beyond the caller's
+tolerance, and ``inconclusive`` when the budget of squares or circle
+samples is used up first.  Each review is memoized on the map per (K, K',
+Lambda, tol), as its degree ladders are, so campaigns that check two
+theorems on one map review it once.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ import numpy as np
 from .constants import EllipticityParams
 from .distortion import stretches
 from .oracles import CERTIFIED, INCONCLUSIVE, REFUTED
-from .seriescore import _UNIT_ROUNDOFF, HarmonicMap, _gamma, _horner, _ring_spectrum
+from .seriescore import _UNIT_ROUNDOFF, HarmonicMap, _derivatives, _gamma, _horner, _majorants, _ring_spectrum
 
 __all__ = ["HypothesisReview", "certify_hypotheses"]
 
@@ -131,24 +132,6 @@ class HypothesisReview:
                             self.witness, self.reasons)
 
 
-def _derivatives(c: np.ndarray, count: int) -> list:
-    """The coefficient arrays of the first ``count`` derivatives of the series c."""
-    out = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(count):
-            c = (np.arange(c.size) * c)[1:]
-            out.append(c)
-    return out
-
-
-def _columns(series: list, length: int) -> np.ndarray:
-    """The series as the columns of one array, zero-padded to ``length`` degrees."""
-    out = np.zeros((length, len(series)), dtype=complex)
-    for j, c in enumerate(series):
-        out[: c.size, j] = c
-    return out
-
-
 def certify_hypotheses(f: HarmonicMap, params: EllipticityParams, lam: float, tol: float) -> HypothesisReview:
     """Prove sup lambda <= lam, (K, K')-ellipticity and sense preservation on |z| <= 0.999.
 
@@ -170,16 +153,13 @@ def certify_hypotheses(f: HarmonicMap, params: EllipticityParams, lam: float, to
 
 
 def _square_series(f: HarmonicMap) -> tuple:
-    """Columns h', g', h'', g'', majorant columns of h''', g''', gamma, and the four's Horner error."""
+    """Columns h', g', h'', g'', moduli of h''', g''', gamma, and the four's Horner error."""
     n = f.truncation_degree
-    hd = _derivatives(f.analytic_coeffs, 3)
-    gd = _derivatives(np.concatenate([[0.0], f.antianalytic_coeffs]), 3)
-    values = _columns([hd[0], gd[0], hd[1], gd[1]], n)
-    third = np.abs(_columns([hd[2], gd[2]], max(n - 2, 1)))
+    columns = _derivatives(np.stack([f.analytic_coeffs, f._b_full], axis=1), 3)
+    values = columns[:, :4]
     gamma = _gamma(4 * n + 8)
     with np.errstate(over="ignore", invalid="ignore"):
-        err = gamma * (_REGION ** np.arange(n) @ np.abs(values))
-    return values, third, gamma, err
+        return values, np.abs(columns[: max(n - 2, 1), 4:]), gamma, gamma * _majorants(np.abs(values), _REGION)
 
 
 def _squares(judge) -> tuple:
@@ -241,7 +221,7 @@ def _cells(f: HarmonicMap, params: EllipticityParams, lam: float, tol: float) ->
             fails = (lam_min > lam + tol, margin < -tol, jac <= 0.0)
             if (fails[0] | fails[1] | fails[2]).any():
                 return _refuted(e, min(lam, lam + tol), (lam_min, margin, jac), fails)
-            h3 = rho[:, None] ** np.arange(len(third)) @ third
+            h3 = _majorants(third, rho)
             rad = (delta * mod[:, 2:] + (0.5 * delta * delta) * h3 + gamma * mod[:, :2]) * (1.0 + gamma) + slack
             lo = np.maximum(mod[:, :2] - rad, 0.0)
             hi = mod[:, :2] + rad
@@ -292,7 +272,7 @@ def _sup_weighted(f: HarmonicMap) -> tuple[complex, float, int]:
             i = int(np.argmax(centre))
             if centre[i] > best:
                 best, best_z = float(centre[i]), complex(e[i])
-            h3 = rho[:, None] ** np.arange(len(third)) @ third
+            h3 = _majorants(third, rho)
             # |h'| - |g'| <= lam0 + Re(slope t), lam0 with the second-order and error terms
             unit_g = np.divide(v[:, 1].conj(), mod[:, 1], out=np.zeros(e.size, dtype=complex), where=mod[:, 1] > 0.0)
             slope = v[:, 0].conj() / mod[:, 0] * v[:, 2] - unit_g * v[:, 3]
@@ -328,15 +308,16 @@ def _dft_error(n: int, degree: int) -> float:
 
 def _arcs(f: HarmonicMap, params: EllipticityParams, lam: float, tol: float) -> HypothesisReview:
     n_deg = f.truncation_degree
-    hd = _derivatives(f.analytic_coeffs, 4)
+    hd = _derivatives(f.analytic_coeffs[:, None], 4)
     # H(theta) = h'(0.999 e^{i theta}) = sum_k c_k 0.999^k e^{i k theta}, and its
     # first two theta-derivatives, the spectra i k c_k and -k^2 c_k
-    k = np.arange(hd[0].size)
-    powers = _REGION ** np.arange(n_deg)
+    k = np.arange(n_deg)
+    powers = _REGION ** k
     gamma = _gamma(4 * n_deg + 8)
     with np.errstate(over="ignore", invalid="ignore"):
-        series = (hd[0], 1j * k * hd[0], -(k * k) * hd[0])
-        h1, h2, h3, h4 = ((1.0 + gamma) * float(np.abs(c) @ powers[: c.size]) for c in hd)
+        series = (hd[:, 0], 1j * k * hd[:, 0], -(k * k) * hd[:, 0])
+        # one sum per order over its own degrees: one product of the padded columns rounds otherwise
+        h1, h2, h3, h4 = ((1.0 + gamma) * _majorants(np.abs(hd[: max(n_deg - j, 0), j]), _REGION) for j in range(4))
         # majorants of sum_k k^j |c_k| 0.999^k for j = 0, 1, 2, and of the third theta-derivative of H
         sums = np.array([h1, _REGION * h2, _REGION * (h2 + _REGION * h3)])
         third = _REGION * (h2 + 3.0 * _REGION * h3 + _REGION**2 * h4) * (1.0 + gamma)

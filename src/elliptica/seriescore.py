@@ -86,6 +86,31 @@ def _gamma(n: int) -> float:
     return nu / (1.0 - nu)
 
 
+def _derivatives(columns: np.ndarray, count: int) -> np.ndarray:
+    """The coefficients of the first ``count`` derivatives of the series in columns, indexed by degree.
+
+    Column j * width + i holds derivative j + 1 of column i, zero-padded to one degree fewer; huge inputs give inf.
+    """
+    rows, width = columns.shape
+    out = np.zeros((rows - 1, count * width), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(count):
+            columns = (np.arange(len(columns), dtype=complex)[:, None] * columns)[1:]
+            out[: len(columns), j * width : (j + 1) * width] = columns
+    return out
+
+
+def _majorants(moduli: np.ndarray, radius) -> np.ndarray:
+    """sum_k moduli[k] r^k per column of moduli, at r = radius or at each of an array of radii.
+
+    A power that underflows counts as the smallest normal number, so that
+    moduli |c_k| bound their series on |z| <= r; the caller rounds outward,
+    and sets the error state under which a sum may overflow.
+    """
+    powers = np.power(np.asarray(radius)[..., None], np.arange(len(moduli)))
+    return np.maximum(powers, 2.0**-1022, out=powers) @ moduli
+
+
 def _ladder(coeffs: np.ndarray, powers: np.ndarray, upper: np.ndarray):
     """The degree ladder of one series (see the module docstring).
 
@@ -172,23 +197,19 @@ class HarmonicMap:
         a = _coeff_array(self.analytic_coeffs, "analytic_coeffs")
         b1 = _coeff_array(self.antianalytic_coeffs, "antianalytic_coeffs")
         n = max(a.size - 1, b1.size, 1)
-        a = np.concatenate([a, np.zeros(n + 1 - a.size, dtype=complex)])
-        b1 = np.concatenate([b1, np.zeros(n - b1.size, dtype=complex)])
-        # Degree-aligned copy of g's coefficients (index = degree) for Horner.
-        b_full = np.concatenate([[0.0 + 0.0j], b1])
-        # h' and g' coefficients; huge inputs may overflow to inf, which the
-        # evaluations then report as non-finite values
-        with np.errstate(over="ignore", invalid="ignore"):
-            hp, gp = (np.arange(1, n + 1) * c[1:] for c in (a, b_full))
+        # h and g zero-padded to degree n, one row each, indexed by degree (b_0 = 0)
+        series = np.zeros((2, n + 1), dtype=complex)
+        series[0, : a.size], series[1, 1 : b1.size + 1] = a, b1
+        (a, b_full), (hp, gp) = series, _derivatives(series.T, 1).T
         for name, value in (
             ("analytic_coeffs", a),
-            ("antianalytic_coeffs", b1),
+            ("antianalytic_coeffs", b_full[1:]),
             ("_b_full", b_full),
             ("_series", (a, b_full, hp, gp)),
             ("truncation_degree", n),
         ):
             object.__setattr__(self, name, value)
-        for arr in (a, b1, b_full, hp, gp):
+        for arr in (a, self.antianalytic_coeffs, b_full, hp, gp):
             arr.setflags(write=False)
 
     # ------------------------------------------------------------------
@@ -259,16 +280,13 @@ class HarmonicMap:
     def horner_bound(self, z) -> np.ndarray:
         """Bound on the rounding error of ``eval`` at each z (module docstring).
 
-        That error is at most gamma_{2N} sum_k (|a_k| + |b_k|) |z|^k; the
-        factor gamma_{4N+8} also covers the rounding of the sum itself, of
-        |z|, and of h + conj(g), and a power that underflows counts as the
-        smallest normal number.
+        That error is at most gamma_{2N} sum_k (|a_k| + |b_k|) |z|^k, the
+        ``_majorants`` sum; the factor gamma_{4N+8} also covers the rounding
+        of the sum itself, of |z|, and of h + conj(g).
         """
-        n = self.truncation_degree
         moduli = np.abs(self.analytic_coeffs) + np.abs(self._b_full)
         with np.errstate(over="ignore", invalid="ignore"):
-            powers = np.power(np.abs(np.asarray(z))[..., None], np.arange(n + 1))
-            return _gamma(4 * n + 8) * (np.maximum(powers, np.finfo(float).tiny) @ moduli)
+            return _gamma(4 * self.truncation_degree + 8) * _majorants(moduli, np.abs(z))
 
     def _check_domain(self, z) -> None:
         if np.any(np.abs(z) >= 1.0):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from elliptica import (
     verify_bloch_pipeline,
 )
 from elliptica import hypotheses
-from elliptica.cli import _int_arg, build_parser, main
+from elliptica.cli import _float_arg, _int_arg, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -411,14 +412,18 @@ class TestArgumentCaps:
             assert argv[0] == "elliptica"
             parser.parse_args(argv[1:])
 
-    @given(st.text(max_size=40) | st.integers(-10**40, 10**40).map(str))
+    @given(st.text(max_size=40) | st.integers(-10**40, 10**40).map(str) | st.floats().map(repr)
+           | st.sampled_from(["1", "1.0", "0.5", "inf", "-inf", "nan", "1e999", "1 ", " x"]))
     def test_int_parser_returns_in_range_or_rejects(self, text):
-        parse = _int_arg("x", 1, 1000)
-        try:
-            value = parse(text)
-        except argparse.ArgumentTypeError:
-            return
-        assert isinstance(value, int) and 1 <= value <= 1000
+        # the float parsers too: a number, finite, and above (strict) or at least the bound
+        for parse, kind, low in ((_int_arg("x", 1, 1000), int, 1), (_float_arg("x", 1.0), float, 1.0),
+                                 (_float_arg("x", 1.0, strict=True), float, 1.0 + 2.0**-52)):
+            try:
+                value = parse(text)
+            except argparse.ArgumentTypeError:
+                continue
+            assert isinstance(value, kind) and low <= value <= (1000 if kind is int else math.inf)
+            assert math.isfinite(value)
 
 
 class TestTopLevel:

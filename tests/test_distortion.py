@@ -131,3 +131,23 @@ class TestSupLambdaMin:
         # the pinned family satisfies lambda <= lam strictly inside the disk
         review = certify_hypotheses(build_Fn(2, 2.0), EllipticityParams(1, 0), 2.0, 0.0)
         assert review.status == "certified" and review.sup_lambda <= 2.0
+
+
+class TestInconclusiveExits:
+    def test_derivatives_that_overflow_leave_the_squares_inconclusive(self):
+        # h'' of the degree-400 term is 399 * 400 * c = 3.4e308, beyond the
+        # largest float; b_1 makes the review take squares
+        c = 1.7e308 / (200 * 399)
+        f = HarmonicMap([0.0, 1.0] + [0.0] * 398 + [c], [1e-320])
+        review = certify_hypotheses(f, EllipticityParams(1, 1), math.inf, 1e-9)
+        assert review.status == "inconclusive" and review.witness is None
+        assert len(review.reasons) == 1 and review.reasons[0].startswith("non-finite map derivatives near z = ")
+
+    def test_a_cap_just_above_the_maximum_uses_up_the_arcs(self):
+        # max |h'| on |z| = 0.999 is 1.4995, at z = 0.999; the arcs cannot
+        # close a gap of 1e-12 within their budget of samples
+        f = HarmonicMap([0.0, 1.0, 0.25])
+        review = certify_hypotheses(f, EllipticityParams(1, 0), 1.0 + 0.4995 + 1e-12, 0.0)
+        assert review.status == "inconclusive" and review.witness is None
+        assert review.reasons == ("arc budget of 65536 circle samples used up",)
+        assert dict(review.pieces) == {"arcs": 256} and 1.4995 <= review.sup_lambda <= 1.4995 + 1e-12

@@ -39,6 +39,7 @@ from elliptica import (
 from elliptica import distortion, harness, hypotheses, sampling, seriescore
 from elliptica.distortion import stretches
 from elliptica.harness import _hypothesis_review
+from elliptica.oracles import OracleVerdict
 
 P = EllipticityParams
 
@@ -701,6 +702,16 @@ class TestCampaigns:
         assert rep["maps"][0]["verdict"] == "certified"
         assert not rep["worst_case"]["refuted"]
         assert rep["worst_case"]["probe_radius"] == pytest.approx(0.4 * (1 - 1e-6))
+
+    @pytest.mark.parametrize("probe", ["univalence_probe", "coverage_probe"])
+    @pytest.mark.parametrize("status,refuted", [("refuted", True), ("inconclusive", False)])
+    def test_a_probe_that_does_not_certify_sets_the_row(self, monkeypatch, probe, status, refuted):
+        # the other probe certifies F_2 as in the test above
+        monkeypatch.setattr(harness, probe, lambda *args: OracleVerdict(status, margin=-1.0))
+        entries = [("Fn2", "series extremal", build_Fn(2, 2.0))]
+        rep = verify_landau_probes(entries, P(1, 0), DistortionBound(2))
+        assert rep["maps"][0]["verdict"] == status
+        assert rep["worst_case"]["refuted"] is refuted
 
     def test_worst_case_is_the_first_least_slack_map(self):
         params, bound = P(1, 0), DistortionBound(2)

@@ -201,6 +201,19 @@ class TestCoverageProbe:
         assert v.margin == pytest.approx(-0.1)
         assert v.resolution["winding_min"] == 0
 
+    def test_a_target_disk_the_curve_crosses_leaves_every_net_winding_valid(self):
+        # |f| on |z| = 0.95 ripples by 6e-3 with 101 lobes, and the target
+        # disk reaches a quarter of the way up: round 0 finds targets too near
+        # the curve, round 1's finer curve leaves every net point valid, and
+        # none is uncovered, so nothing remains to refine
+        eps = 3e-3 / 0.95**102
+        f = HarmonicMap([0.0, 1.0] + [0.0] * 100 + [eps])
+        size = np.abs(f.on_circle(0.95, 65536)[0])
+        v = coverage_probe(f, 0.95, size.min() + 0.25 * (size.max() - size.min()))
+        assert v.status == INCONCLUSIVE and v.margin == 0.0
+        assert v.resolution["rounds_used"] == 1 and v.resolution["curve_points"] == 32768
+        assert v.resolution["reason"].startswith("boundary curve meets the target disk within sampling slack; ")
+
     def test_deterministic(self):
         a = coverage_probe(IDENTITY, 0.5, 0.45).to_json_dict()
         b = coverage_probe(IDENTITY, 0.5, 0.45).to_json_dict()

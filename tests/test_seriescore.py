@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from elliptica import (
     DistortionBound,
@@ -332,6 +332,32 @@ class TestEffectiveDegree:
         # warnings fail the suite, so building the ladder must raise none
         f = HarmonicMap([0.0, 1.0, 1.5e308, 1.5e308])
         assert f._ladders == [3, 0, 2, 0]
+
+
+class TestMajorants:
+    @given(seed=st.integers(0, 2**32 - 1), degree=st.integers(1, 40), radius=st.floats(0.0, 0.999),
+           frac=st.floats(0.0, 1.0), angle=st.floats(0.0, 2.0 * math.pi))
+    def test_the_sums_bound_every_derivative_and_the_horner_error(self, seed, degree, radius, frac, angle):
+        rng = np.random.default_rng(seed)
+        a, b = ((rng.standard_normal(m) + 1j * rng.standard_normal(m)) * 10.0 ** rng.uniform(-3, 3, m)
+                for m in (degree + 1, degree))
+        f = HarmonicMap(a, b)
+        z = complex(radius * frac * math.cos(angle), radius * frac * math.sin(angle))
+        zz = mpmath.mpc(z)
+        assume(abs(zz) <= radius)
+        columns = np.stack([f.analytic_coeffs, f._b_full], axis=1)
+        derivatives = seriescore._derivatives(columns, 4)
+        gamma = seriescore._gamma(4 * degree + 8)
+        with mpmath.workdps(50):
+            for j in range(5):
+                moduli = np.abs(columns if j == 0 else derivatives[:, 2 * j - 2 : 2 * j])
+                bounds = (1.0 + gamma) * seriescore._majorants(moduli, radius)
+                for c, bound in zip(columns.T, bounds):
+                    # the order-j derivative at z, from the exact coefficients
+                    exact = mpmath.fsum(mpmath.ff(k, j) * mpmath.mpc(c[k]) * zz ** (k - j)
+                                        for k in range(j, degree + 1))
+                    assert abs(exact) <= bound
+            assert abs(mpmath.mpc(f.eval(z)) - f.eval_hp(z)) <= f.horner_bound(z)
 
 
 class TestCoefficients:

@@ -359,6 +359,23 @@ class TestMajorants:
                     assert abs(exact) <= bound
             assert abs(mpmath.mpc(f.eval(z)) - f.eval_hp(z)) <= f.horner_bound(z)
 
+    def test_derivative_columns_are_the_products_k_c_k_of_each_series(self):
+        # bit for bit, signed zeros and overflow included, against one series at a time
+        rng = np.random.default_rng(26)
+        for rows, width in ((2, 1), (3, 2), (9, 2), (129, 1), (401, 2)):
+            columns = rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))
+            columns[rng.random((rows, width)) < 0.2] = complex(-0.0, 0.0)
+            columns[-1, 0] = 1.5e308
+            got = seriescore._derivatives(columns, 4)
+            assert got.shape == (rows - 1, 4 * width)
+            for i in range(width):
+                c = columns[:, i]
+                for j in range(4):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        c = (np.arange(c.size) * c)[1:]
+                    want = np.concatenate([c, np.zeros(rows - 1 - c.size, dtype=complex)])
+                    assert got[:, j * width + i].tobytes() == want.tobytes()
+
 
 class TestCoefficients:
     def test_padding_and_access(self):

@@ -102,9 +102,8 @@ class OracleVerdict:
 
 
 _PAIR_CHUNK = 1 << 18
-# the cell join counts keys in a table while their range is at most this
-# many times the point count
-_TABLE_SPAN = 32
+# a winding block holds at most this many target-segment elements
+_WINDING_BLOCK = 1 << 13
 
 
 def _chords(curve: np.ndarray) -> np.ndarray:
@@ -126,16 +125,14 @@ def _cabs(d: np.ndarray) -> np.ndarray:
 
 
 def _cell_pairs(values: np.ndarray, cell: float):
-    """Index pairs i < j of values in the same or adjacent square image cells.
+    """Index pairs of values in the same or adjacent square image cells, each pair once.
 
-    Every pair closer than ``cell`` is among them.  Yields (i, j) index
-    arrays in chunks of about _PAIR_CHUNK pairs, ordered by i, then by the
-    neighbouring cell (dx outer, dy inner, each over -1, 0, 1), then by j,
-    so callers that stop early or keep the first of equal values stay
-    deterministic.  Each point finds its neighbours with one key range per
-    neighbouring column: three lookups in a prefix count of the keys when
-    the key range is at most _TABLE_SPAN times the point count, else three
-    ``searchsorted`` queries, whose memory does not grow with a sparse range.
+    Every pair closer than ``cell`` is among them, as (i, j) with i != j in
+    either order.  Yields (i, j) index arrays in chunks of about _PAIR_CHUNK
+    pairs.  The points are sorted by cell key, and each reads two runs of
+    that order, found by one ``searchsorted``: the rest of its own cell with
+    the cell above it, and the three cells of the next column.  The other
+    four neighbours reach the point from their side.
     """
     kx = np.floor(values.real / cell).astype(np.int64)
     ky = np.floor(values.imag / cell).astype(np.int64)
@@ -143,36 +140,28 @@ def _cell_pairs(values: np.ndarray, cell: float):
     # each axis spans at most a few cells per sample and the flat cell key
     # stays far from int64 overflow
     width = int(ky.max() - ky.min()) + 3
-    # rows run 1..width-2, so rows dy = -1, 0, +1 of one column dx stay inside
-    # that column and are the consecutive keys key + dx*width - 1 .. + 1; the
-    # stable sort orders that key range by dy, then by j
+    # rows run 1..width-2, so rows dy = -1, 0, +1 of the next column stay
+    # inside it and are the consecutive keys key + width - 1 .. + 1
     key = (kx - kx.min() + 1) * width + (ky - ky.min() + 1)
     members = np.argsort(key, kind="stable")
-    column = key[:, None] + np.array([-width, 0, width])
-    # keys run from width + 1, so every range column - 1 .. column + 1 lies in 0 .. span - 1
-    span = int(key.max()) + width + 2
-    if span <= _TABLE_SPAN * len(values):
-        # below[q] is the number of keys below q
-        below = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=span))])
-        first = below[column - 1]
-        count = below[column + 2] - first
-    else:
-        sorted_key = key[members]
-        first = np.searchsorted(sorted_key, column - 1, side="left")
-        count = np.searchsorted(sorted_key, column + 1, side="right") - first
-
-    per_point = count.sum(axis=1)
-    done = np.cumsum(per_point)
+    sorted_key = key[members]
+    # [start, end) of each point's two runs, in sorted positions: its own
+    # cell after it and the cell above (keys are integers, so the first
+    # position of key + 2 ends key + 1), then the next column
+    bounds = np.empty((len(values), 4), dtype=np.int64)
+    bounds[:, 0] = np.arange(1, len(values) + 1)
+    bounds[:, 1:] = np.searchsorted(sorted_key, sorted_key[:, None] + np.array([2, width - 1, width + 2]))
+    first = bounds[:, ::2].ravel()
+    runs = bounds[:, 1::2].ravel() - first
+    done = np.cumsum(runs)
     lo = 0
-    while lo < len(values):
+    while lo < len(runs):
         base = done[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(done, base + _PAIR_CHUNK, side="right")))
-        runs = count[lo:hi].ravel()
-        i = np.repeat(np.arange(lo, hi), per_point[lo:hi])
-        j = members[np.repeat(first[lo:hi].ravel() - (np.cumsum(runs) - runs), runs)
+        i = members[np.repeat(np.arange(lo, hi) >> 1, runs[lo:hi])]
+        j = members[np.repeat(first[lo:hi] - (done[lo:hi] - runs[lo:hi] - base), runs[lo:hi])
                     + np.arange(done[hi - 1] - base)]
-        keep = j > i
-        yield i[keep], j[keep]
+        yield i, j
         lo = hi
 
 
@@ -283,24 +272,25 @@ def _curve_scan(f, radius: float, n_curve: int, curve=None):
     move *= _MOVE_SAFETY
     move_max = float(move.max())
     # pairs not visited by the cell scan are > cell apart in image, hence
-    # their slack exceeds cell - 2*move_max = move_max
-    margin = move_max
-    worst = None
+    # their slack exceeds cell - 2*move_max = move_max; the worst pair is
+    # (slack, lower, upper) with the least slack, then the least index pair
+    worst = (move_max, n_curve, n_curve)
     pairs = 0
     for i, j in _cell_pairs(curve, 3.0 * move_max):
-        gap_idx = j - i
-        near = np.minimum(gap_idx, n_curve - gap_idx) >= 2
+        gap_idx = np.abs(i - j)
+        near = (gap_idx >= 2) & (gap_idx <= n_curve - 2)
         i, j = i[near], j[near]
         pairs += len(i)
         if len(i):
             slack = _cabs(curve[i] - curve[j]) - (move[i] + move[j])
-            k = int(np.argmin(slack))
-            if slack[k] < margin:
-                margin = slack[k]
-                worst = (i[k], j[k])
+            tied = np.flatnonzero(slack == slack.min())
+            lower, upper = np.minimum(i[tied], j[tied]), np.maximum(i[tied], j[tied])
+            k = np.argmin(lower * n_curve + upper)
+            worst = min(worst, (slack[tied[k]], int(lower[k]), int(upper[k])))
+    margin = worst[0]
     info["scanned_pairs"] = pairs
     if margin <= 0.0:
-        info["worst_pair_theta"] = [2.0 * np.pi * int(k) / n_curve for k in worst]
+        info["worst_pair_theta"] = [2.0 * np.pi * k / n_curve for k in worst[1:]]
         return False, float(margin), "near self-intersection unresolved at this resolution", info
     return True, float(margin), "", info
 
@@ -380,6 +370,9 @@ def _zeros_inside(values: np.ndarray, fn, radius: float) -> np.ndarray:
         move = np.isfinite(fq - fp) & (fq != fp)
         step = q - fq * (q - p) / np.where(move, fq - fp, 1.0)
         p, q = q, np.where(move & (np.abs(step) < radius), step, q)
+        # with p = q every further step is a no-op
+        if np.array_equal(p, q):
+            break
     return q
 
 
@@ -465,39 +458,45 @@ def univalence_probe(f, radius: float) -> OracleVerdict:
 def _winding_block(curve: np.ndarray, abs_chords: np.ndarray, targets: np.ndarray):
     """Winding numbers of the sampled curve around each target point.
 
-    Chunked so memory stays bounded for long curves.  Returns integer
-    windings, a per-target validity flag (every segment chord at most a
-    tenth of its distance to the target), and the distance from each
-    target to the nearest curve sample.  A winding is the signed count of
-    segments crossing the ray from the target along the positive real
-    axis, upwards less downwards, with a vertex on the ray's line counted
-    below it.  It means something only where the target is valid: a
-    segment there crosses the line at least 9 chords from the target, so
+    Returns integer windings, a per-target validity flag (every segment
+    chord at most a tenth of its distance to the target), and the distance
+    from each target to the nearest curve sample.  A winding is the signed
+    count of segments crossing the ray from the target along the positive
+    real axis, upwards less downwards, with a vertex on the ray's line
+    counted below it.  It means something only where the target is valid:
+    a segment there crosses the line at least 9 chords from the target, so
     both its ends lie on the side of the crossing, and the count is the
     exact winding of the sampled polygon.  Elsewhere it may be anything.
+    Targets and segments run in blocks of at most _WINDING_BLOCK elements;
+    windings are integer sums, validity an ``all`` and the distance a
+    ``min``, so the blocks give the bits of one pass.
     """
     n_curve = len(curve)
     n_targets = len(targets)
-    wind = np.empty(n_targets, dtype=np.int64)
+    wind = np.zeros(n_targets, dtype=np.int64)
     valid = np.ones(n_targets, dtype=bool)
-    dist = np.empty(n_targets, dtype=float)
-    chunk = max(1, int(2_000_000 // max(n_curve, 1)))
-    for start in range(0, n_targets, chunk):
-        sel = slice(start, min(start + chunk, n_targets))
-        # the curve relative to each target, closed by its first sample
-        rel = np.empty((sel.stop - start, n_curve + 1), dtype=complex)
-        np.subtract(curve, targets[sel, None], out=rel[:, :-1])
-        rel[:, -1] = rel[:, 0]
-        abs_rel = np.abs(rel)
-        near = np.minimum(abs_rel[:, :-1], abs_rel[:, 1:])
-        near *= 0.1
-        valid[sel] = (abs_chords <= near).all(axis=1)
-        dist[sel] = abs_rel.min(axis=1)
-        # +1 where a segment goes from below the line to above it, -1 the other way
-        below = (rel.imag <= 0.0).view(np.int8)
-        step = below[:, :-1] - below[:, 1:]
-        step *= rel.real[:, :-1] > 0.0
-        wind[sel] = step.sum(axis=1)
+    dist = np.full(n_targets, np.inf)
+    segments = min(n_curve, _WINDING_BLOCK)
+    rows = max(1, _WINDING_BLOCK // segments)
+    for start in range(0, n_targets, rows):
+        sel = slice(start, min(start + rows, n_targets))
+        for lo in range(0, n_curve, segments):
+            hi = min(lo + segments, n_curve)
+            # the block's vertices relative to each target; the last block
+            # closes with the first sample
+            rel = np.empty((sel.stop - start, hi - lo + 1), dtype=complex)
+            np.subtract(curve[lo:hi], targets[sel, None], out=rel[:, :-1])
+            np.subtract(curve[hi % n_curve], targets[sel], out=rel[:, -1])
+            abs_rel = np.abs(rel)
+            near = np.minimum(abs_rel[:, :-1], abs_rel[:, 1:])
+            near *= 0.1
+            valid[sel] &= (abs_chords[lo:hi] <= near).all(axis=1)
+            np.minimum(dist[sel], abs_rel.min(axis=1), out=dist[sel])
+            # +1 where a segment goes from below the line to above it, -1 the other way
+            below = (rel.imag <= 0.0).view(np.int8)
+            step = below[:, :-1] - below[:, 1:]
+            step *= rel.real[:, :-1] > 0.0
+            wind[sel] += step.sum(axis=1)
     return wind, valid, dist
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,8 +344,25 @@ def test_classical_hprime_zero_is_r0():
     assert abs(p - cl.r0) < 1e-14
 
 
+def test_secant_polish_stops_once_the_zeros_stand_still():
+    # the step that leaves q as it was makes every later step a no-op
+    f, cl = build_classical(2.0, 400), classical_landau(2.0)
+    fz, _ = f.on_circle(1.05 * cl.r0, 2048, values=False, partials=True)
+    calls = []
+
+    def fn(w):
+        calls.append(w)
+        return f.partials(w)[0]
+
+    (p,) = _zeros_inside(fz, fn, 1.05 * cl.r0)
+    assert abs(p - cl.r0) < 1e-14
+    assert len(calls) < 8
+    # the last step was taken from the zero it returns, and left it there
+    assert np.split(calls[-1], 2)[1][0] == p
+
+
 def _nine_query_cell_pairs(values, cell):
-    """Reference: the cell join with one searchsorted query per neighbour cell."""
+    """Reference: the pairs i < j in the same or adjacent cells, one searchsorted query per neighbour cell."""
     kx = np.floor(values.real / cell).astype(np.int64)
     ky = np.floor(values.imag / cell).astype(np.int64)
     width = int(ky.max() - ky.min()) + 3
@@ -354,19 +372,10 @@ def _nine_query_cell_pairs(values, cell):
     wanted = key[:, None] + np.array([dx * width + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
     first = np.searchsorted(sorted_key, wanted, side="left")
     count = np.searchsorted(sorted_key, wanted, side="right") - first
-    per_point = count.sum(axis=1)
-    done = np.cumsum(per_point)
-    lo = 0
-    while lo < len(values):
-        base = done[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(done, base + oracles._PAIR_CHUNK, side="right")))
-        runs = count[lo:hi].ravel()
-        i = np.repeat(np.arange(lo, hi), per_point[lo:hi])
-        j = members[np.repeat(first[lo:hi].ravel() - (np.cumsum(runs) - runs), runs)
-                    + np.arange(done[hi - 1] - base)]
-        keep = j > i
-        yield i[keep], j[keep]
-        lo = hi
+    runs = count.ravel()
+    i = np.repeat(np.arange(len(values)), count.sum(axis=1))
+    j = members[np.repeat(first.ravel() - (np.cumsum(runs) - runs), runs) + np.arange(runs.sum())]
+    return np.stack([i[j > i], j[j > i]], axis=1)
 
 
 def _cell_join_cases():
@@ -379,24 +388,92 @@ def _cell_join_cases():
     curve = np.asarray(build_classical(2.0, 400).eval(radius * np.exp(2j * np.pi * np.arange(1024) / 1024)))
     chords = np.abs(np.roll(curve, -1) - curve)
     yield curve, 3.0 * float((_MOVE_SAFETY * np.maximum(np.roll(chords, 1), chords)).max())
-    # a row of 8 points across `columns` unit cells has a key range of
-    # 3 * columns + 6: the widest row the prefix-count table takes, then
-    # the narrowest that goes to searchsorted
-    widest = (8 * oracles._TABLE_SPAN - 6) // 3
-    for columns in (widest, widest + 1):
+    # rows of 8 points across 83 and 84 unit cells: cell keys spread over
+    # about 30 times the point count
+    for columns in (83, 84):
         yield np.linspace(0.5, columns - 0.5, 8) + 0.5j, 1.0
 
 
 def test_cell_join_matches_the_nine_query_reference():
+    # the join yields each unordered pair once, in either order and in no
+    # fixed sequence, so the cases compare as sets of (min, max) rows
     chunk_counts = []
     for values, cell in _cell_join_cases():
-        got = list(oracles._cell_pairs(values, cell))
-        want = list(_nine_query_cell_pairs(values, cell))
-        assert len(got) == len(want)
-        for (i, j), (ri, rj) in zip(got, want):
-            assert np.array_equal(i, ri) and np.array_equal(j, rj)
-        chunk_counts.append(len(got))
+        chunks = list(oracles._cell_pairs(values, cell))
+        i = np.concatenate([c[0] for c in chunks])
+        j = np.concatenate([c[1] for c in chunks])
+        assert not (i == j).any()
+        got = np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
+        assert len(np.unique(got, axis=0)) == len(got)
+        want = _nine_query_cell_pairs(values, cell)
+        assert np.array_equal(np.unique(got, axis=0), np.unique(want, axis=0))
+        chunk_counts.append(len(chunks))
     assert chunk_counts[6] > 1 and chunk_counts[7] > 10
+
+
+def test_curve_scan_reports_the_least_of_tied_worst_pairs():
+    # F_3's curve has a threefold symmetry, so rotated twins of the worst
+    # pair tie; the scan names the least (lower, upper) index pair
+    simple, margin, _, info = _curve_scan(build_Fn(3, 2.0, n_terms=128), 0.9, 1024)
+    assert not simple
+    assert margin == -0.011702993765973524
+    assert info["scanned_pairs"] == 3042
+    assert info["worst_pair_theta"] == [1.0983302441261191, 2.043262409463674]
+
+
+def _unblocked_windings(curve, abs_chords, targets):
+    """Reference: _winding_block's counts from one pass over every target and segment."""
+    rel = np.empty((len(targets), len(curve) + 1), dtype=complex)
+    np.subtract(curve, targets[:, None], out=rel[:, :-1])
+    rel[:, -1] = rel[:, 0]
+    abs_rel = np.abs(rel)
+    near = np.minimum(abs_rel[:, :-1], abs_rel[:, 1:])
+    near *= 0.1
+    below = (rel.imag <= 0.0).view(np.int8)
+    step = below[:, :-1] - below[:, 1:]
+    step *= rel.real[:, :-1] > 0.0
+    return step.sum(axis=1), (abs_chords <= near).all(axis=1), abs_rel.min(axis=1)
+
+
+def _winding_cases():
+    cl = classical_landau(2.0)
+    coverage = build_classical(2.0, 400).on_circle(0.99 * cl.r0, 1 << 15)[0]
+    yield coverage, np.array([0.0, 0.5 * cl.R0, coverage[4321], coverage[-1]], dtype=complex)
+    f = HarmonicMap([0.0, 1.0, 0.0, 0.9])
+    r = 0.9 / math.sqrt(2.7)
+    curve = f.on_circle(r, 2048)[0]
+    yield curve, disk_net(1.1 * (r - 0.9 * r**3), 1.1 * (r - 0.9 * r**3) / 16.0)
+    # half-step circles cross the positive real axis on their closing
+    # segment; rolled by one block, on the segment from one block to the next
+    block = oracles._WINDING_BLOCK
+    for n, turn in ((block, 0), (3 * block + 5, 0), (3 * block + 5, block)):
+        circle = np.roll(np.exp(2j * np.pi * (np.arange(n) + 0.5) / n), turn)
+        yield circle, np.array([0.0, 0.3 - 0.2j, 2.0, circle[7]], dtype=complex)
+
+
+def test_blocked_windings_match_one_pass():
+    for curve, targets in _winding_cases():
+        abs_chords = np.abs(oracles._chords(curve))
+        got = oracles._winding_block(curve, abs_chords, targets)
+        want = _unblocked_windings(curve, abs_chords, targets)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_net_windings_run_in_bounded_memory():
+    # P = z + 0.9 z^3 at 0.9 r*, where r* = 2.7^(-1/2), covers |w| < r - 0.9 r^3
+    # and no more: the target disk 10% wider is refuted by its net windings,
+    # 864 targets against the curve, which one pass would hold as 60 MB
+    r = 0.9 / math.sqrt(2.7)
+    f = HarmonicMap([0.0, 1.0, 0.0, 0.9])
+    tracemalloc.start()
+    try:
+        v = coverage_probe(f, r, 1.1 * (r - 0.9 * r**3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.status == REFUTED and v.resolution["net_points"] == 864
+    assert peak < 2 << 20
 
 
 def _probe_candidates(monkeypatch, f, radius):

@@ -129,39 +129,54 @@ def _cell_pairs(values: np.ndarray, cell: float):
 
     Every pair closer than ``cell`` is among them, as (i, j) with i != j in
     either order.  Yields (i, j) index arrays in chunks of about _PAIR_CHUNK
-    pairs.  The points are sorted by cell key, and each reads two runs of
-    that order, found by one ``searchsorted``: the rest of its own cell with
-    the cell above it, and the three cells of the next column.  The other
-    four neighbours reach the point from their side.
+    pairs, cut between points.  The points are sorted by cell key, and each
+    reads two runs of that order: the rest of its own cell with the cell
+    above it, and the three cells of the next column.  The other four
+    neighbours reach the point from their side.  One ``searchsorted`` per
+    distinct cell finds both runs; keys below 2^16 sort as uint16, which
+    numpy sorts by radix, and a stable order is the same for any key type.
+    values must be a contiguous complex array.
     """
-    kx = np.floor(values.real / cell).astype(np.int64)
-    ky = np.floor(values.imag / cell).astype(np.int64)
+    n = len(values)
+    k = np.floor(values.view(float) / cell).astype(np.int64)
+    kx, ky = k[::2], k[1::2]
     # the curve scan sizes the cells from a chord bound of the values, so
     # each axis spans at most a few cells per sample and the flat cell key
     # stays far from int64 overflow
     width = int(ky.max() - ky.min()) + 3
     # rows run 1..width-2, so rows dy = -1, 0, +1 of the next column stay
     # inside it and are the consecutive keys key + width - 1 .. + 1
-    key = (kx - kx.min() + 1) * width + (ky - ky.min() + 1)
-    members = np.argsort(key, kind="stable")
+    key = kx - (kx.min() - 1)
+    key *= width
+    key += ky
+    key -= ky.min() - 1
+    members = np.argsort(key.astype(np.uint16) if key.max() < 1 << 16 else key, kind="stable")
     sorted_key = key[members]
-    # [start, end) of each point's two runs, in sorted positions: its own
-    # cell after it and the cell above (keys are integers, so the first
-    # position of key + 2 ends key + 1), then the next column
-    bounds = np.empty((len(values), 4), dtype=np.int64)
-    bounds[:, 0] = np.arange(1, len(values) + 1)
-    bounds[:, 1:] = np.searchsorted(sorted_key, sorted_key[:, None] + np.array([2, width - 1, width + 2]))
-    first = bounds[:, ::2].ravel()
-    runs = bounds[:, 1::2].ravel() - first
-    done = np.cumsum(runs)
+    # starts of the distinct cells in sorted order, and n; each cell's run
+    # ends, at the first positions of keys key + 2 (keys are integers, so
+    # that ends the cell above), key + width - 1 and key + width + 2
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=edge[1:-1])
+    starts = np.flatnonzero(edge)
+    cells = sorted_key[starts[:-1]]
+    bounds = starts[np.searchsorted(cells, cells + np.array([[2], [width - 1], [width + 2]]))]
+    bounds = np.repeat(bounds, np.diff(starts), axis=1)
+    # per sorted position: the lengths of its two runs, the pair counts
+    # through each, and the run starts less those counts, so that the
+    # run positions are these offsets plus the pair number
+    runs = np.empty((n, 2), dtype=np.int64)
+    np.subtract(bounds[0], np.arange(1, n + 1), out=runs[:, 0])
+    np.subtract(bounds[2], bounds[1], out=runs[:, 1])
+    counts = runs[:, 0] + runs[:, 1]
+    done = np.cumsum(counts)
+    offsets = bounds[:2].T - (done - runs[:, 1])[:, None]
     lo = 0
-    while lo < len(runs):
-        base = done[lo - 1] if lo else 0
+    while lo < n:
+        base = int(done[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(done, base + _PAIR_CHUNK, side="right")))
-        i = members[np.repeat(np.arange(lo, hi) >> 1, runs[lo:hi])]
-        j = members[np.repeat(first[lo:hi] - (done[lo:hi] - runs[lo:hi] - base), runs[lo:hi])
-                    + np.arange(done[hi - 1] - base)]
-        yield i, j
+        q = np.repeat(offsets[lo:hi].ravel(), runs[lo:hi].ravel()) + np.arange(base, done[hi - 1])
+        yield np.repeat(members[lo:hi], counts[lo:hi]), members[q]
         lo = hi
 
 
@@ -238,6 +253,56 @@ def _polish_collisions(f, z1: np.ndarray, z2: np.ndarray, radius: float):
     return z1[:keep], z2[:keep], ok[:keep], _cabs(resid[:keep]), _cabs(z1[:keep] - z2[:keep])
 
 
+def _worst_pair(curve: np.ndarray, move: np.ndarray):
+    """The least separation slack of a sampled closed curve: ((slack, lower, upper), pairs).
+
+    The slack of a pair of samples at cyclic index distance >= 2 is
+    _cabs(c_i - c_j) - (move_i + move_j); worst is the least slack, then
+    the least (lower, upper) index pair, or (max move, n, n) when no slack
+    is at most max move: a pair the cell join skips is more than 3 max
+    move apart, so its slack exceeds max move.  pairs counts the pairs of
+    the join less the neighbour pairs.  move_k must be at least 0.75 times
+    each chord at sample k, so that the join holds all n cyclic neighbour
+    pairs; a slack of inf, indexed by i - j (-1 wraps to n - 1, 1 - n to
+    1), keeps them out of the minimum.  n must be at least 3.
+
+    Each chunk of the join first forms the slack with np.abs, which is
+    several times cheaper than _cabs, and rechecks with _cabs only the pairs
+    within tol = 2^-40 cell (plus 2^-1064 for subnormal cells) of its least
+    cheap slack.  Both moduli agree to a few ulps, and every pair in the
+    join is within 3 cells, so a cheap and an exact slack differ by at most
+    about 2^-47 cell (or a few subnormal ulps).  A pair whose exact slack
+    ties the chunk's exact minimum therefore lies within twice that of the
+    least cheap slack, hence among the rechecked pairs, and worst keeps the
+    bits of an exact slack on every pair.
+    """
+    n_curve = len(curve)
+    move_max = float(move.max())
+    cell = 3.0 * move_max
+    worst = (move_max, n_curve, n_curve)
+    pairs = -n_curve
+    neighbour = np.zeros(n_curve)
+    neighbour[[1, -1]] = np.inf
+    tol = 2.0**-40 * cell + 2.0**-1064
+    for i, j in _cell_pairs(curve, cell):
+        pairs += len(i)
+        d = curve[i]
+        d -= curve[j]
+        slack = np.abs(d)
+        slack -= move[i]
+        slack -= move[j]
+        slack += neighbour[i - j]
+        least = slack.min(initial=np.inf)
+        if least < np.inf:
+            near = np.flatnonzero(slack <= least + tol)
+            i, j = i[near], j[near]
+            exact = _cabs(curve[i] - curve[j]) - (move[i] + move[j])
+            pair = np.minimum(i, j) * n_curve + np.maximum(i, j)
+            k = np.lexsort((pair, exact))[0]
+            worst = min(worst, (exact[k], *divmod(int(pair[k]), n_curve)))
+    return worst, pairs
+
+
 def _curve_scan(f, radius: float, n_curve: int, curve=None):
     """Simplicity scan of the image of |z| = radius at n_curve samples.
 
@@ -246,8 +311,8 @@ def _curve_scan(f, radius: float, n_curve: int, curve=None):
     by more than the sum of their movement radii, and consecutive chord
     directions never turn by a right angle or more.  The margin is a lower
     bound for the separation slack over all such pairs, binned pairs
-    explicitly and the rest by the bin-size guarantee.  curve, when given,
-    is f.on_circle(radius, n_curve)[0].
+    explicitly (:func:`_worst_pair`) and the rest by the bin-size
+    guarantee.  curve, when given, is f.on_circle(radius, n_curve)[0].
     """
     if curve is None:
         curve = f.on_circle(radius, n_curve)[0]
@@ -270,25 +335,8 @@ def _curve_scan(f, radius: float, n_curve: int, curve=None):
     np.maximum(abs_chords[:-1], abs_chords[1:], out=move[1:])
     move[0] = max(abs_chords[-1], abs_chords[0])
     move *= _MOVE_SAFETY
-    move_max = float(move.max())
-    # pairs not visited by the cell scan are > cell apart in image, hence
-    # their slack exceeds cell - 2*move_max = move_max; the worst pair is
-    # (slack, lower, upper) with the least slack, then the least index pair
-    worst = (move_max, n_curve, n_curve)
-    pairs = 0
-    for i, j in _cell_pairs(curve, 3.0 * move_max):
-        gap_idx = np.abs(i - j)
-        near = (gap_idx >= 2) & (gap_idx <= n_curve - 2)
-        i, j = i[near], j[near]
-        pairs += len(i)
-        if len(i):
-            slack = _cabs(curve[i] - curve[j]) - (move[i] + move[j])
-            tied = np.flatnonzero(slack == slack.min())
-            lower, upper = np.minimum(i[tied], j[tied]), np.maximum(i[tied], j[tied])
-            k = np.argmin(lower * n_curve + upper)
-            worst = min(worst, (slack[tied[k]], int(lower[k]), int(upper[k])))
+    worst, info["scanned_pairs"] = _worst_pair(curve, move)
     margin = worst[0]
-    info["scanned_pairs"] = pairs
     if margin <= 0.0:
         info["worst_pair_theta"] = [2.0 * np.pi * k / n_curve for k in worst[1:]]
         return False, float(margin), "near self-intersection unresolved at this resolution", info
@@ -323,14 +371,13 @@ def _jacobian_certificate(f, radius: float, n: int, first=None):
         # h' / max|h'| winds as h' does, and its chords and moduli stay finite
         # where |h'| is near overflow
         hprime = fz / abs_fz.max()
-        abs_chords = np.abs(_chords(hprime))
-        wind, valid, dist = _winding_block(hprime, abs_chords, np.zeros(1, dtype=complex))
-        if valid[0]:
-            info["hprime_zeros"] = zeros = int(wind[0])
+        zeros, valid, dist, chord_max = _centre_winding(hprime)
+        if valid:
+            info["hprime_zeros"] = zeros
             return (f"h' = f_z has {zeros} zeros in the disk, where J <= 0" if zeros else ""), info, circle
         # the longest chord shrinks no faster than 1/n and dist cannot grow
         # under refinement, so a need beyond the cap cannot be met within it
-        need = abs_chords.max() / (0.1 * dist[0])
+        need = chord_max / (0.1 * dist)
         if round_idx == _ROUNDS or n * need > _CURVE_CAP:
             return "winding preconditions for the zeros of h' = f_z unmet at this resolution", info, circle
         n = _refined(n, need)
@@ -350,9 +397,8 @@ def _zeros_inside(values: np.ndarray, fn, radius: float) -> np.ndarray:
     # values / scale winds as values do, and its chords and moduli stay
     # finite where values are near overflow
     scaled = values / scale
-    wind, valid, _ = _winding_block(scaled, np.abs(_chords(scaled)), np.zeros(1, dtype=complex))
-    count = int(wind[0])
-    if not (valid[0] and 0 < count <= _MAX_ZEROS):
+    count, valid, _, _ = _centre_winding(scaled)
+    if not (valid and 0 < count <= _MAX_ZEROS):
         return np.zeros(0, dtype=complex)
     # the chord precondition keeps each ratio within a tenth of 1, on the principal branch
     dlog = np.log(np.roll(values, -1) / values)
@@ -500,6 +546,43 @@ def _winding_block(curve: np.ndarray, abs_chords: np.ndarray, targets: np.ndarra
     return wind, valid, dist
 
 
+def _centre_winding(curve: np.ndarray):
+    """:func:`_winding_block` about the one target 0, with the longest chord.
+
+    Returns (winding, valid, dist, longest chord), the winding a Python int.
+    The samples run in blocks of _WINDING_BLOCK / 2, each closing with the
+    next sample, so that a block's vertices and chords hold about
+    _WINDING_BLOCK complex elements and no temporary spans the curve;
+    |curve| serves as both the distances to 0 and the moduli of the
+    vertices, and a block whose longest chord is at most a tenth of its
+    least modulus is valid without a per-segment test.  Windings add,
+    validity ands and the distance and longest chord take the min and max
+    across blocks, with NaN carried as by one pass, so the blocks give the
+    bits of :func:`_winding_block`.
+    """
+    n_curve = len(curve)
+    block = _WINDING_BLOCK // 2
+    wind, valid, dist, chord_max = 0, True, np.inf, 0.0
+    for lo in range(0, n_curve, block):
+        hi = min(lo + block, n_curve)
+        ends = np.empty(hi - lo + 1, dtype=complex)
+        ends[:-1] = curve[lo:hi]
+        ends[-1] = curve[hi % n_curve]
+        abs_ends = np.abs(ends)
+        abs_chords = np.abs(ends[1:] - ends[:-1])
+        least, longest = abs_ends.min(), abs_chords.max()
+        if not longest <= 0.1 * least:
+            near = np.minimum(abs_ends[:-1], abs_ends[1:])
+            near *= 0.1
+            valid &= bool((abs_chords <= near).all())
+        dist, chord_max = np.minimum(dist, least), np.maximum(chord_max, longest)
+        below = (ends.imag <= 0.0).view(np.int8)
+        step = below[:-1] - below[1:]
+        step *= ends.real[:-1] > 0.0
+        wind += int(step.sum())
+    return wind, valid, dist, chord_max
+
+
 def coverage_probe(f, radius: float, rho: float) -> OracleVerdict:
     """Does f(|z| < radius) cover the closed disk |w| <= rho?
 
@@ -526,9 +609,8 @@ def coverage_probe(f, radius: float, rho: float) -> OracleVerdict:
     witness = None
     for round_idx in range(_ROUNDS + 1):
         curve = f.on_circle(radius, n_curve)[0]
-        abs_chords = np.abs(_chords(curve))
-        chord_max = float(abs_chords.max())
-        min_abs = float(np.abs(curve).min())
+        centre, _, min_abs, chord_max = _centre_winding(curve)
+        chord_max, min_abs = float(chord_max), float(min_abs)
         if not (math.isfinite(chord_max) and math.isfinite(min_abs)):
             # refining the curve cannot remove an overflowing sample
             res = {"curve_points": n_curve, "rounds_used": round_idx,
@@ -546,9 +628,8 @@ def coverage_probe(f, radius: float, rho: float) -> OracleVerdict:
             # the polygon misses the disk by >= 0.95 gap, so the winding at
             # the centre is the winding at every point of the disk
             margin = gap - 0.5 * chord_max
-            wind = int(_winding_block(curve, abs_chords, np.zeros(1, dtype=complex))[0][0])
-            info["winding_min"] = wind
-            if wind >= 1:
+            info["winding_min"] = centre
+            if centre >= 1:
                 return OracleVerdict(CERTIFIED, margin=float(margin), resolution=info)
             witness, margin = 0j, -min_abs
             break
@@ -556,7 +637,7 @@ def coverage_probe(f, radius: float, rho: float) -> OracleVerdict:
         if gap <= 0.0:
             net = disk_net(rho, rho / 16.0)
             info["net_points"] = len(net)
-            wind, valid, dist = _winding_block(curve, abs_chords, net)
+            wind, valid, dist = _winding_block(curve, np.abs(_chords(curve)), net)
             bad_mask = valid & (wind <= 0)
             if bad_mask.any():
                 bad_idx = np.flatnonzero(bad_mask)

@@ -14,6 +14,7 @@ from elliptica import (
     build_Fn,
     profile,
 )
+from elliptica import hypotheses
 from elliptica.distortion import stretches
 from elliptica.harness import _review_fields
 from elliptica.hypotheses import certify_hypotheses
@@ -131,6 +132,20 @@ class TestSupLambdaMin:
         # the pinned family satisfies lambda <= lam strictly inside the disk
         review = certify_hypotheses(build_Fn(2, 2.0), EllipticityParams(1, 0), 2.0, 0.0)
         assert review.status == "certified" and review.sup_lambda <= 2.0
+
+    def test_third_derivative_term_decides_a_square(self):
+        # h = z and g' = C ((z - c)^2 - s^2), c the centre of a first-cover
+        # square and c +- s the centres of two of its quarters: g'' vanishes
+        # at c, so only the g''' term of the square's enclosure reaches
+        # lambda = 1 - |g'| = 1 at the zeros of g', past lam; without it the
+        # square would settle at lambda(c) = 1 - |C| |s|^2
+        side = 2.0 * hypotheses._REGION / hypotheses._GRID
+        c = complex(-hypotheses._REGION + 8.5 * side, -hypotheses._REGION + 8.5 * side)
+        s, C = 0.25 * side * (1 + 1j), 0.5
+        f = HarmonicMap([0.0, 1.0], [C * (c * c - s * s), -C * c, C / 3])
+        review = certify_hypotheses(f, EllipticityParams(1, 3), 1.0 - 0.5 * C * abs(s) ** 2, 0.0)
+        assert review.status == "refuted" and review.sup_lambda == 1.0
+        assert abs(review.witness - (c - s)) < 1e-15
 
 
 class TestInconclusiveExits:

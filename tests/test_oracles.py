@@ -411,6 +411,76 @@ def test_cell_join_matches_the_nine_query_reference():
     assert chunk_counts[6] > 1 and chunk_counts[7] > 10
 
 
+def _exact_worst_pair(curve, move):
+    """Reference: _worst_pair with _cabs on every pair of the nine-query join, neighbours dropped by index."""
+    n = len(curve)
+    move_max = float(move.max())
+    i, j = _nine_query_cell_pairs(curve, 3.0 * move_max).T
+    gap = np.abs(i - j)
+    keep = (gap >= 2) & (gap <= n - 2)
+    i, j = i[keep], j[keep]
+    worst = (move_max, n, n)
+    if len(i):
+        slack = oracles._cabs(curve[i] - curve[j]) - (move[i] + move[j])
+        tied = np.flatnonzero(slack == slack.min())
+        k = tied[np.argmin(i[tied] * n + j[tied])]
+        worst = min(worst, (slack[k], int(i[k]), int(j[k])))
+    return worst, len(i)
+
+
+def _symmetric_cloud(quarter, fold, scale_exp):
+    """quarter followed by its exact rotations by i (fold 4) or -1 (fold 2), scaled by 2^scale_exp."""
+    turns = {1: [(1, 1, False)], 2: [(1, 1, False), (-1, -1, False)],
+             4: [(1, 1, False), (-1, 1, True), (-1, -1, False), (1, -1, True)]}[fold]
+    parts = []
+    for sx, sy, swap in turns:
+        part = np.empty_like(quarter)
+        # a rotation by i maps x + iy to -y + ix; every such map is exact
+        part.real = sx * (quarter.imag if swap else quarter.real)
+        part.imag = sy * (quarter.real if swap else quarter.imag)
+        parts.append(part)
+    return np.ldexp(np.concatenate(parts).view(float), scale_exp).view(complex)
+
+
+@given(st.integers(3, 48), st.sampled_from([1, 2, 4]), st.sampled_from([0, 3, 16]),
+       st.sampled_from([0, -60, 600, -1062]), st.integers(0, 2**32 - 1))
+def test_worst_pair_recheck_matches_an_exact_slack_on_every_pair(m, fold, grid, scale_exp, seed):
+    # random clouds and closed curves, with exact ties from rotated copies
+    # and from coordinates on a grid of 1/grid, at scales from 2^600 down
+    # to subnormal moduli
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        quarter = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    else:
+        t = 0.5 * np.pi * np.arange(m) / m
+        quarter = np.exp(1j * t) * (1.0 + 0.3 * rng.standard_normal() * np.cos(3 * t) ** 2)
+    if grid:
+        quarter = np.round(quarter * grid) / grid
+    curve = _symmetric_cloud(quarter, fold, scale_exp)
+    chords = np.abs(oracles._chords(curve))
+    move = _MOVE_SAFETY * np.maximum(np.roll(chords, 1), chords)
+    if not move.max() > 0.0:
+        return
+    got = oracles._worst_pair(curve, move)
+    want = _exact_worst_pair(curve, move)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("scale_exp", [0, 40, -40, -600])
+def test_worst_pair_recheck_keeps_a_tie_the_cheap_modulus_splits(scale_exp):
+    # the two non-neighbour pairs of a 4-point curve, (0, 2) and (1, 3),
+    # differ by (2, -9)/64 and (6, -7)/64: equal moduli, which np.abs
+    # rounds one ulp apart, so the exact tie goes to the least pair (0, 2)
+    # although the cheap slack of (1, 3) is less
+    curve = np.ldexp((np.array([0, 4 + 5j, -2 + 9j, -2 + 12j]) / 64).view(float), scale_exp).view(complex)
+    d = curve[[0, 1]] - curve[[2, 3]]
+    assert oracles._cabs(d)[0] == oracles._cabs(d)[1] and np.abs(d)[0] > np.abs(d)[1]
+    move = np.full(4, _MOVE_SAFETY * np.abs(oracles._chords(curve)).max())
+    (slack, lower, upper), pairs = oracles._worst_pair(curve, move)
+    assert (lower, upper, pairs) == (0, 2, 2)
+    assert repr(((slack, lower, upper), pairs)) == repr(_exact_worst_pair(curve, move))
+
+
 def test_curve_scan_reports_the_least_of_tied_worst_pairs():
     # F_3's curve has a threefold symmetry, so rotated twins of the worst
     # pair tie; the scan names the least (lower, upper) index pair
@@ -458,6 +528,24 @@ def test_blocked_windings_match_one_pass():
         want = _unblocked_windings(curve, abs_chords, targets)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_centre_winding_matches_one_pass():
+    # the centre pass reads its blocks of half the size, skips the
+    # per-segment test where a block's chords are short, and keeps NaN
+    cases = [curve for curve, _ in _winding_cases()]
+    u = np.linspace(-1.0, 1.0, 3000, endpoint=False)
+    # a circle whose samples crowd where it passes 0.05 from the origin:
+    # valid, though its longest chord exceeds a tenth of that distance
+    crowded = 1.05 + np.exp(1j * np.pi * (1.0 + u**3))
+    cases += [1e-3 * cases[-1], cases[-1] - 0.5, cases[-1] - (1.0 - 1e-4), crowded,
+              np.where(np.arange(len(cases[-1])) == 9000, np.nan, cases[-1])]
+    for curve in cases:
+        abs_chords = np.abs(oracles._chords(curve))
+        wind, valid, dist, chord_max = oracles._centre_winding(curve)
+        want = _unblocked_windings(curve, abs_chords, np.zeros(1, dtype=complex))
+        assert (wind, valid) == (int(want[0][0]), bool(want[1][0]))
+        assert repr((dist, chord_max)) == repr((want[2][0], abs_chords.max()))
 
 
 def test_net_windings_run_in_bounded_memory():
